@@ -27,8 +27,8 @@ from conftest import recording_enabled
 from repro import ArrayConfig, Simulator, simulate_many
 from repro.algorithms.fir import fir_program, fir_registers
 from repro.perf import clear_analysis_cache
-from repro.sim.batch import SimJob
 from repro.sim.engine import Engine
+from repro.sweep import SimJob
 from repro.workloads import ensemble_programs
 
 DISPATCH_EVENTS = 100_000

@@ -31,7 +31,13 @@ from repro.arch.routing import default_router
 from repro.arch.topology import ExplicitLinear
 from repro.core.crossing import cross_off, route_capacities
 from repro.core.labeling import constraint_labeling
-from repro.sim.batch import CompletedCount, SimJob, iter_sweep_jobs, simulate_stream
+from repro.sweep import (
+    CompletedCount,
+    SimJob,
+    iter_sweep_jobs,
+    simulate_many,
+    simulate_stream,
+)
 
 
 def _fir_family(count: int):
@@ -130,8 +136,6 @@ def test_streamed_sweep_matches_collected(benchmark, core_metrics):
 
 def test_streamed_outcomes_agree_with_batch():
     """Correctness guard: streaming and collecting classify identically."""
-    from repro.sim.batch import simulate_many
-
     prog = fir_program(4, 8)
     jobs = [
         SimJob(prog, config=ArrayConfig(queue_capacity=2)) for _ in range(8)

@@ -57,6 +57,11 @@ class ArrayConfig:
     def __post_init__(self) -> None:
         if self.queues_per_link < 1:
             raise ValueError("queues_per_link must be >= 1")
+        for link, count in self.link_queue_overrides.items():
+            if count < 1:
+                raise ValueError(
+                    f"queues_per_link must be >= 1 (override {count} on {link})"
+                )
         if self.queue_capacity < 0:
             raise ValueError("queue_capacity must be >= 0")
         if self.hop_latency < 1:

@@ -1,11 +1,10 @@
 """Discrete-event simulation of programmable systolic arrays.
 
 Ensemble execution (batched and streaming sweeps) lives in the
-:mod:`repro.sweep` package; the names below are re-exported through the
-:mod:`repro.sim.batch` compatibility shim.
+:mod:`repro.sweep` package; the sweep names below are re-exported from it.
 """
 
-from repro.sim.batch import (
+from repro.sweep import (
     BatchError,
     CompletedCount,
     DeadlockRateByConfig,

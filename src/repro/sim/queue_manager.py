@@ -16,6 +16,15 @@ is the baseline that reproduces the queue-induced deadlocks of Figs. 7-9.
 Per-link policy state lives directly on the :class:`LinkState` (the
 ``policy_data`` slot) rather than in ``Link``-keyed side tables, so the
 assignment hot path performs no hashing.
+
+Each :class:`LinkState` is a lazy queue pool. The link keeps its
+configured queue count, but a :class:`HardwareQueue` is built only when a
+policy takes one, so a run costs the queues it uses rather than the
+queues the hardware provides (a provisioning sweep configures up to
+dozens per link, and most sit idle). Built queues are always the lowest
+indices, in index order. The free pool grants exactly as an eager pool
+of every configured queue would: queues never used, in index order,
+then released queues, in release order.
 """
 
 from __future__ import annotations
@@ -24,10 +33,11 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from repro.arch.config import ArrayConfig
 from repro.arch.links import Link
-from repro.arch.queue import HardwareQueue
+from repro.arch.queue import HardwareQueue, QueueStats
 from repro.errors import ConfigError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,21 +75,58 @@ class AssignmentEvent:
 
 
 class LinkState:
-    """Mutable per-link assignment state shared with the policy."""
+    """Mutable per-link assignment state shared with the policy.
 
-    __slots__ = ("link", "queues", "free", "granted_ever", "policy_data")
+    ``count`` is the configured number of queues; ``queues`` holds the
+    ones built so far (indices ``0 .. len(queues) - 1``) and ``free`` the
+    released ones, in release order. A queue index not yet built is
+    free and never used.
+    """
 
-    def __init__(self, link: Link, queues: list[HardwareQueue]) -> None:
+    __slots__ = ("link", "count", "queues", "free", "policy_data", "_config")
+
+    def __init__(self, link: Link, config: ArrayConfig) -> None:
         self.link = link
-        self.queues = queues
-        self.free: list[HardwareQueue] = list(queues)
-        self.granted_ever: set[str] = set()
+        self.count = config.queues_on(link)
+        self.queues: list[HardwareQueue] = []
+        self.free: deque[HardwareQueue] = deque()
         self.policy_data: object = None
+        self._config = config
+
+    @property
+    def has_free(self) -> bool:
+        """True if :meth:`take_free` would succeed."""
+        return len(self.queues) < self.count or bool(self.free)
+
+    def build(self) -> HardwareQueue:
+        """Build the lowest never-used queue; the caller now holds it."""
+        cfg = self._config
+        queue = HardwareQueue(
+            self.link,
+            len(self.queues),
+            capacity=cfg.queue_capacity,
+            extension_allowed=cfg.allow_extension,
+            extension_penalty=cfg.extension_penalty,
+        )
+        self.queues.append(queue)
+        return queue
 
     def take_free(self) -> HardwareQueue:
+        """The next free queue: never-used ones first, then released ones."""
+        if len(self.queues) < self.count:
+            return self.build()
         if not self.free:
             raise SimulationError(f"no free queue on {self.link}")
-        return self.free.pop(0)
+        return self.free.popleft()
+
+    def queue_stats(self) -> Iterator[tuple[str, QueueStats]]:
+        """``(name, counters)`` for every configured queue, by index;
+        queues never built report zero counters."""
+        for queue in self.queues:
+            yield str(queue), queue.stats
+        link = str(self.link)
+        for index in range(len(self.queues), self.count):
+            yield f"{link}#{index}", QueueStats()
 
 
 class AssignmentPolicy(ABC):
@@ -132,7 +179,7 @@ class FCFSPolicy(AssignmentPolicy):
 
     def _evaluate(self, manager, state) -> None:
         pending = state.policy_data
-        while pending and state.free:
+        while pending and state.has_free:
             manager.grant(state, pending.popleft())
 
 
@@ -173,10 +220,10 @@ class OrderedPolicy(AssignmentPolicy):
             groups = label_groups(competing, labeling)
         if self.strict:
             for group in groups:
-                if len(group) > len(state.queues):
+                if len(group) > state.count:
                     raise ConfigError(
                         f"link {state.link}: same-label group {list(group)} needs "
-                        f"{len(group)} queues, only {len(state.queues)} exist "
+                        f"{len(group)} queues, only {state.count} exist "
                         f"(Theorem 1 assumption (ii))"
                     )
         state.policy_data = _OrderedLinkData(groups)
@@ -198,7 +245,7 @@ class OrderedPolicy(AssignmentPolicy):
             fully_granted = True
             for name in group:
                 if name not in granted:
-                    if name in pending and state.free:
+                    if name in pending and state.has_free:
                         manager.grant(state, pending.pop(name))
                         granted.add(name)
                     else:
@@ -221,15 +268,13 @@ class StaticPolicy(AssignmentPolicy):
     name = "static"
 
     def setup_link(self, state, competing, labeling, groups=None) -> None:
-        if len(competing) > len(state.queues):
+        if len(competing) > state.count:
             raise ConfigError(
                 f"link {state.link}: static assignment needs "
                 f"{len(competing)} queues for {list(competing)}, only "
-                f"{len(state.queues)} exist"
+                f"{state.count} exist"
             )
-        state.policy_data = {
-            name: state.queues[i] for i, name in enumerate(competing)
-        }
+        state.policy_data = {name: state.build() for name in competing}
 
     def on_request(self, manager, state, req) -> None:
         queue = state.policy_data[req.message]
@@ -269,13 +314,14 @@ class QueueManager:
     def add_link(
         self,
         link: Link,
-        queues: list[HardwareQueue],
+        config: ArrayConfig,
         competing: Sequence[str],
         labeling: "Labeling | None",
         groups: LabelGroups | None = None,
     ) -> None:
-        """Register a link and let the policy prepare it."""
-        state = LinkState(link, queues)
+        """Register a link with ``config``'s queues and let the policy
+        prepare it."""
+        state = LinkState(link, config)
         self.links[link] = state
         self.policy.setup_link(state, competing, labeling, groups)
 
@@ -290,14 +336,15 @@ class QueueManager:
         req: Request,
         queue: HardwareQueue | None = None,
     ) -> None:
-        """Bind a queue to the request's message and notify the flow."""
+        """Bind a queue to the request's message and notify the flow.
+
+        Without ``queue`` the link's free pool supplies one; a policy
+        passing its own must have reserved it with :meth:`LinkState.build`.
+        """
         if queue is None:
             queue = state.take_free()
-        elif queue in state.free:
-            state.free.remove(queue)
         msg = req.flow.message
         queue.assign(msg.name, msg.length)
-        state.granted_ever.add(msg.name)
         self.trace.append(
             AssignmentEvent(self.clock(), "grant", state.link, queue.index, msg.name)
         )

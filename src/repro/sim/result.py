@@ -17,6 +17,10 @@ class SimulationResult:
     True). A queue-induced deadlock shows up as ``deadlocked=True`` with
     the blocked agents' descriptions and, when one exists, a wait-for
     cycle.
+
+    ``queue_stats`` lists every configured queue of every link a message
+    routes over, keyed ``"src->dst#index"``, in link then index order. A
+    queue that was never granted reports zero counters.
     """
 
     completed: bool

@@ -23,7 +23,6 @@ from collections import defaultdict
 
 from repro.arch.config import ArrayConfig, CommModel
 from repro.arch.links import Link
-from repro.arch.queue import HardwareQueue
 from repro.arch.routing import Router, default_router
 from repro.arch.topology import ExplicitLinear, Topology
 from repro.core.labeling import Labeling, constraint_labeling
@@ -179,21 +178,10 @@ class Simulator:
         used_links: set[Link] = set()
         for flow in self.flows.values():
             used_links.update(flow.route)
-        cfg = self.config
         for link in sorted(used_links):
-            queues = [
-                HardwareQueue(
-                    link,
-                    index,
-                    capacity=cfg.queue_capacity,
-                    extension_allowed=cfg.allow_extension,
-                    extension_penalty=cfg.extension_penalty,
-                )
-                for index in range(cfg.queues_on(link))
-            ]
             self.manager.add_link(
                 link,
-                queues,
+                self.config,
                 competing.get(link, ()),
                 self.labeling,
                 groups_table.get(link) if groups_table is not None else None,
@@ -247,8 +235,7 @@ class Simulator:
             blocked, cycle = diagnose(self)
         queue_stats = {}
         for state in self.manager.links.values():
-            for queue in state.queues:
-                queue_stats[str(queue)] = queue.stats
+            queue_stats.update(state.queue_stats())
         return SimulationResult(
             completed=completed,
             deadlocked=deadlocked,

@@ -66,8 +66,8 @@ class SimJob:
     def run(self) -> "SimulationResult":
         """Execute this job in the current process."""
         # Imported lazily: repro.sim imports this package at module
-        # scope (through the repro.sim.batch compatibility shim), so a
-        # top-level import here would be circular.
+        # scope (to re-export its public names), so a top-level import
+        # here would be circular.
         from repro.sim.runtime import Simulator
 
         sim = Simulator(

@@ -232,7 +232,7 @@ def ensemble_programs(
     """``count`` random deadlock-free programs, one per seed.
 
     The materialised form of :func:`spec_family` — the input shape the
-    batched runner (:func:`repro.sim.batch.simulate_many`) consumes
+    batched runner (:func:`repro.sweep.simulate_many`) consumes
     directly for Theorem-1 ensembles.
     """
     return [

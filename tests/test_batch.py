@@ -4,7 +4,7 @@ import pytest
 
 from repro import ArrayConfig, SimJob, simulate, simulate_many
 from repro.errors import ConfigError
-from repro.sim.batch import sweep_jobs, sweep_labels
+from repro.sweep import BatchError, sweep_jobs, sweep_labels
 from repro.workloads import ensemble_programs
 
 
@@ -137,7 +137,6 @@ class TestSweep:
 
 class TestErrorCollection:
     def test_infeasible_corner_collected_not_fatal(self, ensemble):
-        from repro.sim.batch import BatchError
         program = ensemble[0]
         jobs = sweep_jobs(
             program, policies=("static", "ordered"), queues=(1, 8), capacities=(0,)

@@ -27,6 +27,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArrayConfig(**kwargs)
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_rejects_override_below_one(self, count):
+        # Such a link would never grant a queue: the run would deadlock
+        # silently instead of failing at configuration time.
+        with pytest.raises(ValueError, match="queues_per_link must be >= 1"):
+            ArrayConfig(link_queue_overrides={Link("C1", "C2"): count})
+
 
 class TestHelpers:
     def test_link_overrides(self):

@@ -481,7 +481,7 @@ class TestActivation:
 
 class TestBatchIntegration:
     def test_simulate_many_warms_the_disk_tier(self, tmp_path):
-        from repro.sim.batch import SimJob, simulate_many
+        from repro.sweep import SimJob, simulate_many
 
         program = fir_program(4, 8)
         registers = fir_registers((1.0,) * 4)
@@ -504,7 +504,7 @@ class TestBatchIntegration:
         assert disk.stats()["hits"] >= 1
 
     def test_worker_processes_share_the_tier(self, tmp_path):
-        from repro.sim.batch import SimJob, simulate_many
+        from repro.sweep import SimJob, simulate_many
 
         program = fir_program(4, 8)
         registers = fir_registers((1.0,) * 4)

@@ -1,4 +1,4 @@
-"""Golden-file regression: canonical analysis output, byte for byte.
+"""Golden-file regression: canonical analysis and simulation output.
 
 The equivalence suite pins the interned crossing engine to the reference
 oracle *relative* to each other; these tests pin the absolute output. A
@@ -10,6 +10,15 @@ fractions, normalized labels and schedule bounds is checked into
 skipped-write tuple or a label fails on a one-line diff instead of deep
 inside some downstream consumer.
 
+The run-time half is pinned the same way: ``sim_results.json`` holds one
+digest per simulation job of a fixed corpus (the Fig. 2 and Fig. 7-9
+programs plus seeded random, write-hoisted and read-cycle programs, under
+every policy, queue count and capacity of a small provisioning grid). A
+digest covers the *complete* :class:`SimulationResult` — every field,
+every dict in insertion order, every ``queue_stats`` entry — so a change
+to how the simulator builds or reports its queues must leave every
+result byte-identical, not just the summary rows a sweep keeps.
+
 Regenerate after an *intentional* behaviour change with::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_outputs.py
@@ -19,16 +28,23 @@ and review the diff like any other code change.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
 
 import pytest
 
+from repro.arch.config import ArrayConfig
+from repro.arch.links import Link
 from repro.core.crossing import CrossingResult, cross_off, uniform_lookahead
 from repro.core.labeling import constraint_labeling
 from repro.core.program import ArrayProgram
 from repro.core.schedule import analyze_schedule
+from repro.errors import ReproError
+from repro.sim.result import SimulationResult
+from repro.sim.runtime import Simulator
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -171,3 +187,151 @@ def test_golden_files_are_canonical_json():
         assert raw == (
             json.dumps(doc, indent=2, sort_keys=True) + "\n"
         ).encode(), f"{path.name} is not canonically formatted"
+
+
+# ----------------------------------------------------------------------
+# Simulation results
+# ----------------------------------------------------------------------
+
+SIM_GOLDEN = GOLDEN_DIR / "sim_results.json"
+
+POLICIES = ("ordered", "static", "fcfs")
+QUEUES = (1, 2, 3, 8)
+CAPACITIES = (0, 2)
+
+
+def _sim_programs() -> dict[str, tuple[ArrayProgram, dict | None]]:
+    """Corpus programs with their initial registers, keyed by a short id."""
+    from repro.algorithms.figures import (
+        fig2_fir,
+        fig2_registers,
+        fig7_program,
+        fig8_program,
+        fig9_program,
+    )
+    from repro.workloads import (
+        WorkloadSpec,
+        hoist_writes,
+        inject_read_cycle,
+        random_program,
+    )
+
+    programs = {
+        "fig2": (fig2_fir(), fig2_registers()),
+        "fig7": (fig7_program(), None),
+        "fig8": (fig8_program(), None),
+        "fig9": (fig9_program(), None),
+    }
+    for seed in (1, 2, 3):
+        programs[f"random{seed}"] = (random_program(WorkloadSpec(seed=seed)), None)
+    wide = WorkloadSpec(cells=8, messages=12, max_span=5, seed=8)
+    programs["random-wide8"] = (random_program(wide), None)
+    for seed in (4, 5):
+        base = random_program(WorkloadSpec(seed=seed))
+        programs[f"hoisted{seed}"] = (hoist_writes(base, swaps=4, seed=seed), None)
+    for seed in (6, 7):
+        base = random_program(WorkloadSpec(seed=seed))
+        programs[f"cycle{seed}"] = (inject_read_cycle(base, seed=seed), None)
+    return programs
+
+
+def _sim_jobs():
+    """``(job_id, program, registers, config, policy, strict)`` per job.
+
+    The provisioning grid runs every program; the extras add one
+    queue-extension config and one per-link override config (each under
+    every policy) and non-strict ordered runs, whose oversized label
+    groups deadlock instead of being rejected at set-up.
+    """
+    extension = ArrayConfig(queues_per_link=2, queue_capacity=1, allow_extension=True)
+    for name, (program, registers) in _sim_programs().items():
+        for policy in POLICIES:
+            for queues in QUEUES:
+                for capacity in CAPACITIES:
+                    config = ArrayConfig(
+                        queues_per_link=queues, queue_capacity=capacity
+                    )
+                    job_id = f"{name}/{policy}/q{queues}/c{capacity}"
+                    yield job_id, program, registers, config, policy, True
+        cells = program.cells
+        overrides = ArrayConfig(
+            queues_per_link=2,
+            link_queue_overrides={
+                Link(cells[0], cells[1]): 1,
+                Link(cells[1], cells[2]): 4,
+            },
+        )
+        for policy in POLICIES:
+            yield f"{name}/{policy}/extension", program, registers, extension, policy, True
+            yield f"{name}/{policy}/overrides", program, registers, overrides, policy, True
+        for queues in (1, 2):
+            config = ArrayConfig(queues_per_link=queues)
+            job_id = f"{name}/ordered-lenient/q{queues}/c0"
+            yield job_id, program, registers, config, "ordered", False
+
+
+def canonical_result(result: SimulationResult) -> dict:
+    """Every field of ``result``; dicts become ``[key, value]`` lists so
+    their insertion order is part of the record."""
+    doc = {
+        "completed": result.completed,
+        "deadlocked": result.deadlocked,
+        "timed_out": result.timed_out,
+        "time": result.time,
+        "events": result.events,
+        "blocked": list(result.blocked),
+        "wait_cycle": result.wait_cycle,
+        "registers": [
+            [cell, list(regs.items())] for cell, regs in result.registers.items()
+        ],
+        "received": list(result.received.items()),
+        "queue_stats": [
+            [key, dataclasses.astuple(stats)]
+            for key, stats in result.queue_stats.items()
+        ],
+        "assignment_trace": [
+            [e.time, e.kind, str(e.link), e.queue_index, e.message]
+            for e in result.assignment_trace
+        ],
+        "memory_accesses": list(result.memory_accesses.items()),
+        "busy_cycles": list(result.busy_cycles.items()),
+        "words_transferred": result.words_transferred,
+    }
+    assert set(doc) == {f.name for f in dataclasses.fields(SimulationResult)}
+    return doc
+
+
+def sim_digest(program, registers, config, policy, strict) -> str:
+    """sha256 of one job's canonical result, or of its set-up error."""
+    try:
+        sim = Simulator(
+            program, config=config, policy=policy, registers=registers, strict=strict
+        )
+    except ReproError as exc:
+        doc = {"error": type(exc).__name__, "message": str(exc)}
+    else:
+        doc = canonical_result(sim.run())
+    raw = json.dumps(doc, separators=(",", ":")).encode()
+    return hashlib.sha256(raw).hexdigest()
+
+
+def test_golden_simulation_results():
+    produced = {
+        job_id: sim_digest(program, registers, config, policy, strict)
+        for job_id, program, registers, config, policy, strict in _sim_jobs()
+    }
+    if UPDATE:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        SIM_GOLDEN.write_text(json.dumps(produced, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"golden file {SIM_GOLDEN.name} regenerated")
+    assert SIM_GOLDEN.exists(), (
+        f"missing golden file {SIM_GOLDEN}; generate with REPRO_UPDATE_GOLDEN=1"
+    )
+    expected = json.loads(SIM_GOLDEN.read_text())
+    assert sorted(produced) == sorted(expected), "simulation corpus changed"
+    diverged = sorted(k for k in expected if produced[k] != expected[k])
+    assert not diverged, (
+        f"{len(diverged)} of {len(expected)} simulation results diverged from "
+        f"{SIM_GOLDEN.name}, e.g. {diverged[:5]}; if the change is intentional, "
+        f"regenerate with REPRO_UPDATE_GOLDEN=1 and review the diff"
+    )

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from repro.arch.config import ArrayConfig
 from repro.arch.links import Link
-from repro.arch.queue import HardwareQueue
+from repro.arch.queue import HardwareQueue, QueueStats
 from repro.core.labeling import Labeling
 from repro.core.message import Message
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.sim.queue_manager import (
     FCFSPolicy,
     OrderedPolicy,
@@ -36,8 +37,8 @@ LINK = Link("C1", "C2")
 
 def manager_with(policy, n_queues: int, competing, labeling=None, capacity=4):
     mgr = QueueManager(policy, clock=lambda: 0)
-    queues = [HardwareQueue(LINK, i, capacity) for i in range(n_queues)]
-    mgr.add_link(LINK, queues, competing, labeling)
+    config = ArrayConfig(queues_per_link=n_queues, queue_capacity=capacity)
+    mgr.add_link(LINK, config, competing, labeling)
     return mgr
 
 
@@ -68,6 +69,20 @@ class TestFCFS:
         mgr.request(Request(b, 0))
         assert a.grants and b.grants
         assert a.grants[0] is not b.grants[0]
+
+    def test_never_used_queues_before_released_ones(self):
+        # The free pool hands out untouched queues in index order first,
+        # then released queues in release order.
+        mgr = manager_with(FCFSPolicy(), 3, ["A", "B", "C", "D"])
+        a, b, c, d = (FakeFlow(n, 1, LINK) for n in "ABCD")
+        mgr.request(Request(a, 0))
+        mgr.request(Request(b, 0))
+        assert (a.grants[0].index, b.grants[0].index) == (0, 1)
+        drain(mgr, a)
+        mgr.request(Request(c, 0))
+        assert c.grants[0].index == 2
+        mgr.request(Request(d, 0))
+        assert d.grants[0] is a.grants[0]
 
 
 class TestOrdered:
@@ -146,6 +161,37 @@ class TestStatic:
     def test_insufficient_queues_rejected(self):
         with pytest.raises(ConfigError):
             manager_with(StaticPolicy(), 1, ["A", "B"])
+
+
+class TestLazyPool:
+    def test_builds_only_granted_queues(self):
+        mgr = manager_with(FCFSPolicy(), 8, ["A", "B"])
+        a = FakeFlow("A", 1, LINK)
+        mgr.request(Request(a, 0))
+        assert mgr.links[LINK].queues == a.grants
+
+    def test_static_builds_one_queue_per_competing_message(self):
+        mgr = manager_with(StaticPolicy(), 8, ["A", "B"])
+        assert [q.index for q in mgr.links[LINK].queues] == [0, 1]
+
+    def test_queue_stats_cover_every_configured_queue(self):
+        mgr = manager_with(FCFSPolicy(), 3, ["A"])
+        a = FakeFlow("A", 1, LINK)
+        mgr.request(Request(a, 0))
+        drain(mgr, a)
+        stats = dict(mgr.links[LINK].queue_stats())
+        assert list(stats) == ["C1->C2#0", "C1->C2#1", "C1->C2#2"]
+        assert stats["C1->C2#0"] is a.grants[0].stats
+        assert stats["C1->C2#0"].assignments == 1
+        assert stats["C1->C2#1"] == stats["C1->C2#2"] == QueueStats()
+
+    def test_take_free_on_exhausted_pool_raises(self):
+        mgr = manager_with(FCFSPolicy(), 1, ["A"])
+        state = mgr.links[LINK]
+        state.take_free()
+        assert not state.has_free
+        with pytest.raises(SimulationError):
+            state.take_free()
 
 
 class TestManager:

@@ -6,7 +6,8 @@ import pytest
 
 from repro import ArrayConfig, SimJob, simulate_many
 from repro.errors import ConfigError
-from repro.sim.batch import (
+from repro.sweep import (
+    BatchError,
     CompletedCount,
     DeadlockRateByConfig,
     MakespanHistogram,
@@ -182,8 +183,6 @@ class TestReducers:
         assert summary["ordered q=1 cap=0"]["rate"] == 0.0
 
     def test_summarize_result_flattens_batch_error(self):
-        from repro.sim.batch import BatchError
-
         job = SimJob(program=None, config=ArrayConfig(queues_per_link=3))
         row = summarize_result(7, job, BatchError(kind="ConfigError", error="no"))
         assert row.index == 7
