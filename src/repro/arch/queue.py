@@ -271,6 +271,12 @@ class HardwareQueue:
         """Invoke ``poke`` next time buffer space appears."""
         self._space_waiters.append(poke)
 
+    def drop_waiters(self) -> None:
+        """Forget every waiter and the parked write: the run is over."""
+        self._word_waiters.clear()
+        self._space_waiters.clear()
+        self._parked = None
+
     @staticmethod
     def _notify(waiters: list[Callback]) -> None:
         if not waiters:

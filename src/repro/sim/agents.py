@@ -24,7 +24,6 @@ from repro.arch.links import Route
 from repro.arch.queue import HardwareQueue
 from repro.core.message import Message
 from repro.core.ops import Op, OpKind
-from repro.errors import SimulationError
 from repro.sim.queue_manager import Request
 from repro.sim.words import Word
 
@@ -61,8 +60,6 @@ class MessageFlow:
     )
 
     def __init__(self, sim: "Simulator", message: Message, route: Route) -> None:
-        if not route:
-            raise SimulationError(f"message {message.name} has an empty route")
         self.sim = sim
         self.message = message
         self.route = route
@@ -99,6 +96,11 @@ class MessageFlow:
             poke()
         else:
             self._grant_waiters[hop].append(poke)
+
+    def close(self) -> None:
+        """Drop the simulator back-link and grant waiters (run teardown)."""
+        self.sim = None
+        self._grant_waiters = []
 
 
 class _Agent:
@@ -239,6 +241,13 @@ class _Agent:
         self._clear_wait()
         self.sim.agent_finished(self)
 
+    def close(self) -> None:
+        """Drop the simulator back-link and the cached bound-method
+        callbacks, each a reference cycle through this agent."""
+        self.sim = None
+        self.poke = None
+        self._run_cb = None
+
 
 class CellAgent(_Agent):
     """Executes one cell's program against its I/O queues."""
@@ -299,6 +308,10 @@ class CellAgent(_Agent):
             self._finish()
         else:
             self.poke()
+
+    def close(self) -> None:
+        super().close()
+        self._write_complete_cb = None
 
     def _run(self) -> None:
         # Specialised hot path: fold the base-class _run and step together
@@ -470,6 +483,10 @@ class ForwarderAgent(_Agent):
     def start(self) -> None:
         """Arm the forwarder; it sleeps until words arrive."""
         self.poke()
+
+    def close(self) -> None:
+        super().close()
+        self._push_complete_cb = None
 
     def _run(self) -> None:
         # Specialised hot path mirroring CellAgent._run.

@@ -170,6 +170,16 @@ class Engine:
         """Number of scheduled events not yet fired."""
         return len(self._heap) + len(self._fifo) + self._wheel_count
 
+    def clear(self) -> None:
+        """Drop every pending event; ``now`` and the event count stay."""
+        self._heap.clear()
+        self._fifo.clear()
+        if self._wheel_count:
+            for bucket in self._wheel:
+                bucket.clear()
+            self._wheel_count = 0
+            self._wheel_occupied = 0
+
     def _next_wheel_time(self) -> int | None:
         """Earliest nonempty wheel bucket within the horizon, if any.
 

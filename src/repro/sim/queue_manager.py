@@ -33,7 +33,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.arch.config import ArrayConfig
 from repro.arch.links import Link
@@ -43,6 +43,7 @@ from repro.errors import ConfigError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.labeling import Labeling
     from repro.sim.agents import MessageFlow
+    from repro.sim.engine import Engine
 
 #: Per-link label groups, ascending by label, members sorted by name.
 LabelGroups = Sequence[Sequence[str]]
@@ -297,19 +298,25 @@ def label_groups(
 
 
 class QueueManager:
-    """Owns link states, dispatches requests to the policy, records a trace."""
+    """Owns link states, dispatches requests to the policy, records a trace.
 
-    __slots__ = ("policy", "clock", "links", "trace")
+    Grants and releases are logged as plain ``(time, kind, link,
+    queue_index, message)`` tuples, read off ``engine.now``; :attr:`trace`
+    turns them into :class:`AssignmentEvent` records only when asked.
+    """
 
-    def __init__(
-        self,
-        policy: AssignmentPolicy,
-        clock: Callable[[], int],
-    ) -> None:
+    __slots__ = ("policy", "engine", "links", "_log")
+
+    def __init__(self, policy: AssignmentPolicy, engine: "Engine") -> None:
         self.policy = policy
-        self.clock = clock
+        self.engine = engine
         self.links: dict[Link, LinkState] = {}
-        self.trace: list[AssignmentEvent] = []
+        self._log: list[tuple[int, str, Link, int, str]] = []
+
+    @property
+    def trace(self) -> list[AssignmentEvent]:
+        """Every grant and release so far, in the order they happened."""
+        return [AssignmentEvent(*entry) for entry in self._log]
 
     def add_link(
         self,
@@ -345,8 +352,8 @@ class QueueManager:
             queue = state.take_free()
         msg = req.flow.message
         queue.assign(msg.name, msg.length)
-        self.trace.append(
-            AssignmentEvent(self.clock(), "grant", state.link, queue.index, msg.name)
+        self._log.append(
+            (self.engine.now, "grant", state.link, queue.index, msg.name)
         )
         req.flow.granted(req.hop, queue)
 
@@ -356,10 +363,17 @@ class QueueManager:
         message = queue.assigned or "?"
         queue.release()
         state.free.append(queue)
-        self.trace.append(
-            AssignmentEvent(self.clock(), "release", state.link, queue.index, message)
+        self._log.append(
+            (self.engine.now, "release", state.link, queue.index, message)
         )
         self.policy.on_release(self, state)
+
+    def close(self) -> None:
+        """Drop pending requests and queue waiters: the run is over."""
+        for state in self.links.values():
+            state.policy_data = None
+            for queue in state.queues:
+                queue.drop_waiters()
 
 
 def make_policy(name: str, strict: bool = True) -> AssignmentPolicy:

@@ -29,6 +29,7 @@ from repro.core.labeling import Labeling, constraint_labeling
 from repro.core.crossing import route_capacities
 from repro.core.program import ArrayProgram
 from repro.core.requirements import competing_messages
+from repro.errors import SimulationError
 from repro.perf.analysis_cache import GLOBAL_ANALYSIS_CACHE, AnalysisEntry
 from repro.sim.agents import CellAgent, ForwarderAgent, MessageFlow, _Agent
 from repro.sim.deadlock import diagnose
@@ -90,7 +91,20 @@ class Simulator:
             cache. Identical results either way; repeated simulations of
             the same program skip re-analysis.
 
-    Simulators are single-shot: build, :meth:`run`, inspect the result.
+    A simulator's life is build → :meth:`execute` → :meth:`result` →
+    :meth:`close`; :meth:`run` is the first two in one call. After
+    :meth:`execute` the outcome flags (``completed``, ``deadlocked``,
+    ``timed_out``) and the ``time``, ``events`` and
+    ``words_transferred`` counters can be read directly, which is all a
+    sweep row needs; :meth:`result` diagnoses a deadlock and builds the
+    full :class:`SimulationResult`. :meth:`close` breaks the run's
+    reference cycles (agents and flows point back at the simulator,
+    queues at their waiting agents) so reference counting frees the run
+    as soon as its owner drops it, without the cyclic garbage collector.
+
+    Simulators are single-shot: a second :meth:`execute` or :meth:`run`,
+    or a :meth:`result` after :meth:`close`, raises
+    :class:`~repro.errors.SimulationError`.
     """
 
     def __init__(
@@ -126,12 +140,18 @@ class Simulator:
         self.labeling = labeling
 
         self.engine = Engine(horizon=wheel_horizon_for(program, self.config))
-        self.manager = QueueManager(self.policy, clock=lambda: self.engine.now)
+        self.manager = QueueManager(self.policy, self.engine)
         self.flows: dict[str, MessageFlow] = {}
         self.cell_agents: dict[str, CellAgent] = {}
         self.forwarders: dict[tuple[str, int], ForwarderAgent] = {}
         self.received: dict[str, list[float | None]] = defaultdict(list)
+        self.completed = False
+        self.deadlocked = False
+        self.timed_out = False
         self._unfinished = 0
+        self._started = False
+        self._stop: StopReason | None = None
+        self._closed = False
         self._build(registers or {})
         if self._analysis is not None:
             # Publish freshly computed analyses to the disk tier (no-op
@@ -166,8 +186,15 @@ class Simulator:
                 for msg in self.program.messages.values()
             }
             competing = competing_messages(self.program, self.router)
+        # Links first: an infeasible static/ordered config raises in
+        # link set-up, before any flow or agent is built (a flow needs a
+        # non-empty route).
+        used_links: set[Link] = set()
         for msg in self.program.messages.values():
-            self.flows[msg.name] = MessageFlow(self, msg, routes[msg.name])
+            route = routes[msg.name]
+            if not route:
+                raise SimulationError(f"message {msg.name} has an empty route")
+            used_links.update(route)
         groups_table = None
         if (
             analysis is not None
@@ -175,9 +202,6 @@ class Simulator:
             and self.labeling is not None
         ):
             groups_table = analysis.ordered_groups(self.labeling)
-        used_links: set[Link] = set()
-        for flow in self.flows.values():
-            used_links.update(flow.route)
         for link in sorted(used_links):
             self.manager.add_link(
                 link,
@@ -186,6 +210,8 @@ class Simulator:
                 self.labeling,
                 groups_table.get(link) if groups_table is not None else None,
             )
+        for msg in self.program.messages.values():
+            self.flows[msg.name] = MessageFlow(self, msg, routes[msg.name])
         for cell in self.program.cells:
             agent = CellAgent(
                 self,
@@ -214,34 +240,76 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(
+    @property
+    def time(self) -> int:
+        """Simulated time: the completion (or stall) time once stopped."""
+        return self.engine.now
+
+    @property
+    def events(self) -> int:
+        """Events processed so far."""
+        return self.engine.events_processed
+
+    @property
+    def words_transferred(self) -> int:
+        """Words delivered to their receivers so far."""
+        return sum(flow.words_delivered for flow in self.flows.values())
+
+    def execute(
         self,
         max_events: int | None = 5_000_000,
         max_time: int | None = None,
-    ) -> SimulationResult:
-        """Execute until completion, deadlock, or a safety limit."""
+    ) -> StopReason:
+        """Run until completion, deadlock, or a safety limit.
+
+        Sets ``completed``, ``deadlocked`` and ``timed_out``; returns why
+        the engine stopped.
+        """
+        if self._started or self._closed:
+            raise SimulationError(
+                "simulators are single-shot: this one has already run "
+                "(or was closed); build a new Simulator"
+            )
+        self._started = True
+        # The manager stamps grants with its engine's time; re-bind it so
+        # an engine swapped in after set-up (determinism cross-checks
+        # run a heap-only engine) is the one it reads.
+        self.manager.engine = self.engine
         agents = self.all_agents()
         self._unfinished = len(agents)
         for agent in agents:
-            if isinstance(agent, (CellAgent, ForwarderAgent)):
-                agent.start()
+            agent.start()
         reason = self.engine.run(max_events=max_events, max_time=max_time)
-        completed = self._unfinished == 0
-        deadlocked = not completed and reason is StopReason.QUIESCENT
-        timed_out = not completed and not deadlocked
+        self.completed = self._unfinished == 0
+        self.deadlocked = not self.completed and reason is StopReason.QUIESCENT
+        self.timed_out = not self.completed and not self.deadlocked
+        self._stop = reason
+        return reason
+
+    def result(self) -> SimulationResult:
+        """Diagnose the stopped run and build its :class:`SimulationResult`."""
+        if self._closed:
+            raise SimulationError(
+                "simulator is closed: take its result() before close()"
+            )
+        if self._stop is None:
+            raise SimulationError(
+                "simulator has not run to a stop: call execute() first"
+            )
+        agents = self.all_agents()
         blocked: list[str] = []
         cycle: list[str] | None = None
-        if deadlocked:
+        if self.deadlocked:
             blocked, cycle = diagnose(self)
         queue_stats = {}
         for state in self.manager.links.values():
             queue_stats.update(state.queue_stats())
         return SimulationResult(
-            completed=completed,
-            deadlocked=deadlocked,
-            timed_out=timed_out,
-            time=self.engine.now,
-            events=self.engine.events_processed,
+            completed=self.completed,
+            deadlocked=self.deadlocked,
+            timed_out=self.timed_out,
+            time=self.time,
+            events=self.events,
             blocked=blocked,
             wait_cycle=cycle,
             registers={
@@ -250,16 +318,42 @@ class Simulator:
             },
             received={name: list(vals) for name, vals in self.received.items()},
             queue_stats=queue_stats,
-            assignment_trace=list(self.manager.trace),
+            assignment_trace=self.manager.trace,
             memory_accesses={
                 cell: agent.memory_accesses
                 for cell, agent in self.cell_agents.items()
             },
             busy_cycles={a.name: a.busy_cycles for a in agents},
-            words_transferred=sum(
-                flow.words_delivered for flow in self.flows.values()
-            ),
+            words_transferred=self.words_transferred,
         )
+
+    def run(
+        self,
+        max_events: int | None = 5_000_000,
+        max_time: int | None = None,
+    ) -> SimulationResult:
+        """Execute until completion, deadlock, or a safety limit, and
+        return the result: :meth:`execute` then :meth:`result`."""
+        self.execute(max_events=max_events, max_time=max_time)
+        return self.result()
+
+    def close(self) -> None:
+        """Break the run's reference cycles; the simulator is spent.
+
+        Drops every agent's and flow's back-link to the simulator and
+        cached bound-method callbacks, queue waiters and parked words,
+        pending policy requests and the engine's pending events. Safe to
+        call more than once, and on a simulator that never ran.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for agent in self.all_agents():
+            agent.close()
+        for flow in self.flows.values():
+            flow.close()
+        self.manager.close()
+        self.engine.clear()
 
 
 def simulate(
@@ -269,4 +363,8 @@ def simulate(
     **kwargs,
 ) -> SimulationResult:
     """Build a :class:`Simulator` and run it — the one-call entry point."""
-    return Simulator(program, config=config, policy=policy, **kwargs).run()
+    sim = Simulator(program, config=config, policy=policy, **kwargs)
+    try:
+        return sim.run()
+    finally:
+        sim.close()

@@ -32,14 +32,15 @@ iterable of jobs to an *ordered* stream of
 * ``row`` — the job's :class:`~repro.sweep.summary.RunSummary` — must
   be **byte-identical across backends** for the same job list; the
   transport (pipe, shared memory) may differ, the row may not;
-* ``result`` is the full simulation result when the backend
-  materializes results eagerly, else ``None`` and the session hydrates
-  on demand (deterministic in-parent re-execution);
+* ``result`` is the full simulation result only when the session asked
+  for results and the backend materializes them eagerly, else ``None``
+  and the session hydrates on demand (deterministic in-parent
+  re-execution); a summary-only row builds one only to mine a deadlock;
 * ``witness`` is a compact deadlock-certificate dict
-  (:meth:`~repro.witness.DeadlockWitness.as_dict`) mined *inside the
-  worker* when the session asked for it
-  (``WorkerContext.mine_witnesses``) and the job deadlocked, else
-  ``None`` — so summary-only backends warm the witness store at full
+  (:meth:`~repro.witness.DeadlockWitness.as_dict`) mined *where the
+  job ran* — in process or inside the worker — when the session asked
+  for it (``WorkerContext.mine_witnesses``) and the job deadlocked, else
+  ``None`` — so summary-only streams warm the witness store at full
   speed without shipping full results; the parent merges under the
   store's subsumption rules;
 * worker processes apply the session's

@@ -13,24 +13,20 @@ witness)``:
   may move rows through any transport (pipe, shared memory) but never
   alter them;
 * ``result`` is the full :class:`~repro.sim.result.SimulationResult`
-  (or :class:`~repro.sweep.jobs.BatchError`) when ``want_results`` is
-  set *and* the backend materializes results eagerly, else ``None`` —
-  the session then hydrates on demand through a
-  :class:`~repro.sweep.plan.ResultHandle`. A backend MAY attach the
-  result even when ``want_results`` is unset if it costs nothing (the
-  serial backend always does: the result exists in-process anyway) —
-  the session uses such free results opportunistically, e.g. to mine
-  deadlock witnesses off a streamed run — but consumers MUST NOT rely
-  on it: multiprocess backends ship ``None`` on the summary-only path;
-* ``witness`` is the worker-side mining hook: with
-  ``WorkerContext.mine_witnesses`` set, multiprocess workers mine each
-  deadlocked result *in the worker* (where the full result exists
-  anyway) via :func:`~repro.sweep.jobs.mine_witness_payload` and attach
-  the compact certificate dict — the parent merges it into the witness
-  store under the usual two-way subsumption, so summary-only streams
-  mine at full speed too. Backends that ship the full ``result`` MAY
-  leave ``witness`` ``None`` (the parent mines from the result); a
-  record never needs both;
+  (or :class:`~repro.sweep.jobs.BatchError`) only when ``want_results``
+  is set *and* the backend materializes results eagerly, else ``None``
+  — the session then hydrates on demand through a
+  :class:`~repro.sweep.plan.ResultHandle`. Without ``want_results`` no
+  backend attaches a result: rows come straight off the stopped
+  simulator, and a full result is built only to be shipped or to mine a
+  deadlock;
+* ``witness`` is the mining hook: with ``WorkerContext.mine_witnesses``
+  set, every backend mines each deadlocked job *where it ran* — in
+  process for the serial backend, in the worker for the others — via
+  :func:`~repro.sweep.jobs.mine_witness_payload` and attaches the
+  compact certificate dict; the parent merges it into the witness store
+  under the usual two-way subsumption, so summary-only streams mine at
+  full speed too;
 * with ``collect_errors`` unset, the first failing job's exception MUST
   propagate to the consumer (no silent loss);
 * worker processes MUST apply the :class:`WorkerContext` before running
@@ -42,6 +38,10 @@ witness)``:
   per-job wall-clock timeouts, bounded retries with backoff, poison-job
   quarantine) and must still satisfy every clause above.
 
+Every backend runs a job through the one shared runner,
+:func:`run_record`, so rows, results and witnesses come from the same
+code whatever the transport.
+
 Backends register under a short name (``serial``, ``pool``, ``shm``)
 via :func:`register_backend`; :func:`get_backend` resolves names for
 :class:`~repro.sweep.plan.SweepSession`.
@@ -52,11 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.sweep import fault as fault_mod
 from repro.sweep.fault import FaultPlan, Tolerance
-from repro.sweep.jobs import BatchError, SimJob
-from repro.sweep.summary import RunSummary
+from repro.sweep.jobs import BatchError, SimJob, mine_witness_payload
+from repro.sweep.summary import RunSummary, summarize_result
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.sim.result import SimulationResult
@@ -66,15 +66,52 @@ class JobRecord(NamedTuple):
     """One finished job: index, summary row and optional payloads.
 
     ``witness`` is a compact :meth:`~repro.witness.certificate.
-    DeadlockWitness.as_dict` payload mined inside a worker (see the
-    backend contract above); ``None`` whenever mining is off, the job
-    did not deadlock, or the backend ships the full ``result`` instead.
+    DeadlockWitness.as_dict` payload mined where the job ran (see the
+    backend contract above); ``None`` whenever mining is off or the job
+    left nothing to mine.
     """
 
     index: int
     row: RunSummary
     result: "SimulationResult | BatchError | None"
     witness: dict | None = None
+
+
+def run_record(
+    index: int,
+    job: SimJob,
+    *,
+    want_result: bool,
+    collect_errors: bool,
+    mine: bool,
+) -> JobRecord:
+    """Run one job and reduce it to its :class:`JobRecord`.
+
+    The one per-job runner every backend shares. The row is read off
+    the stopped simulator; the full result is built only when the caller
+    ships it (``want_result``) or a deadlock is to be mined (``mine``),
+    and the simulator is closed before returning, so reference counting
+    frees the whole run at once. With ``collect_errors`` a
+    :class:`~repro.errors.ReproError` from set-up or the run becomes a
+    :class:`~repro.sweep.jobs.BatchError` row; otherwise it propagates.
+    """
+    result = None
+    try:
+        sim = job.simulator()
+        try:
+            sim.execute(max_events=job.max_events, max_time=job.max_time)
+            row = summarize_result(index, job, sim)
+            if want_result or (mine and sim.deadlocked):
+                result = sim.result()
+        finally:
+            sim.close()
+    except ReproError as exc:
+        if not collect_errors:
+            raise
+        result = BatchError(kind=type(exc).__name__, error=str(exc))
+        row = summarize_result(index, job, result)
+    witness = mine_witness_payload(job, result) if mine else None
+    return JobRecord(index, row, result if want_result else None, witness)
 
 
 @dataclass(frozen=True)
@@ -92,9 +129,9 @@ class WorkerContext:
     disk_cache_max_bytes: int | None = None
     fault_plan: FaultPlan | None = None
     crossing_backend: str | None = None
-    #: Mine deadlock witnesses inside workers (see the backend contract:
-    #: the full result exists there anyway, so mining is free) and ship
-    #: the compact dicts back on each :class:`JobRecord`.
+    #: Mine deadlock witnesses where each job runs (see the backend
+    #: contract) and ship the compact dicts back on each
+    #: :class:`JobRecord`.
     mine_witnesses: bool = False
     #: Name of the parent's shared-memory analysis arena
     #: (:mod:`repro.perf.shm_cache`); workers attach once and resolve

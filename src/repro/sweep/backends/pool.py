@@ -31,14 +31,9 @@ from repro.sweep.backends import (
     Tolerance,
     WorkerContext,
     register_backend,
+    run_record,
 )
-from repro.sweep.jobs import (
-    SimJob,
-    iter_chunks,
-    mine_witness_payload,
-    run_job,
-)
-from repro.sweep.summary import summarize_result
+from repro.sweep.jobs import SimJob, iter_chunks
 
 
 def _run_chunk(
@@ -49,17 +44,16 @@ def _run_chunk(
 ) -> list[JobRecord]:
     """Worker entry point: run a chunk, tagging rows with job indices."""
     ctx.apply()
-    records = []
-    for index, job in chunk:
-        result = run_job(job, collect_errors)
-        row = summarize_result(index, job, result)
-        witness = (
-            mine_witness_payload(job, result) if ctx.mine_witnesses else None
+    return [
+        run_record(
+            index,
+            job,
+            want_result=want_results,
+            collect_errors=collect_errors,
+            mine=ctx.mine_witnesses,
         )
-        records.append(
-            JobRecord(index, row, result if want_results else None, witness)
-        )
-    return records
+        for index, job in chunk
+    ]
 
 
 class _PicklabilityCache:

@@ -16,9 +16,9 @@ from repro.sweep.backends import (
     Tolerance,
     WorkerContext,
     register_backend,
+    run_record,
 )
-from repro.sweep.jobs import SimJob, run_job
-from repro.sweep.summary import summarize_result
+from repro.sweep.jobs import SimJob
 
 
 @register_backend
@@ -44,12 +44,11 @@ class SerialBackend(ExecutionBackend):
         tolerance: Tolerance | None = None,
     ) -> Iterator[JobRecord]:
         ctx.apply()
-        # The full result is attached even when the caller did not ask
-        # for results: it already exists in-process (nothing is shipped
-        # or retained — the consumer drops it with the record), and the
-        # session's witness miner reads deadlock diagnoses off streamed
-        # records for free because of it.
         for index, job in enumerate(jobs):
-            result = run_job(job, collect_errors)
-            row = summarize_result(index, job, result)
-            yield JobRecord(index, row, result)
+            yield run_record(
+                index,
+                job,
+                want_result=want_results,
+                collect_errors=collect_errors,
+                mine=ctx.mine_witnesses,
+            )

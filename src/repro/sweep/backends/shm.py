@@ -41,15 +41,11 @@ from repro.sweep.backends import (
     Tolerance,
     WorkerContext,
     register_backend,
+    run_record,
 )
 from repro.sweep.backends.pool import _PicklabilityCache
-from repro.sweep.jobs import (
-    SimJob,
-    iter_chunks,
-    mine_witness_payload,
-    run_job,
-)
-from repro.sweep.summary import RunSummary, summarize_result
+from repro.sweep.jobs import SimJob, iter_chunks
+from repro.sweep.summary import RunSummary
 
 
 def _fill_arena(
@@ -62,19 +58,22 @@ def _fill_arena(
 
     Returns ``(overflow, mined)``: rows whose strings did not fit a slot
     (shipped through the pipe instead), and the compact witness dicts
-    mined from deadlocked results when ``mine`` is set.
+    mined from deadlocked jobs when ``mine`` is set.
     """
     overflow: list[tuple[int, RunSummary]] = []
     mined: list[tuple[int, dict]] = []
     for index, job in chunk:
-        result = run_job(job, collect_errors)
-        row = summarize_result(index, job, result)
-        if not arena.write_row(index, row):
-            overflow.append((index, row))
-        if mine:
-            witness = mine_witness_payload(job, result)
-            if witness is not None:
-                mined.append((index, witness))
+        record = run_record(
+            index,
+            job,
+            want_result=False,
+            collect_errors=collect_errors,
+            mine=mine,
+        )
+        if not arena.write_row(index, record.row):
+            overflow.append((index, record.row))
+        if record.witness is not None:
+            mined.append((index, record.witness))
     return overflow, mined
 
 

@@ -61,16 +61,9 @@ from typing import Iterator, Sequence
 from repro.errors import WorkerCrashError
 from repro.sweep import fault as fault_mod
 from repro.sweep.arena import SummaryArena
-from repro.sweep.backends import JobRecord, WorkerContext
+from repro.sweep.backends import JobRecord, WorkerContext, run_record
 from repro.sweep.fault import Tolerance
-from repro.sweep.jobs import (
-    WORKER_CRASH_KIND,
-    BatchError,
-    SimJob,
-    iter_chunks,
-    mine_witness_payload,
-    run_job,
-)
+from repro.sweep.jobs import WORKER_CRASH_KIND, BatchError, SimJob, iter_chunks
 from repro.sweep.summary import summarize_result, timeout_row
 
 #: What ``conn.send`` raises when an exception *payload* cannot pickle
@@ -139,7 +132,13 @@ def _worker_main(
                     plan.maybe_crash(index)
                     plan.maybe_hang(index)
                 try:
-                    result = run_job(job, collect_errors)
+                    record = run_record(
+                        index,
+                        job,
+                        want_result=want_results and arena is None,
+                        collect_errors=collect_errors,
+                        mine=ctx.mine_witnesses,
+                    )
                 except MemoryError:
                     # Bug-class, not data: let the worker die — crash
                     # recovery requeues the job with bounded retries
@@ -160,35 +159,14 @@ def _worker_main(
                             )
                         )
                     continue
-                row = summarize_result(index, job, result)
-                witness = (
-                    mine_witness_payload(job, result)
-                    if ctx.mine_witnesses
-                    else None
-                )
+                row = record.row
                 if arena is not None:
                     published = arena.write_row(index, row)
                     if published and plan is not None:
                         published = not plan.maybe_corrupt(arena, index)
-                    conn.send(
-                        (
-                            "row",
-                            index,
-                            None if published else row,
-                            None,
-                            witness,
-                        )
-                    )
-                else:
-                    conn.send(
-                        (
-                            "row",
-                            index,
-                            row,
-                            result if want_results else None,
-                            witness,
-                        )
-                    )
+                    if published:
+                        row = None
+                conn.send(("row", index, row, record.result, record.witness))
             conn.send(("done", chunk_id))
     except (EOFError, BrokenPipeError):  # parent went away: just exit
         pass
@@ -452,24 +430,16 @@ class Supervisor:
         and no retries apply: in-parent execution cannot lose a worker.
         """
         for index, job in items:
-            result = run_job(job, self.collect_errors)
-            row = summarize_result(index, job, result)
-            witness = (
-                mine_witness_payload(job, result)
-                if self.ctx.mine_witnesses
-                else None
-            )
             # The record carries the row directly (no arena round-trip
             # needed in-parent), matching the unsupervised fallback.
             self._record(
                 index,
-                JobRecord(
+                run_record(
                     index,
-                    row,
-                    result
-                    if self.want_results and self.arena is None
-                    else None,
-                    witness,
+                    job,
+                    want_result=self.want_results and self.arena is None,
+                    collect_errors=self.collect_errors,
+                    mine=self.ctx.mine_witnesses,
                 ),
             )
 

@@ -3,8 +3,9 @@
 A :class:`SimJob` is one simulation to execute — program, config,
 policy, registers, limits. :func:`normalize_jobs` turns the
 ``simulate_many`` input shapes (programs + broadcast config, per-program
-configs, or prebuilt jobs) into a flat job list; :func:`run_job` executes
-one job, optionally trapping :class:`~repro.errors.ReproError` into a
+configs, or prebuilt jobs) into a flat job list; the backends' shared
+runner (:func:`repro.sweep.backends.run_record`) executes one job,
+optionally trapping :class:`~repro.errors.ReproError` into a
 :class:`BatchError` so infeasible sweep corners stay data instead of
 aborting the batch. Chunking lives here too because every multiprocess
 backend needs it (per-chunk picklability probing is the pool backend's
@@ -17,11 +18,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.arch.config import ArrayConfig
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
     from repro.core.program import ArrayProgram
     from repro.sim.result import SimulationResult
+    from repro.sim.runtime import Simulator
     from repro.sweep.summary import RunSummary
 
 
@@ -63,21 +65,28 @@ class SimJob:
     max_events: int | None = 5_000_000
     max_time: int | None = None
 
-    def run(self) -> "SimulationResult":
-        """Execute this job in the current process."""
+    def simulator(self) -> "Simulator":
+        """This job's simulator, built but not yet run."""
         # Imported lazily: repro.sim imports this package at module
         # scope (to re-export its public names), so a top-level import
         # here would be circular.
         from repro.sim.runtime import Simulator
 
-        sim = Simulator(
+        return Simulator(
             self.program,
             config=self.config,
             policy=self.policy,
             registers=self.registers,
             strict=self.strict,
         )
-        return sim.run(max_events=self.max_events, max_time=self.max_time)
+
+    def run(self) -> "SimulationResult":
+        """Execute this job in the current process."""
+        sim = self.simulator()
+        try:
+            return sim.run(max_events=self.max_events, max_time=self.max_time)
+        finally:
+            sim.close()
 
 
 def normalize_jobs(
@@ -111,18 +120,6 @@ def normalize_jobs(
             SimJob(program, config=config, policy=policy, registers=registers)
         )
     return jobs
-
-
-def run_job(
-    job: SimJob, collect_errors: bool
-) -> "SimulationResult | BatchError":
-    """Execute ``job``; with ``collect_errors`` trap failures as data."""
-    if not collect_errors:
-        return job.run()
-    try:
-        return job.run()
-    except ReproError as exc:
-        return BatchError(kind=type(exc).__name__, error=str(exc))
 
 
 def witness_row(index: int, job: SimJob, witness) -> "RunSummary":
@@ -159,11 +156,10 @@ def witness_row(index: int, job: SimJob, witness) -> "RunSummary":
 def mine_witness_payload(job: SimJob, result) -> dict | None:
     """Mine one finished job into a compact certificate dict, or ``None``.
 
-    The worker-side half of the witness-mining hook: multiprocess
-    workers hold the full :class:`~repro.sim.result.SimulationResult`
-    in-process anyway, so they normalize deadlocks into
-    :class:`~repro.witness.certificate.DeadlockWitness` payloads locally
-    and ship only the compact dict over the pipe/future channel. Every
+    The job-side half of the witness-mining hook: wherever a job runs —
+    in-process or in a worker — its deadlock is normalized into a
+    :class:`~repro.witness.certificate.DeadlockWitness` payload there,
+    and only the compact dict travels back with the record. Every
     soundness refusal lives in :func:`~repro.witness.certificate.
     mine_witness` (non-deadlocks, non-monotone policies, overridden or
     extensible queue configs return ``None``), so a worker can never

@@ -39,13 +39,13 @@ from repro.sweep.backends import (
     Tolerance,
     WorkerContext,
     get_backend,
+    run_record,
 )
 from repro.sweep.jobs import (
     BatchError,
     SimJob,
     default_chunk_size,
     normalize_jobs,
-    run_job,
     witness_row,
 )
 from repro.sweep.reducers import StreamReducer
@@ -89,15 +89,14 @@ class SweepPlan:
     covers it row-exactly, its deadlock row is synthesized
     (:func:`~repro.sweep.jobs.witness_row`) instead of simulated —
     counted in :attr:`SweepSession.witness_pruned`. With
-    ``witness_mine`` (the default), deadlocked results that come back
-    attached to records (always on the serial backend, on eager
-    full-result backends under :meth:`SweepSession.iter_handles`) are
-    mined into new certificates — and multiprocess workers mine their
-    own deadlocks in-process, shipping compact certificate dicts on
-    each record, so summary-only ``pool``/``shm`` streams warm the
-    store at full speed too. Only monotone policies are ever pruned
-    or mined (FCFS is exempt by construction — see
-    :mod:`repro.witness.certificate`); composing with ``checkpoint`` is
+    ``witness_mine`` (the default), every deadlocked job is mined into a
+    new certificate where it ran — in process on the serial backend,
+    inside the workers on ``pool``/``shm`` — and only the compact
+    certificate dict travels back on its record, so summary-only
+    streams warm the store at full speed on every backend (a job builds
+    its full result only to be mined or shipped). Only monotone
+    policies are ever pruned or mined (FCFS is exempt by construction —
+    see :mod:`repro.witness.certificate`); composing with ``checkpoint`` is
     safe because pruned jobs are marked done like simulated ones and
     the grid fingerprint does not depend on the store.
     """
@@ -161,7 +160,13 @@ class ResultHandle:
     def result(self) -> "SimulationResult | BatchError":
         """The full result, re-executing the job on first access."""
         if self._result is _UNSET:
-            self._result = run_job(self._job, self._collect_errors)
+            self._result = run_record(
+                self.summary.index,
+                self._job,
+                want_result=True,
+                collect_errors=self._collect_errors,
+                mine=False,
+            ).result
         return self._result
 
 
@@ -228,19 +233,12 @@ class SweepSession:
         # Constructing the Tolerance up front validates the knobs
         # (negative retries, non-positive timeouts) at session creation.
         self.tolerance = self._make_tolerance()
-        multiprocess = self.backend.name != "serial"
-        # Worker-side mining: multiprocess workers hold each full result
-        # in-process anyway, so with a store attached they normalize
-        # deadlocks into compact certificates locally and the parent
-        # merges them (see _witness_records). The serial backend ships
-        # full results, so the parent mines those directly instead.
-        mine_workers = (
-            multiprocess
-            and plan.witness_store is not None
-            and plan.witness_mine
-        )
+        # With a store attached, every backend mines each deadlock
+        # where the job ran and ships a compact certificate on its
+        # record; the parent merges them (see _witness_records).
+        mine = plan.witness_store is not None and plan.witness_mine
         shm_name: str | None = None
-        if multiprocess:
+        if self.backend.name != "serial":
             # Publish the parent's warm analyses into the shared-memory
             # tier so workers resolve fingerprints with no filesystem
             # I/O. Best-effort: ensure_shm_cache returns None when the
@@ -255,7 +253,7 @@ class SweepSession:
         self.ctx = WorkerContext.capture(
             plan.disk_cache,
             plan.fault_plan,
-            mine_witnesses=mine_workers,
+            mine_witnesses=mine,
             shm_cache=shm_name,
         )
         # The parent applies the context too: in-process execution and
@@ -322,23 +320,17 @@ class SweepSession:
         original index, so downstream consumers (reducers, checkpoints,
         the CLI tables) cannot tell a pruned row from a simulated one.
 
-        Mining rides the same pass for free: records that arrive with a
-        full result attached (always on the serial backend — see the
-        backend contract) have their deadlock diagnoses normalized into
-        new certificates when ``plan.witness_mine`` is set. Multiprocess
-        summary-only streams ship no results, but their workers mine
-        in-process (``WorkerContext.mine_witnesses``) and attach the
-        compact certificate dict to each record; the parent rehydrates
-        and merges it under the store's usual two-way subsumption.
-        Witness-first precedence — a record is never mined from both its
-        witness and its result — keeps ``witness_mined`` an exact count.
+        Mining rides the same pass: with ``plan.witness_mine`` set,
+        every backend mines each deadlocked job where it ran
+        (``WorkerContext.mine_witnesses``) and attaches the compact
+        certificate dict to its record; the parent rehydrates and merges
+        it under the store's usual two-way subsumption.
         """
         from collections import deque
 
         store = self.plan.witness_store
-        mine = self.plan.witness_mine
         synth: deque[tuple[int, RunSummary]] = deque()
-        sent: list[tuple[int, SimJob]] = []  # compact index -> original
+        sent: list[int] = []  # compact index -> original
 
         def feed() -> Iterator[SimJob]:
             for original, job in enumerate(jobs):
@@ -347,23 +339,19 @@ class SweepSession:
                     synth.append((original, witness_row(original, job, witness)))
                     self.witness_pruned += 1
                     continue
-                sent.append((original, job))
+                sent.append(original)
                 yield job
 
         for record in self._execute(feed(), want_results=want_results):
-            original, job = sent[record.index]
+            original = sent[record.index]
             while synth and synth[0][0] < original:
                 index, row = synth.popleft()
                 yield JobRecord(index, row, None)
-            if mine:
-                if record.witness is not None:
-                    from repro.witness import DeadlockWitness
+            if record.witness is not None:
+                from repro.witness import DeadlockWitness
 
-                    if store.add(DeadlockWitness.from_dict(record.witness)):
-                        self.witness_mined += 1
-                elif record.result is not None:
-                    if self._mine(job, record.result):
-                        self.witness_mined += 1
+                if store.add(DeadlockWitness.from_dict(record.witness)):
+                    self.witness_mined += 1
             row = record.row
             if row.index != original:
                 row = dataclasses.replace(row, index=original)
@@ -371,15 +359,6 @@ class SweepSession:
         while synth:
             index, row = synth.popleft()
             yield JobRecord(index, row, None)
-
-    def _mine(self, job: SimJob, result) -> bool:
-        """Normalize one attached result into a stored certificate."""
-        from repro.witness import mine_witness
-
-        witness = mine_witness(job, result)
-        if witness is None:
-            return False
-        return self.plan.witness_store.add(witness)
 
     def _records(
         self, jobs: Iterable[SimJob], want_results: bool

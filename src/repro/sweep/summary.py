@@ -17,6 +17,7 @@ from repro.sweep.jobs import BatchError, SimJob
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.sim.result import SimulationResult
+    from repro.sim.runtime import Simulator
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,16 @@ class RunSummary:
 
 
 def summarize_result(
-    index: int, job: SimJob, result: "SimulationResult | BatchError"
+    index: int,
+    job: SimJob,
+    result: "SimulationResult | Simulator | BatchError",
 ) -> RunSummary:
-    """Flatten one job's result into a :class:`RunSummary` row."""
+    """Flatten one job's result into a :class:`RunSummary` row.
+
+    ``result`` may also be the job's stopped
+    :class:`~repro.sim.runtime.Simulator`, which carries the same outcome
+    flags and counters, so a row never needs the full result built.
+    """
     config = job.config or ArrayConfig()
     if isinstance(result, BatchError):
         return RunSummary(

@@ -335,3 +335,42 @@ def test_golden_simulation_results():
         f"{SIM_GOLDEN.name}, e.g. {diverged[:5]}; if the change is intentional, "
         f"regenerate with REPRO_UPDATE_GOLDEN=1 and review the diff"
     )
+
+
+@pytest.mark.parametrize(
+    "want_result, mine", [(False, False), (True, False), (False, True)]
+)
+def test_run_record_matches_simulated_results(want_result, mine):
+    """The sweep runner's summary-only rows equal rows of full runs.
+
+    :func:`~repro.sweep.backends.run_record` reads each row off the
+    stopped simulator instead of its :class:`SimulationResult`; over the
+    whole corpus the row must equal ``summarize_result`` of a full
+    ``Simulator(...).run()`` (set-up errors as :class:`BatchError` rows),
+    with ``want_result`` the attached result must equal that run's, and
+    with ``mine`` the witness must be the one mined from it.
+    """
+    from repro.sweep import BatchError, SimJob, summarize_result
+    from repro.sweep.backends import run_record
+    from repro.sweep.jobs import mine_witness_payload
+
+    for index, (job_id, program, registers, config, policy, strict) in enumerate(
+        _sim_jobs()
+    ):
+        job = SimJob(
+            program, config=config, policy=policy, registers=registers, strict=strict
+        )
+        try:
+            expected = Simulator(
+                program, config=config, policy=policy, registers=registers, strict=strict
+            ).run(max_events=job.max_events, max_time=job.max_time)
+        except ReproError as exc:
+            expected = BatchError(kind=type(exc).__name__, error=str(exc))
+        record = run_record(
+            index, job, want_result=want_result, collect_errors=True, mine=mine
+        )
+        assert record.index == index
+        assert record.row == summarize_result(index, job, expected), job_id
+        assert record.result == (expected if want_result else None), job_id
+        witness = mine_witness_payload(job, expected) if mine else None
+        assert record.witness == witness, job_id

@@ -10,6 +10,7 @@ from repro.arch.queue import HardwareQueue, QueueStats
 from repro.core.labeling import Labeling
 from repro.core.message import Message
 from repro.errors import ConfigError, SimulationError
+from repro.sim.engine import Engine
 from repro.sim.queue_manager import (
     FCFSPolicy,
     OrderedPolicy,
@@ -36,7 +37,7 @@ LINK = Link("C1", "C2")
 
 
 def manager_with(policy, n_queues: int, competing, labeling=None, capacity=4):
-    mgr = QueueManager(policy, clock=lambda: 0)
+    mgr = QueueManager(policy, Engine())
     config = ArrayConfig(queues_per_link=n_queues, queue_capacity=capacity)
     mgr.add_link(LINK, config, competing, labeling)
     return mgr

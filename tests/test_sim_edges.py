@@ -6,7 +6,7 @@ from repro import ArrayConfig, Link, Simulator, simulate
 from repro.core.message import Message
 from repro.core.ops import R, W
 from repro.core.program import ArrayProgram
-from repro.errors import ProgramError
+from repro.errors import ProgramError, SimulationError
 
 
 class TestLinkOverrides:
@@ -122,7 +122,7 @@ class TestValidationAtSimLevel:
         sim = Simulator(fig6)
         first = sim.run()
         assert first.completed
-        # A second run on the same instance is undefined; the engine is
-        # drained, so it returns immediately without progress.
-        second = sim.run()
-        assert second.events == first.events  # nothing further happened
+        # Simulators are single-shot: a second run would restart the
+        # agents on the spent engine, so it raises instead.
+        with pytest.raises(SimulationError, match="single-shot"):
+            sim.run()

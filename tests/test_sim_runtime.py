@@ -16,7 +16,7 @@ from repro.algorithms.figures import (
 from repro.core.message import Message
 from repro.core.ops import COMPUTE, R, W
 from repro.core.program import ArrayProgram
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 
 
 class TestFirEndToEnd:
@@ -235,3 +235,66 @@ class TestMultiHop:
             return simulate(prog, config=config).time
 
         assert run(5) > run(1)
+
+
+class TestLifecycle:
+    """build -> execute -> result -> close, and simulators are single-shot."""
+
+    @staticmethod
+    def fig7_fcfs(fig7) -> Simulator:
+        config = ArrayConfig(queues_per_link=8, queue_capacity=2)
+        return Simulator(fig7, config=config, policy="fcfs")
+
+    def test_second_run_raises_instead_of_reporting_a_deadlock(self, fig7):
+        # A second run used to restart the agents on the spent engine and
+        # report this completed run as deadlocked with nothing blocked.
+        sim = self.fig7_fcfs(fig7)
+        first = sim.run()
+        assert first.completed
+        with pytest.raises(SimulationError, match="single-shot"):
+            sim.run()
+        with pytest.raises(SimulationError, match="single-shot"):
+            sim.execute()
+        assert sim.result() == first  # the refused re-run changed nothing
+
+    def test_execute_exposes_the_row_fields_of_the_result(self, fig7):
+        sim = self.fig7_fcfs(fig7)
+        sim.execute()
+        result = sim.result()
+        for field in (
+            "completed",
+            "deadlocked",
+            "timed_out",
+            "time",
+            "events",
+            "words_transferred",
+        ):
+            assert getattr(sim, field) == getattr(result, field), field
+
+    def test_result_before_execute_raises(self, fig7):
+        with pytest.raises(SimulationError, match="execute"):
+            self.fig7_fcfs(fig7).result()
+
+    def test_closed_simulator_refuses_result_and_execute(self, fig7):
+        sim = self.fig7_fcfs(fig7)
+        sim.execute()
+        sim.close()
+        sim.close()  # idempotent
+        with pytest.raises(SimulationError, match="closed"):
+            sim.result()
+        with pytest.raises(SimulationError, match="single-shot"):
+            sim.execute()
+
+    def test_close_drops_pending_events_of_a_timed_out_run(self, fig7):
+        sim = self.fig7_fcfs(fig7)
+        sim.execute(max_events=5)
+        assert sim.timed_out and sim.engine.pending
+        sim.close()
+        assert sim.engine.pending == 0
+        assert (sim.time, sim.events) == (sim.engine.now, 5)
+
+    def test_close_before_execute_refuses_the_run(self, fig7):
+        sim = self.fig7_fcfs(fig7)
+        sim.close()
+        with pytest.raises(SimulationError, match="single-shot"):
+            sim.run()

@@ -10,6 +10,7 @@ backend's structural edges: arena codec round-trips, string overflow
 spill to the pipe, unwritten-slot detection and on-demand hydration.
 """
 
+import gc
 import json
 
 import pytest
@@ -37,6 +38,7 @@ from repro.sweep import (
     sweep_jobs,
 )
 from repro.sweep.arena import ERROR_CAP, KIND_CAP, POLICY_CAP, decode_row, encode_row
+from repro.sweep.backends import run_record
 from repro.workloads import ensemble_programs
 
 BACKENDS = ("serial", "pool", "shm")
@@ -504,17 +506,18 @@ class TestShmOverflowSpill:
         import repro.sweep.backends.shm as shm_mod
 
         long_error = "x" * (ERROR_CAP + 50)
-        real_summarize = shm_mod.summarize_result
+        real_run_record = shm_mod.run_record
 
-        def lying_summarize(index, job, result):
-            row = real_summarize(index, job, result)
+        def lying_run_record(index, job, **kwargs):
+            record = real_run_record(index, job, **kwargs)
             if index % 2 == 0:
-                return RunSummary(
-                    **{**row.__dict__, "error_kind": "Fake", "error": long_error}
+                row = RunSummary(
+                    **{**record.row.__dict__, "error_kind": "Fake", "error": long_error}
                 )
-            return row
+                return record._replace(row=row)
+            return record
 
-        monkeypatch.setattr(shm_mod, "summarize_result", lying_summarize)
+        monkeypatch.setattr(shm_mod, "run_record", lying_run_record)
         jobs = [SimJob(fig7_program()) for _ in range(4)]
         plan = SweepPlan(jobs=jobs, backend="shm", workers=1, chunk_size=2)
         rows = list(SweepSession(plan).stream())
@@ -529,17 +532,18 @@ class TestShmOverflowSpill:
 
         monkeypatch.setattr(arena_mod, "DEFAULT_SEGMENT_ROWS", 2)
         long_error = "x" * (ERROR_CAP + 50)
-        real_summarize = shm_mod.summarize_result
+        real_run_record = shm_mod.run_record
 
-        def lying_summarize(index, job, result):
-            row = real_summarize(index, job, result)
+        def lying_run_record(index, job, **kwargs):
+            record = real_run_record(index, job, **kwargs)
             if index >= 4:  # slots in segment 2 and beyond
-                return RunSummary(
-                    **{**row.__dict__, "error_kind": "Fake", "error": long_error}
+                row = RunSummary(
+                    **{**record.row.__dict__, "error_kind": "Fake", "error": long_error}
                 )
-            return row
+                return record._replace(row=row)
+            return record
 
-        monkeypatch.setattr(shm_mod, "summarize_result", lying_summarize)
+        monkeypatch.setattr(shm_mod, "run_record", lying_run_record)
         jobs = [SimJob(fig7_program()) for _ in range(6)]
         plan = SweepPlan(jobs=iter(jobs), backend="shm", workers=2, chunk_size=2)
         rows = list(SweepSession(plan).stream())
@@ -564,6 +568,82 @@ class TestShmOverflowSpill:
         assert [row.index for row in outcome.rows] == [0, 1]
         assert all(row.completed for row in outcome.rows)
         assert outcome.handles[1].result().registers["C2"]["y"] == 3.0
+
+
+def _explode(value):
+    raise ReproError("compute op failed mid-run")
+
+
+def _teardown_job(policy: str, case: str) -> SimJob:
+    """One job of ``case`` (an outcome, or where an error strikes)."""
+    from repro.algorithms.figures import fig2_fir, fig2_registers, fig5_p3
+    from repro.core.message import Message
+    from repro.core.ops import COMPUTE, R, W
+    from repro.core.program import ArrayProgram
+
+    two = ArrayConfig(queues_per_link=2)
+    if case == "completed":
+        return SimJob(fig2_fir(), two, policy, registers=fig2_registers())
+    if case == "deadlocked":
+        return SimJob(fig5_p3(), two, policy)
+    if case == "timed_out":
+        return SimJob(fig2_fir(), two, policy, registers=fig2_registers(), max_events=5)
+    if case == "setup_error":  # too few queues for the link's messages
+        return SimJob(fig8_program(), ArrayConfig(queues_per_link=1), policy)
+    assert case == "run_error"
+    program = ArrayProgram(
+        ["C1", "C2"],
+        [Message("A", "C1", "C2", 1)],
+        {
+            "C1": [W("A", constant=2.0)],
+            "C2": [R("A", into="x"), COMPUTE("y", _explode, ["x"])],
+        },
+    )
+    return SimJob(program, two, policy)
+
+
+#: Every outcome under every policy, plus both places an infeasible row
+#: comes from: a set-up refusal (ordered and static check their queues;
+#: FCFS has no set-up check to fail) and an error raised mid-run.
+TEARDOWN_CASES = [
+    (policy, case)
+    for policy in ("ordered", "static", "fcfs")
+    for case in ("completed", "deadlocked", "timed_out", "setup_error", "run_error")
+    if not (policy == "fcfs" and case == "setup_error")
+]
+
+
+class TestRunRecordTeardown:
+    """The runner frees each run by reference counting alone."""
+
+    @pytest.mark.parametrize("policy, case", TEARDOWN_CASES)
+    def test_no_cyclic_garbage_left(self, policy, case):
+        job = _teardown_job(policy, case)
+        modes = [
+            {"want_result": False, "mine": False},
+            {"want_result": True, "mine": True},
+        ]
+        # Warm the analysis cache first: only the run itself is on trial.
+        first = run_record(0, job, collect_errors=True, **modes[0])
+        expected = {
+            "setup_error": "infeasible",
+            "run_error": "infeasible",
+            "deadlocked": "deadlock",
+            "timed_out": "timeout",
+        }.get(case, case)
+        assert first.row.outcome == expected
+        gc.collect()
+        gc.disable()
+        try:
+            for mode in modes:
+                record = run_record(0, job, collect_errors=True, **mode)
+                assert record.row == first.row
+                assert gc.collect() == 0, mode
+            if not case.endswith("error"):
+                job.run()
+                assert gc.collect() == 0, "SimJob.run"
+        finally:
+            gc.enable()
 
 
 class TestResultHandle:
