@@ -294,6 +294,14 @@ def _cmd_sweep_stream(args, program, policies, queues, capacities) -> int:
     except KeyboardInterrupt:
         return _interrupted(rows, args, store)
     _witness_report(store, session)
+    if session.memo_hits:
+        # A console line, not a --json field: the count depends on
+        # chunking and on what a resumed run re-runs, while the --json
+        # payload must not.
+        print(
+            f"[memo] {session.memo_hits} row(s) served from an earlier "
+            "run with the same canonical key"
+        )
     print(f"{outcomes.completed}/{outcomes.total} runs completed")
     for reducer in reducers:
         print(f"[{reducer.name}] {json.dumps(reducer.summary())}")

@@ -1326,9 +1326,36 @@ def route_capacities(
 
     With queue extension enabled the bound is infinite — the spill
     mechanism implements arbitrarily long logical queues (Section 8.1).
+
+    This is the paper's queue model, and the ordered policy labels with
+    it. The simulator buffers one word more per intermediate hop (see
+    :func:`simulator_capacities`), so this bound is sound but not
+    complete for simulated runs: it can call a program deadlocked that
+    the simulator completes.
     """
     caps: dict[str, float] = {}
     for msg in program.messages.values():
         hops = len(router.route(msg.sender, msg.receiver))
         caps[msg.name] = math.inf if allow_extension else float(hops * queue_capacity)
+    return LookaheadConfig(route_capacity=caps)
+
+
+def simulator_capacities(
+    program: ArrayProgram, router, queue_capacity: int
+) -> LookaheadConfig:
+    """R2 bounds matching the simulator's buffering exactly.
+
+    A message crossing ``hops`` links holds ``hops x queue_capacity``
+    words in its queues, as in :func:`route_capacities`, plus one word
+    in the register of each of its ``hops - 1`` intermediate forwarders
+    (:class:`~repro.sim.agents.ForwarderAgent`). With this bound the
+    crossing-off verdict agrees with the simulated static outcome when
+    every link has a queue per competing message. It describes the
+    simulator, not the paper's queue model, so
+    :func:`route_capacities` stays the ordered policy's labeling input.
+    """
+    caps: dict[str, float] = {}
+    for msg in program.messages.values():
+        hops = len(router.route(msg.sender, msg.receiver))
+        caps[msg.name] = float(hops * queue_capacity + hops - 1)
     return LookaheadConfig(route_capacity=caps)

@@ -52,6 +52,7 @@ from repro.core.crossing import LookaheadConfig, route_capacities
 from repro.core.labeling import Labeling, constraint_labeling
 from repro.core.program import ArrayProgram
 from repro.core.requirements import competing_messages
+from repro.errors import DeadlockedProgramError
 
 _FINGERPRINT_ATTR = "_perf_fingerprint"
 
@@ -174,6 +175,7 @@ class AnalysisEntry:
         "_capacities",
         "_has_capacities",
         "_labeling",
+        "_labeling_error",
         "_ordered_groups",
         "_disk_synced",
         "_shm_synced",
@@ -200,6 +202,9 @@ class AnalysisEntry:
         self._capacities: LookaheadConfig | None = None
         self._has_capacities = False
         self._labeling: Labeling | None = None
+        # (type, message) of a labeling that raised: kept in memory only,
+        # never exported to the persistent tiers.
+        self._labeling_error: tuple[type, str] | None = None
         self._ordered_groups: dict[Link, tuple[tuple[str, ...], ...]] | None = None
         # True while the disk tier (if any) already holds everything this
         # entry has computed; any fresh computation clears it. The shm
@@ -257,15 +262,29 @@ class AnalysisEntry:
 
     @property
     def labeling(self) -> Labeling:
-        """The constraint labeling under this entry's lookahead."""
+        """The constraint labeling under this entry's lookahead.
+
+        A program the crossing-off classifies as deadlocked has no
+        labeling: the :class:`~repro.errors.DeadlockedProgramError` is
+        remembered, and every later access raises a fresh one of the
+        same type and message instead of crossing off again.
+        """
         if self._labeling is None:
             with self._lock:
                 if self._labeling is None:
+                    if self._labeling_error is not None:
+                        kind, message = self._labeling_error
+                        raise kind(message)
+                    try:
+                        labeling = constraint_labeling(
+                            self._program, lookahead=self.capacities
+                        )
+                    except DeadlockedProgramError as exc:
+                        self._labeling_error = (type(exc), str(exc))
+                        raise
                     self._disk_synced = False
                     self._shm_synced = False
-                    self._labeling = constraint_labeling(
-                        self._program, lookahead=self.capacities
-                    )
+                    self._labeling = labeling
         return self._labeling
 
     def ordered_groups(

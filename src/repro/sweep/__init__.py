@@ -175,6 +175,20 @@ surface in ``repro sweep --json``), compose with
 seed the frontier planner's bisection bounds
 (:meth:`~repro.witness.WitnessStore.monotone_bound`).
 
+Repeated runs
+-------------
+
+Many jobs of a provisioning grid are the same run under a different
+config: queues beyond a link's competing-message count are never taken,
+and a capacity of at least the longest message never blocks a push.
+:func:`~repro.sweep.jobs.canonical_key` clamps both, and the shared
+runner keeps a small per-program memo of rows by key
+(:class:`~repro.sweep.backends.RowMemo`), so each distinct run is
+simulated once per memo and its repeats are served re-stamped with
+their own index, queues and capacity. Full-result runs, error rows and
+(while mining) deadlocked rows are never served. Hits are counted on
+the session (``memo_hits``) and printed by ``repro sweep --stream``.
+
 The frontier planner
 --------------------
 

@@ -5,7 +5,7 @@ The backend contract
 
 A backend turns an iterable of :class:`~repro.sweep.jobs.SimJob` into an
 ordered stream of :class:`JobRecord` tuples ``(index, row, result,
-witness)``:
+witness, memo_hit)``:
 
 * records MUST be yielded in job order (index 0, 1, 2, ...);
 * ``row`` is the job's :class:`~repro.sweep.summary.RunSummary` and MUST
@@ -27,6 +27,16 @@ witness)``:
   compact certificate dict; the parent merges it into the witness store
   under the usual two-way subsumption, so summary-only streams mine at
   full speed too;
+* a summary-only row MAY come from the runner's memo
+  (:class:`RowMemo`) instead of a simulation: a job whose
+  :func:`~repro.sweep.jobs.canonical_key` repeats an earlier job of the
+  same program, in the same memo, gets that job's row with its own
+  ``index``, ``queues`` and ``capacity`` stamped in, and ``memo_hit``
+  set. Three kinds of row are never served from the memo: rows of
+  ``want_results`` runs, error rows, and deadlocked rows while mining
+  is on. A backend creates one memo per serial ``execute()``, per pool
+  or shm chunk and per supervised worker, so which repeats hit depends
+  on chunking, but the rows do not;
 * with ``collect_errors`` unset, the first failing job's exception MUST
   propagate to the consumer (no silent loss);
 * worker processes MUST apply the :class:`WorkerContext` before running
@@ -49,13 +59,23 @@ via :func:`register_backend`; :func:`get_backend` resolves names for
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
+from repro.arch.config import ArrayConfig
 from repro.errors import ConfigError, ReproError
+from repro.perf.analysis_cache import program_fingerprint
 from repro.sweep import fault as fault_mod
 from repro.sweep.fault import FaultPlan, Tolerance
-from repro.sweep.jobs import BatchError, SimJob, mine_witness_payload
+from repro.sweep.jobs import (
+    BatchError,
+    ProgramShape,
+    SimJob,
+    canonical_key,
+    mine_witness_payload,
+    program_shape,
+)
 from repro.sweep.summary import RunSummary, summarize_result
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -68,13 +88,44 @@ class JobRecord(NamedTuple):
     ``witness`` is a compact :meth:`~repro.witness.certificate.
     DeadlockWitness.as_dict` payload mined where the job ran (see the
     backend contract above); ``None`` whenever mining is off or the job
-    left nothing to mine.
+    left nothing to mine. ``memo_hit`` is set when the row came from the
+    runner's :class:`RowMemo` instead of a simulation.
     """
 
     index: int
     row: RunSummary
     result: "SimulationResult | BatchError | None"
     witness: dict | None = None
+    memo_hit: bool = False
+
+
+class RowMemo:
+    """The current program's summary rows, by canonical key.
+
+    Jobs with equal :func:`~repro.sweep.jobs.canonical_key` perform the
+    same run, so :func:`run_record` serves a repeated key from here
+    instead of simulating it again. The memo holds one program at a
+    time (a sweep lists each program's grid together) and forgets the
+    previous program's rows when the next one arrives; the program's
+    :class:`~repro.sweep.jobs.ProgramShape` is computed on that switch,
+    so keying a job needs no analysis lookup. Backends create one per
+    serial ``execute()``, per pool or shm chunk and per supervised
+    worker; nothing outlives them.
+    """
+
+    __slots__ = ("shape", "rows")
+
+    def __init__(self) -> None:
+        self.shape: ProgramShape | None = None
+        self.rows: dict[tuple, RunSummary] = {}
+
+    def key(self, job: SimJob) -> tuple:
+        """``job``'s canonical key, switching programs if needed."""
+        shape = self.shape
+        if shape is None or program_fingerprint(job.program) != shape.fingerprint:
+            shape = self.shape = program_shape(job.program, job.config)
+            self.rows = {}
+        return canonical_key(job, shape)
 
 
 def run_record(
@@ -84,6 +135,7 @@ def run_record(
     want_result: bool,
     collect_errors: bool,
     mine: bool,
+    memo: RowMemo | None = None,
 ) -> JobRecord:
     """Run one job and reduce it to its :class:`JobRecord`.
 
@@ -94,9 +146,30 @@ def run_record(
     frees the whole run at once. With ``collect_errors`` a
     :class:`~repro.errors.ReproError` from set-up or the run becomes a
     :class:`~repro.sweep.jobs.BatchError` row; otherwise it propagates.
+
+    With a ``memo``, a job whose canonical key already has a row is not
+    run: the record carries that row with this job's ``index``,
+    ``queues`` and ``capacity`` stamped in, and ``memo_hit`` set. The
+    memo is bypassed under ``want_result``, and never stores an error
+    row (a job whose representative raised runs again and raises or
+    collects its own error) or, while mining, a deadlocked row (a
+    certificate's scope carries the job's own queue count).
     """
     result = None
+    key = None
     try:
+        if memo is not None and not want_result:
+            key = memo.key(job)
+            row = memo.rows.get(key)
+            if row is not None:
+                config = job.config or ArrayConfig()
+                row = dataclasses.replace(
+                    row,
+                    index=index,
+                    queues=config.queues_per_link,
+                    capacity=config.queue_capacity,
+                )
+                return JobRecord(index, row, None, None, True)
         sim = job.simulator()
         try:
             sim.execute(max_events=job.max_events, max_time=job.max_time)
@@ -110,6 +183,9 @@ def run_record(
             raise
         result = BatchError(kind=type(exc).__name__, error=str(exc))
         row = summarize_result(index, job, result)
+    else:
+        if key is not None and not (mine and row.deadlocked):
+            memo.rows[key] = row
     witness = mine_witness_payload(job, result) if mine else None
     return JobRecord(index, row, result if want_result else None, witness)
 

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator
 from repro.sweep.backends import (
     ExecutionBackend,
     JobRecord,
+    RowMemo,
     Tolerance,
     WorkerContext,
     register_backend,
@@ -44,6 +45,7 @@ def _run_chunk(
 ) -> list[JobRecord]:
     """Worker entry point: run a chunk, tagging rows with job indices."""
     ctx.apply()
+    memo = RowMemo()
     return [
         run_record(
             index,
@@ -51,6 +53,7 @@ def _run_chunk(
             want_result=want_results,
             collect_errors=collect_errors,
             mine=ctx.mine_witnesses,
+            memo=memo,
         )
         for index, job in chunk
     ]

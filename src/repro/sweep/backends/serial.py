@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 from repro.sweep.backends import (
     ExecutionBackend,
     JobRecord,
+    RowMemo,
     Tolerance,
     WorkerContext,
     register_backend,
@@ -44,6 +45,7 @@ class SerialBackend(ExecutionBackend):
         tolerance: Tolerance | None = None,
     ) -> Iterator[JobRecord]:
         ctx.apply()
+        memo = RowMemo()
         for index, job in enumerate(jobs):
             yield run_record(
                 index,
@@ -51,4 +53,5 @@ class SerialBackend(ExecutionBackend):
                 want_result=want_results,
                 collect_errors=collect_errors,
                 mine=ctx.mine_witnesses,
+                memo=memo,
             )

@@ -38,6 +38,7 @@ from repro.sweep.arena import SummaryArena
 from repro.sweep.backends import (
     ExecutionBackend,
     JobRecord,
+    RowMemo,
     Tolerance,
     WorkerContext,
     register_backend,
@@ -53,15 +54,18 @@ def _fill_arena(
     chunk: list[tuple[int, SimJob]],
     collect_errors: bool,
     mine: bool,
-) -> tuple[list[tuple[int, RunSummary]], list[tuple[int, dict]]]:
+) -> tuple[list[tuple[int, RunSummary]], list[tuple[int, dict]], list[int]]:
     """Run a chunk, writing rows into ``arena``.
 
-    Returns ``(overflow, mined)``: rows whose strings did not fit a slot
-    (shipped through the pipe instead), and the compact witness dicts
-    mined from deadlocked jobs when ``mine`` is set.
+    Returns ``(overflow, mined, memo_hits)``: rows whose strings did not
+    fit a slot (shipped through the pipe instead), the compact witness
+    dicts mined from deadlocked jobs when ``mine`` is set, and the
+    indices whose rows the chunk's memo served.
     """
     overflow: list[tuple[int, RunSummary]] = []
     mined: list[tuple[int, dict]] = []
+    memo_hits: list[int] = []
+    memo = RowMemo()
     for index, job in chunk:
         record = run_record(
             index,
@@ -69,12 +73,15 @@ def _fill_arena(
             want_result=False,
             collect_errors=collect_errors,
             mine=mine,
+            memo=memo,
         )
         if not arena.write_row(index, record.row):
             overflow.append((index, record.row))
         if record.witness is not None:
             mined.append((index, record.witness))
-    return overflow, mined
+        if record.memo_hit:
+            memo_hits.append(index)
+    return overflow, mined, memo_hits
 
 
 def _run_chunk_shm(
@@ -84,7 +91,7 @@ def _run_chunk_shm(
     segment_rows: int,
     collect_errors: bool,
     ctx: WorkerContext,
-) -> tuple[list[tuple[int, RunSummary]], list[tuple[int, dict]]]:
+) -> tuple[list[tuple[int, RunSummary]], list[tuple[int, dict]], list[int]]:
     """Worker entry point: rows go to the arena, overflow to the pipe."""
     ctx.apply()
     # Lazy attach: the parent may already have retired early segments
@@ -150,7 +157,7 @@ class ShmBackend(ExecutionBackend):
         try:
             def run_chunk_local(
                 chunk: list[tuple[int, SimJob]]
-            ) -> tuple[list, list]:
+            ) -> tuple[list, list, list]:
                 # In-process fallback for unpicklable chunks: write
                 # through the owning arena handle directly (attaching a
                 # second handle would confuse the resource tracker).
@@ -167,14 +174,21 @@ class ShmBackend(ExecutionBackend):
                     payload = (
                         pending.get() if hasattr(pending, "get") else pending
                     )
-                    overflow, mined = payload
+                    overflow, mined, memo_hits = payload
                     spilled = dict(overflow)
                     witnesses = dict(mined)
+                    served = set(memo_hits)
                     for index, _job in chunk:
                         row = spilled.get(index)
                         if row is None:
                             row = arena.read_row(index)
-                        yield JobRecord(index, row, None, witnesses.get(index))
+                        yield JobRecord(
+                            index,
+                            row,
+                            None,
+                            witnesses.get(index),
+                            index in served,
+                        )
                     # Every slot at or below this chunk is decoded now;
                     # release the segments behind the window.
                     arena.retire_below(chunk[-1][0] + 1)

@@ -61,7 +61,7 @@ from typing import Iterator, Sequence
 from repro.errors import WorkerCrashError
 from repro.sweep import fault as fault_mod
 from repro.sweep.arena import SummaryArena
-from repro.sweep.backends import JobRecord, WorkerContext, run_record
+from repro.sweep.backends import JobRecord, RowMemo, WorkerContext, run_record
 from repro.sweep.fault import Tolerance
 from repro.sweep.jobs import WORKER_CRASH_KIND, BatchError, SimJob, iter_chunks
 from repro.sweep.summary import summarize_result, timeout_row
@@ -96,11 +96,13 @@ def _worker_main(
     Message protocol (child -> parent)::
 
         ("start", index)              about to run job `index`
-        ("row", index, row, result, witness)
+        ("row", index, row, result, witness, memo_hit)
                                       job finished; row is None when it
                                       was published to the arena instead;
                                       witness is the compact certificate
-                                      dict mined in-worker (or None)
+                                      dict mined in-worker (or None);
+                                      memo_hit is True when the worker's
+                                      row memo served the row
         ("error", index, exc, dropped)
                                       job raised (collect_errors off or a
                                       non-Repro bug); parent re-raises in
@@ -120,6 +122,7 @@ def _worker_main(
         if arena_name is not None
         else None
     )
+    memo = RowMemo()
     try:
         while True:
             task = conn.recv()
@@ -138,6 +141,7 @@ def _worker_main(
                         want_result=want_results and arena is None,
                         collect_errors=collect_errors,
                         mine=ctx.mine_witnesses,
+                        memo=memo,
                     )
                 except MemoryError:
                     # Bug-class, not data: let the worker die — crash
@@ -166,7 +170,16 @@ def _worker_main(
                         published = not plan.maybe_corrupt(arena, index)
                     if published:
                         row = None
-                conn.send(("row", index, row, record.result, record.witness))
+                conn.send(
+                    (
+                        "row",
+                        index,
+                        row,
+                        record.result,
+                        record.witness,
+                        record.memo_hit,
+                    )
+                )
             conn.send(("done", chunk_id))
     except (EOFError, BrokenPipeError):  # parent went away: just exit
         pass
@@ -381,7 +394,7 @@ class Supervisor:
             worker.current = msg[1]
             worker.started_at = now
         elif tag == "row":
-            _tag, index, row, result, witness = msg
+            _tag, index, row, result, witness, memo_hit = msg
             if row is None:
                 # Arena mode: decode the acknowledged slot right away; a
                 # torn write reads as unwritten and costs one retry.
@@ -395,7 +408,9 @@ class Supervisor:
                         index, "crash", "arena slot unwritten", now
                     )
                     return
-            self._record(index, JobRecord(index, row, result, witness))
+            self._record(
+                index, JobRecord(index, row, result, witness, memo_hit)
+            )
             worker.current = None
         elif tag == "error":
             _tag, index, exc, dropped = msg
@@ -429,6 +444,7 @@ class Supervisor:
         No faults fire here (an injected crash would kill the parent)
         and no retries apply: in-parent execution cannot lose a worker.
         """
+        memo = RowMemo()
         for index, job in items:
             # The record carries the row directly (no arena round-trip
             # needed in-parent), matching the unsupervised fallback.
@@ -440,6 +456,7 @@ class Supervisor:
                     want_result=self.want_results and self.arena is None,
                     collect_errors=self.collect_errors,
                     mine=self.ctx.mine_witnesses,
+                    memo=memo,
                 ),
             )
 

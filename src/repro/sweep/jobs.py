@@ -9,18 +9,21 @@ optionally trapping :class:`~repro.errors.ReproError` into a
 :class:`BatchError` so infeasible sweep corners stay data instead of
 aborting the batch. Chunking lives here too because every multiprocess
 backend needs it (per-chunk picklability probing is the pool backend's
-own concern).
+own concern). :func:`canonical_key` names the run a job performs, so
+the runner can simulate each distinct run of a program once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.arch.config import ArrayConfig
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
+    from repro.arch.links import Link
     from repro.core.program import ArrayProgram
     from repro.sim.result import SimulationResult
     from repro.sim.runtime import Simulator
@@ -176,6 +179,17 @@ def mine_witness_payload(job: SimJob, result) -> dict | None:
     return witness.as_dict()
 
 
+def _registers_repr(registers: dict[str, dict[str, float | None]] | None) -> str:
+    """An order-independent text form of an initial register file."""
+    if registers is None:
+        return ""
+    return repr(
+        sorted(
+            (cell, sorted(values.items())) for cell, values in registers.items()
+        )
+    )
+
+
 def job_fingerprint(job: SimJob) -> str:
     """A content fingerprint of one job: program + every run parameter.
 
@@ -187,25 +201,128 @@ def job_fingerprint(job: SimJob) -> str:
     from repro.perf.analysis_cache import program_fingerprint
 
     config = job.config or ArrayConfig()
-    if job.registers is None:
-        registers = ""
-    else:
-        registers = repr(
-            sorted(
-                (cell, sorted(values.items()))
-                for cell, values in job.registers.items()
-            )
-        )
     return "|".join(
         (
             program_fingerprint(job.program),
             job.policy,
             repr(config),
-            registers,
+            _registers_repr(job.registers),
             repr(job.strict),
             repr(job.max_events),
             repr(job.max_time),
         )
+    )
+
+
+@dataclass(frozen=True)
+class ProgramShape:
+    """What :func:`canonical_key` needs of one program, computed once.
+
+    ``links`` pairs every link a message crosses with its number of
+    competing messages, sorted by link; ``widest`` is the largest of
+    those counts and ``longest`` the longest message, in words.
+    """
+
+    fingerprint: str
+    links: tuple[tuple["Link", int], ...]
+    widest: int
+    longest: int
+
+
+def program_shape(
+    program: "ArrayProgram", config: ArrayConfig | None = None
+) -> ProgramShape:
+    """The :class:`ProgramShape` of ``program`` on a job's default array.
+
+    The competing table comes from the analysis entry a job of
+    ``program`` under ``config`` simulates with (the table does not
+    depend on the config, so the lookup is the one the job's own
+    simulator makes next), and message lengths from the intern table.
+    """
+    from repro.arch.routing import default_router
+    from repro.arch.topology import ExplicitLinear
+    from repro.perf.analysis_cache import (
+        GLOBAL_ANALYSIS_CACHE,
+        program_fingerprint,
+    )
+
+    topology = ExplicitLinear(tuple(program.cells))
+    entry = GLOBAL_ANALYSIS_CACHE.lookup(
+        program, topology, default_router(topology), config or ArrayConfig()
+    )
+    links = tuple(
+        sorted((link, len(names)) for link, names in entry.competing.items())
+    )
+    return ProgramShape(
+        fingerprint=program_fingerprint(program),
+        links=links,
+        widest=max((count for _link, count in links), default=0),
+        longest=max(program.intern.lengths, default=0),
+    )
+
+
+#: The ArrayConfig fields a canonical key carries as they are: all but
+#: the two it clamps and the per-link overrides it folds into its queue
+#: counts. Derived from the dataclass, so a new field is keyed by default.
+_PLAIN_CONFIG_FIELDS = operator.attrgetter(
+    *(
+        f.name
+        for f in fields(ArrayConfig)
+        if f.name
+        not in ("queues_per_link", "queue_capacity", "link_queue_overrides")
+    )
+)
+
+
+def canonical_key(job: SimJob, shape: ProgramShape) -> tuple:
+    """A hashable key naming the run ``job`` performs.
+
+    The key holds the program fingerprint, the policy, the registers,
+    ``strict``, both limits and every config field except three, which
+    are canonicalized:
+
+    * **queues** — each link's queue count is clamped to the number of
+      messages competing for that link. A message requests a queue on a
+      link once and holds at most one there, so at most that many queues
+      on a link are ever taken; the free pool hands out never-used queues
+      in index order, so once every competing message can have its own,
+      no request finds the pool empty and an extra queue changes no grant
+      under any policy (the static and ordered set-up checks pass
+      either way). Without ``link_queue_overrides`` the clamped counts
+      reduce to ``min(queues_per_link, shape.widest)``; with overrides
+      they are kept per link, so such a config never shares a key with
+      an override-free one (a missed share, never a wrong one).
+    * **capacity** — clamped to the longest message. A queue carries one
+      message at a time and is released when that message's last word
+      leaves, so it never holds more words than the message is long: a
+      capacity of at least the longest message never blocks a push, and
+      the ordered policy's lookahead (hops x capacity) is then at least
+      every message's length, which no count of skipped writes can
+      exceed, so rule R2 never binds.
+
+    Summary rows of jobs with equal keys therefore differ only in their
+    ``index``, ``queues`` and ``capacity`` columns. (Full results also
+    differ in ``queue_stats``, which lists every configured queue.)
+    ``shape`` is the :func:`program_shape` of ``job.program``, computed
+    once per program, so keying a job makes no analysis lookup.
+    """
+    config = job.config or ArrayConfig()
+    if config.link_queue_overrides:
+        queues: int | tuple[int, ...] = tuple(
+            min(config.queues_on(link), count) for link, count in shape.links
+        )
+    else:
+        queues = min(config.queues_per_link, shape.widest)
+    return (
+        shape.fingerprint,
+        job.policy,
+        _registers_repr(job.registers),
+        job.strict,
+        job.max_events,
+        job.max_time,
+        _PLAIN_CONFIG_FIELDS(config),
+        queues,
+        min(config.queue_capacity, shape.longest),
     )
 
 

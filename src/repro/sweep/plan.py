@@ -99,6 +99,15 @@ class SweepPlan:
     see :mod:`repro.witness.certificate`); composing with ``checkpoint`` is
     safe because pruned jobs are marked done like simulated ones and
     the grid fingerprint does not depend on the store.
+
+    Summary-only streams also skip repeated runs with no knob to set:
+    the backends' shared runner serves a job whose
+    :func:`~repro.sweep.jobs.canonical_key` repeats an earlier job of
+    the same program from a per-program row memo
+    (:class:`~repro.sweep.backends.RowMemo`), re-stamped with the job's
+    own index, queues and capacity, and counts it in
+    :attr:`SweepSession.memo_hits`. Full-result runs, error rows and,
+    with a witness store mining, deadlocked rows always simulate.
     """
 
     jobs: Iterable[SimJob]
@@ -204,10 +213,17 @@ class SweepSession:
     witness_pruned: int
     witness_mined: int
 
+    #: Rows the runner's memo served instead of simulating (see
+    #: :class:`~repro.sweep.backends.RowMemo`). Exact on the serial
+    #: backend; multiprocess backends count their workers' hits, which
+    #: depend on chunking.
+    memo_hits: int
+
     def __init__(self, plan: SweepPlan) -> None:
         self.checkpoint_error = None
         self.witness_pruned = 0
         self.witness_mined = 0
+        self.memo_hits = 0
         if plan.on_error not in _VALID_ON_ERROR:
             raise ConfigError(
                 f"on_error must be 'raise' or 'collect', got {plan.on_error!r}"
@@ -294,8 +310,10 @@ class SweepSession:
             return 32  # lazy stream: a fixed chunk keeps memory bounded
         return default_chunk_size(n, self.plan.workers)
 
-    def _execute(self, jobs: Iterable[SimJob], want_results: bool):
-        return self.backend.execute(
+    def _execute(
+        self, jobs: Iterable[SimJob], want_results: bool
+    ) -> Iterator[JobRecord]:
+        records = self.backend.execute(
             jobs,
             want_results=want_results,
             collect_errors=self._collect_errors(),
@@ -304,6 +322,15 @@ class SweepSession:
             ctx=self.ctx,
             tolerance=self.tolerance,
         )
+        try:
+            for record in records:
+                if record.memo_hit:
+                    self.memo_hits += 1
+                yield record
+        finally:
+            # Closing this stream must tear the backend down now (reap
+            # workers, unlink the arena), not when the GC gets to it.
+            records.close()
 
     def _witness_records(
         self, jobs: Iterable[SimJob], want_results: bool

@@ -225,3 +225,85 @@ class TestBackendIndependence:
         assert stats["hits"] >= 1
         assert second.completed == first.completed
         assert second.time == first.time
+
+
+class TestFailedLabeling:
+    """A deadlocked program's labeling failure is computed once per entry."""
+
+    QUEUES = (1, 2, 4, 8, 16, 32)
+    CAPACITIES = (0, 2, 8)
+
+    def test_ordered_grid_runs_the_labeling_once_per_entry(self, monkeypatch):
+        from repro.errors import DeadlockedProgramError, ReproError
+        from repro.perf import analysis_cache
+        from repro.sweep import (
+            BatchError,
+            SweepPlan,
+            SweepSession,
+            summarize_result,
+            sweep_jobs,
+        )
+        from repro.workloads import inject_read_cycle
+
+        program = inject_read_cycle(
+            random_program(WorkloadSpec(cells=8, messages=12, seed=11)), seed=11
+        )
+        jobs = sweep_jobs(
+            program,
+            policies=("ordered",),
+            queues=self.QUEUES,
+            capacities=self.CAPACITIES,
+        )
+        assert len(jobs) == 18
+        expected = []
+        for index, job in enumerate(jobs):
+            try:
+                result = Simulator(
+                    program, config=job.config, reuse_analysis=False
+                ).run()
+            except ReproError as exc:
+                result = BatchError(kind=type(exc).__name__, error=str(exc))
+            expected.append(summarize_result(index, job, result))
+        # Without lookahead the labeling exists; with it (capacity > 0)
+        # the read cycle makes it undefined.
+        failed = [row for row in expected if row.capacity > 0]
+        assert len(failed) == 12
+        assert {row.error_kind for row in failed} == {
+            DeadlockedProgramError.__name__
+        }
+
+        calls = []
+        labeling = analysis_cache.constraint_labeling
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("lookahead"))
+            return labeling(*args, **kwargs)
+
+        monkeypatch.setattr(analysis_cache, "constraint_labeling", counted)
+        rows = list(SweepSession(SweepPlan(jobs=jobs)).stream())
+        assert rows == expected
+        # One labeling per analysis entry (program x capacity), failed
+        # or not: 3 for the 18 jobs, where each of the 12 failing jobs
+        # used to cross off again.
+        assert len(calls) == len(self.CAPACITIES)
+
+    def test_failure_is_raised_fresh_and_never_exported(self):
+        from repro.arch.routing import default_router
+        from repro.errors import DeadlockedProgramError
+        from repro.workloads import inject_read_cycle
+
+        program = inject_read_cycle(random_program(WorkloadSpec(seed=3)), seed=3)
+        topology = ExplicitLinear(tuple(program.cells))
+        entry = GLOBAL_ANALYSIS_CACHE.lookup(
+            program,
+            topology,
+            default_router(topology),
+            ArrayConfig(queue_capacity=2),
+        )
+        with pytest.raises(DeadlockedProgramError) as first:
+            entry.labeling
+        with pytest.raises(DeadlockedProgramError) as second:
+            entry.labeling
+        assert second.value is not first.value
+        assert str(second.value) == str(first.value)
+        assert entry.export_artifacts()["labeling"] is None

@@ -10,6 +10,10 @@ and hammered over the random-program family:
 * crossing-off classification agrees with unbuffered run-time behaviour
   (confluence: a deadlocked program deadlocks under every policy);
 * lookahead monotonicity: more buffering never un-classifies a program;
+* the two halves agree exactly: with a queue per competing message, the
+  crossing-off verdict under the simulator's own buffering
+  (``simulator_capacities``) is deadlock-free exactly when the static
+  run completes;
 * parser/printer round-trips preserve transfer sequences.
 """
 
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -32,7 +36,7 @@ from repro import (
 )
 from repro.arch.routing import default_router
 from repro.arch.topology import ExplicitLinear
-from repro.core.crossing import LookaheadConfig
+from repro.core.crossing import LookaheadConfig, simulator_capacities
 from repro.core.requirements import dynamic_queue_demand, static_queue_demand
 from repro.lang import parse_program, print_program
 from repro.workloads import (
@@ -185,6 +189,58 @@ def test_buffering_never_hurts_static_completion(spec, capacity):
             policy="static",
         )
         assert result.completed
+
+
+@given(
+    st.builds(
+        WorkloadSpec,
+        cells=st.integers(min_value=2, max_value=9),
+        messages=st.integers(min_value=1, max_value=12),
+        max_length=st.integers(min_value=1, max_value=4),
+        max_span=st.integers(min_value=1, max_value=4),
+        burst=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+    ),
+    st.sampled_from(("free", "hoisted", "read-cycle")),
+    st.integers(min_value=0, max_value=4),
+)
+# A point where route_capacities gives a false "deadlock": the run
+# completes on the one word a forwarder's register holds.
+@example(
+    WorkloadSpec(cells=4, messages=4, max_length=2, max_span=2, burst=2, seed=8),
+    "hoisted",
+    0,
+)
+@settings(
+    max_examples=200, suppress_health_check=[HealthCheck.too_slow], deadline=None
+)
+def test_simulator_capacities_verdict_matches_static_runs(spec, variant, capacity):
+    """Compile-time verdict <=> simulated static outcome, both ways.
+
+    Queues are the largest competing count, so the static policy gives
+    every message its own queue on every link and only buffering
+    decides. The simulator buffers ``hops x capacity`` words in a
+    message's queues plus one in each intermediate forwarder's register;
+    with exactly that R2 bound, crossing-off classifies the program as
+    the run behaves. (``route_capacities`` leaves the registers out and
+    can call a completing run deadlocked.)
+    """
+    prog = random_program(spec)
+    if variant == "hoisted":
+        prog = hoist_writes(prog, swaps=prog.total_words, seed=spec.seed)
+    elif variant == "read-cycle":
+        prog = inject_read_cycle(prog, seed=spec.seed)
+    router = default_router(ExplicitLinear(tuple(prog.cells)))
+    queues = max(static_queue_demand(prog, router).values(), default=1)
+    verdict = cross_off(
+        prog, lookahead=simulator_capacities(prog, router, capacity)
+    ).deadlock_free
+    result = simulate(
+        prog,
+        config=ArrayConfig(queues_per_link=queues, queue_capacity=capacity),
+        policy="static",
+    )
+    assert verdict == result.completed
 
 
 def test_fcfs_buffering_can_hurt_completion():
