@@ -16,12 +16,12 @@ queue capacity per (policy, queues) line, binary-searched in O(log n)
 simulations where completion is monotone in capacity (the static
 policy) and fully evaluated where it is not (FCFS).
 
-Long sweeps can run fault-tolerantly (``--job-timeout``,
-``--max-retries``: crashed workers are replaced and their jobs retried,
-hung jobs killed and recorded as timeouts) and resumably
-(``--checkpoint PATH`` snapshots progress atomically; ``--resume``
-skips finished jobs after a crash or Ctrl-C and reports aggregates
-byte-identical to an uninterrupted run).
+Multiprocess sweeps always recover from worker deaths: crashed
+workers are replaced and their jobs retried (``--max-retries``), and
+with ``--job-timeout`` hung jobs are killed and recorded as timeouts.
+Long sweeps also run resumably (``--checkpoint PATH`` snapshots
+progress atomically; ``--resume`` skips finished jobs after a crash or
+Ctrl-C and reports aggregates byte-identical to an uninterrupted run).
 
 Deadlock-dense sweeps can skip re-proving what they already know:
 ``--witness-store PATH`` persists deadlock certificates across runs;
@@ -186,7 +186,7 @@ def _interrupted(rows, args, store: WitnessStore | None = None) -> int:
     """Ctrl-C during a sweep: tear down cleanly, report, exit 130.
 
     Closing the stream generator unwinds every layer's ``finally``:
-    the supervised executor terminates its workers, the shm backend
+    the supervisor terminates its workers, the shm backend
     unlinks its arena, and a checkpointed sweep writes one final
     snapshot — so an interrupted run is immediately resumable. Mined
     witnesses are durable progress too, so the store is saved as well.
@@ -223,7 +223,7 @@ def _witness_report(store: WitnessStore | None, session) -> None:
 def _witness_json_fields(store: WitnessStore | None, session) -> dict:
     """Witness counters for ``--json`` payloads (empty without a store).
 
-    Mining happens inside pool/shm/supervised workers too, so the
+    Mining happens inside pool/shm workers too, so the
     counters are meaningful on every backend, not just serial.
     """
     if store is None:
@@ -575,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend: serial (in-process), pool (chunked "
              "multiprocessing), shm (summary rows via a shared-memory "
              "arena, full results hydrated on demand); auto picks serial "
-             "for --workers 1, pool otherwise",
+             "for --workers 1 or on a one-CPU host, pool otherwise",
     )
     sweep.add_argument(
         "--stream", action="store_true",
@@ -594,17 +594,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--job-timeout", dest="job_timeout", type=float, default=None,
         metavar="SEC",
-        help="per-job wall-clock limit: a job running longer has its "
-             "worker killed and is retried, then recorded as a timeout "
-             "row; engages fault-tolerant supervision (crashed workers "
-             "replaced, their jobs requeued) on pool/shm backends",
+        help="per-job wall-clock limit on pool/shm backends: a job "
+             "running longer has its worker killed and is retried, then "
+             "recorded as a timeout row (default: no limit)",
     )
     sweep.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="extra attempts a job gets after crashing or hanging its "
-             "worker before being quarantined as a WorkerCrash row "
-             "(defaults to 2 once supervision engages); also engages "
-             "fault-tolerant supervision",
+        "--max-retries", type=int, default=2, metavar="N",
+        help="extra attempts a job gets on pool/shm backends after "
+             "crashing or hanging its worker before being quarantined "
+             "as a WorkerCrash or timeout row (default: 2)",
     )
     sweep.add_argument(
         "--checkpoint", metavar="PATH", default=None,

@@ -54,18 +54,23 @@ Built-in backends:
 ======== ==============================================================
 serial   In-process, in order. The reference implementation: every
          other backend's rows are differential-tested against it.
-pool     Chunked ``multiprocessing.Pool`` with a bounded, ordered
-         ``apply_async`` window. Full results (when requested) are
-         pickled back through the pool pipe — exact, but pipe-bound for
+pool     Chunks of jobs run on supervised worker processes
+         (:mod:`repro.sweep.backends.supervise`), one pipe per worker
+         and one message per chunk. Full results (when requested) are
+         pickled back through the pipe — exact, but pipe-bound for
          large full-result sweeps.
-shm      Workers encode rows into a ``multiprocessing.shared_memory``
-         arena; only string-overflow rows (pathological error
-         messages) ride the pipe. Full results are never shipped:
-         handles re-execute on demand. Accepts lazy job streams —
-         generator input is pulled incrementally, never materialized.
-         The backend for sweeps where shipping every full result is
-         the bottleneck.
+shm      The same supervised workers, but they encode rows into a
+         ``multiprocessing.shared_memory`` arena; only string-overflow
+         rows (pathological error messages) ride the pipe. Full
+         results are never shipped: handles re-execute on demand. The
+         backend for sweeps where shipping every full result is the
+         bottleneck.
 ======== ==============================================================
+
+Both multiprocess backends pull lazy job streams incrementally — a
+generator is never materialized — and recover from worker deaths (see
+below). ``backend=None`` picks ``serial`` for one worker or on a
+one-CPU host, ``pool`` otherwise.
 
 The arena layout
 ----------------
@@ -117,17 +122,19 @@ Fault tolerance and checkpointing
 ---------------------------------
 
 A sweep that runs for hours meets real failures: workers die (OOM
-kills), corners hang, the whole process gets SIGKILLed. Setting any of
-``job_timeout_s`` / ``max_retries`` / ``fault_plan`` on a
-:class:`~repro.sweep.plan.SweepPlan` (CLI: ``--job-timeout``,
-``--max-retries``) routes the ``pool`` and ``shm`` backends through the
-supervised executor (:mod:`repro.sweep.backends.supervise`), which owns
-worker lifecycles directly — one duplex pipe per worker, so a dead
-worker is an EOF, not a deadlock:
+kills), corners hang, the whole process gets SIGKILLed. The ``pool``
+and ``shm`` backends always run under the supervisor
+(:mod:`repro.sweep.backends.supervise`), which owns worker lifecycles
+directly — one duplex pipe per worker, so a dead worker is an EOF, not
+a deadlock — and blames a death on the job its worker was running.
+``max_retries`` (default 2) and ``job_timeout_s`` (default none) on a
+:class:`~repro.sweep.plan.SweepPlan` (CLI: ``--max-retries``,
+``--job-timeout``) tune that recovery:
 
 * a **crashed worker** (abrupt exit, broken pipe, unwritten arena slot)
-  has its in-flight job requeued on a surviving worker with bounded
-  retries and exponential backoff; a job that keeps killing workers is
+  is replaced; the job it was running is retried with bounded retries
+  and exponential backoff, and the rest of its chunk is requeued
+  without penalty; a job that keeps killing workers is
   quarantined as a :class:`~repro.sweep.jobs.BatchError` row of kind
   :data:`~repro.sweep.jobs.WORKER_CRASH_KIND` (under
   ``on_error="collect"``) instead of aborting the sweep;
@@ -166,7 +173,7 @@ witnessed trace. Pruning is restricted to
 :data:`~repro.sweep.planner.MONOTONE_POLICIES` (static); FCFS — where
 extra buffering can change the outcome, a pinned counterexample — is
 exempt by construction and always simulates. Mining runs in-process on
-the serial backend and *inside the workers* on pool/shm/supervised
+the serial backend and *inside the workers* on pool/shm
 (the ``witness`` field of the backend contract), so cold multiprocess
 sweeps grow the store too. Skips and newly mined certificates are
 counted on the session (``witness_pruned`` / ``witness_mined``; both
@@ -214,12 +221,9 @@ capacity-dependent work is repaid per probe. CLI: ``repro frontier``
 
 from repro.sweep.arena import ROW_SIZE, SummaryArena
 from repro.sweep.backends import (
-    ExecutionBackend,
-    JobRecord,
     WorkerContext,
     available_backends,
     get_backend,
-    register_backend,
 )
 from repro.sweep.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.sweep.fault import FaultPlan, Tolerance
@@ -271,12 +275,10 @@ __all__ = [
     "BatchError",
     "CompletedCount",
     "DeadlockRateByConfig",
-    "ExecutionBackend",
     "FaultPlan",
     "FrontierPlanner",
     "FrontierReport",
     "FrontierResult",
-    "JobRecord",
     "MONOTONE_POLICIES",
     "MakespanHistogram",
     "PerConfigMakespan",
@@ -304,7 +306,6 @@ __all__ = [
     "job_fingerprint",
     "merge_reducers",
     "parse_quantiles",
-    "register_backend",
     "simulate_many",
     "simulate_stream",
     "summarize_result",

@@ -34,26 +34,27 @@ witness, memo_hit)``:
   ``index``, ``queues`` and ``capacity`` stamped in, and ``memo_hit``
   set. Three kinds of row are never served from the memo: rows of
   ``want_results`` runs, error rows, and deadlocked rows while mining
-  is on. A backend creates one memo per serial ``execute()``, per pool
-  or shm chunk and per supervised worker, so which repeats hit depends
-  on chunking, but the rows do not;
+  is on. A backend creates one memo per serial ``execute()`` and per
+  worker, so which repeats hit depends on chunking and scheduling, but
+  the rows do not;
 * with ``collect_errors`` unset, the first failing job's exception MUST
   propagate to the consumer (no silent loss);
 * worker processes MUST apply the :class:`WorkerContext` before running
   jobs, so per-process state (the analysis disk-cache tier, the fault
   plan of the deterministic injection harness) matches the parent;
-* a non-``None`` ``tolerance`` argument asks for fault-tolerant
-  execution — multiprocess backends route through the supervised
-  executor (:mod:`repro.sweep.backends.supervise`: crash recovery,
-  per-job wall-clock timeouts, bounded retries with backoff, poison-job
-  quarantine) and must still satisfy every clause above.
+* the ``tolerance`` argument tunes fault recovery — the multiprocess
+  backends run every job under the supervisor
+  (:mod:`repro.sweep.backends.supervise`: crash recovery, per-job
+  wall-clock timeouts, bounded retries with backoff, poison-job
+  quarantine), which satisfies every clause above; the serial backend,
+  which has no worker processes to lose, ignores it.
 
 Every backend runs a job through the one shared runner,
 :func:`run_record`, so rows, results and witnesses come from the same
 code whatever the transport.
 
-Backends register under a short name (``serial``, ``pool``, ``shm``)
-via :func:`register_backend`; :func:`get_backend` resolves names for
+The built-in backends go by a short name (``serial``, ``pool``,
+``shm``); :func:`get_backend` resolves names for
 :class:`~repro.sweep.plan.SweepSession`.
 """
 
@@ -109,8 +110,7 @@ class RowMemo:
     previous program's rows when the next one arrives; the program's
     :class:`~repro.sweep.jobs.ProgramShape` is computed on that switch,
     so keying a job needs no analysis lookup. Backends create one per
-    serial ``execute()``, per pool or shm chunk and per supervised
-    worker; nothing outlives them.
+    serial ``execute()`` and per worker; nothing outlives them.
     """
 
     __slots__ = ("shape", "rows")
@@ -303,47 +303,39 @@ class ExecutionBackend:
         workers: int,
         chunk_size: int,
         ctx: WorkerContext,
-        tolerance: Tolerance | None = None,
+        tolerance: Tolerance,
     ) -> Iterator[JobRecord]:  # pragma: no cover - abstract
         """Run every job; yield :class:`JobRecord` in job order.
 
-        A non-``None`` ``tolerance`` asks for fault-tolerant execution:
-        multiprocess backends route through the supervised executor
-        (:mod:`repro.sweep.backends.supervise`) — crash recovery,
-        per-job timeouts, bounded retries — while the serial backend,
-        which has no worker processes to lose, ignores it.
+        ``tolerance`` tunes the supervisor's crash recovery, per-job
+        timeouts and retries on the multiprocess backends; the serial
+        backend ignores it.
         """
         raise NotImplementedError
 
 
-_BACKENDS: dict[str, type[ExecutionBackend]] = {}
+def _builtin_backends() -> dict[str, type[ExecutionBackend]]:
+    """The built-in backends by name, imported on first use."""
+    from repro.sweep.backends.pool import PoolBackend
+    from repro.sweep.backends.serial import SerialBackend
+    from repro.sweep.backends.shm import ShmBackend
 
-
-def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
-    """Class decorator: register ``cls`` under its ``name``."""
-    _BACKENDS[cls.name] = cls
-    return cls
+    return {cls.name: cls for cls in (SerialBackend, PoolBackend, ShmBackend)}
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    _load_builtins()
-    return tuple(sorted(_BACKENDS))
+    """Built-in backend names, sorted (importing every backend)."""
+    return tuple(sorted(_builtin_backends()))
 
 
 def get_backend(name: str) -> ExecutionBackend:
-    """Instantiate the backend registered under ``name``."""
-    _load_builtins()
+    """Instantiate the backend called ``name``."""
+    backends = _builtin_backends()
     try:
-        cls = _BACKENDS[name]
+        cls = backends[name]
     except KeyError:
-        known = ", ".join(sorted(_BACKENDS))
+        known = ", ".join(sorted(backends))
         raise ConfigError(
             f"unknown execution backend {name!r} (known: {known})"
         ) from None
     return cls()
-
-
-def _load_builtins() -> None:
-    # Importing the modules runs their @register_backend decorators.
-    from repro.sweep.backends import pool, serial, shm  # noqa: F401

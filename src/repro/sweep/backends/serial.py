@@ -16,19 +16,18 @@ from repro.sweep.backends import (
     RowMemo,
     Tolerance,
     WorkerContext,
-    register_backend,
     run_record,
 )
 from repro.sweep.jobs import SimJob
 
 
-@register_backend
 class SerialBackend(ExecutionBackend):
     """Run every job in the current process, in order.
 
     ``tolerance`` is accepted and ignored: there are no worker processes
     to lose, kill or retry, so the serial backend is the fault-free
-    reference that supervised runs are differential-tested against.
+    reference that the multiprocess backends are differential-tested
+    against.
     """
 
     name = "serial"
@@ -42,7 +41,7 @@ class SerialBackend(ExecutionBackend):
         workers: int,
         chunk_size: int,
         ctx: WorkerContext,
-        tolerance: Tolerance | None = None,
+        tolerance: Tolerance,
     ) -> Iterator[JobRecord]:
         ctx.apply()
         memo = RowMemo()

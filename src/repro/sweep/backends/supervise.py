@@ -1,53 +1,70 @@
-"""Supervised fault-tolerant execution shared by the pool and shm backends.
+"""The one worker lifecycle behind the pool and shm backends.
 
-The plain pool/shm fast paths assume every worker lives forever: a dead
-worker hangs the drain window, and an unwritten arena slot raises in the
-parent. This module is the execution path for sweeps that cannot afford
-that assumption — million-job provisioning runs where a single OOM-killed
-worker or one hung corner must cost one retry, not the sweep.
+Every multiprocess sweep runs here, whether it is a short grid or a
+million-job provisioning run where a single OOM-killed worker or one
+hung corner must cost one retry, not the sweep. Crash recovery and
+retries are always on; the :class:`~repro.sweep.fault.Tolerance` knobs
+only tune them.
 
 Design
 ------
 
-One parent supervisor drives ``workers`` long-lived child processes,
-each connected by its own duplex :func:`multiprocessing.Pipe`:
+One parent supervisor drives up to ``workers`` long-lived child
+processes, each spawned on first use and connected by its own duplex
+:func:`multiprocessing.Pipe`:
 
 * **per-worker pipes, not a shared queue** — a SIGKILLed worker can
   never corrupt or deadlock anyone else's transport (a shared
   ``multiprocessing.Queue`` write lock dies with its holder), and pipe
   EOF *is* the crash detector: :func:`multiprocessing.connection.wait`
   wakes the supervisor the moment a child dies;
-* **per-job progress messages** — a worker announces ``("start", i)``
-  before running job ``i`` and ships the finished row after, so a death
-  is attributed to exactly the job that was in flight; unstarted jobs
-  from the dead worker's chunk are requeued with no penalty;
-* **bounded retries with exponential backoff** — a failed job is
-  requeued as a singleton chunk (making any future death attributable
-  by construction) after ``Tolerance.backoff(attempt)`` seconds; past
-  ``max_retries`` it is quarantined: a crash becomes a
+* **lazy pulls** — the next chunk is taken from the job iterable only
+  when a worker is idle and fewer than ``2 * workers * chunk_size``
+  pulled jobs are still unemitted, so a generator of jobs is never
+  materialized. The supervisor holds only unemitted jobs (for requeue
+  and quarantine) and drops each one as its row is emitted;
+* **one message per chunk** — a worker runs its whole chunk and ships
+  every record in one message that also marks the chunk done. Each
+  worker has one chunk outstanding at a time: sending a second one
+  ahead on the same duplex pipe can deadlock when a batch of full
+  results and the next task both overflow the socket buffers. A death
+  loses exactly the undelivered chunk, and exactly its jobs are
+  requeued;
+* **a shared progress slot per worker** — before each job a worker
+  writes the job's index into its slot of a shared array, so on pipe
+  EOF the parent blames a death on exactly the job that was running.
+  The other jobs of the lost chunk are requeued as unpenalized
+  singletons, so any later death is attributable by construction;
+* **bounded retries with exponential backoff** — a blamed job is
+  requeued as a singleton chunk after ``Tolerance.backoff(attempt)``
+  seconds; past ``max_retries`` it is quarantined: a crash becomes a
   :class:`~repro.sweep.jobs.BatchError` row of kind ``"WorkerCrash"``
   (or raises :class:`~repro.errors.WorkerCrashError` under
   ``on_error="raise"``), a hang becomes a timeout-class row — a hung
   corner is data, same as a deadlock;
-* **per-job wall-clock timeouts** — the supervisor kills any worker
-  whose current job exceeds ``Tolerance.job_timeout_s``, after first
-  draining the rows it already produced;
+* **per-job wall-clock timeouts** — the timeout check reads each
+  worker's progress slot and times a job from when it is first seen
+  there; a worker whose job exceeds ``Tolerance.job_timeout_s`` is
+  killed, after first taking any chunk message it already sent;
 * **ordered emission** — finished records enter a reorder buffer and
   are yielded strictly in job order, preserving the backend contract
   (rows byte-identical to the serial backend, reducers fold in job
   order).
 
 In arena mode (the shm backend) workers write rows into the shared
-arena exactly as the fast path does and the pipe carries only tiny
-``("row", i, None, None)`` acknowledgements (overflow rows ride the
-pipe, as ever). The parent decodes each acknowledged slot immediately;
-an :class:`~repro.errors.ArenaSlotUnwritten` decode — a torn write —
-is treated like a crash of that one job and requeued with penalty.
+arena and the chunk message carries ``row=None`` acknowledgements in
+their place (overflow rows ride the pipe, as ever). The owner grows the
+arena before dispatch and retires segments behind emission; each chunk
+message to a worker carries the arena's current row count, because the
+worker attaches lazily per chunk. The parent decodes each acknowledged
+slot on receipt; an :class:`~repro.errors.ArenaSlotUnwritten` decode —
+a torn write — is charged to that one job like a crash and requeued.
 
-Injected faults (:class:`~repro.sweep.fault.FaultPlan`) fire only in
-`_worker_main`, between the start announcement and the job run — never
-in the parent, and never for chunks that fall back to in-parent
-execution because their programs cannot pickle.
+A chunk whose programs cannot pickle (lambda or closure compute ops)
+fails in ``Connection.send``, which pickles the whole message before it
+writes a byte; that chunk runs in the parent instead. Injected faults
+(:class:`~repro.sweep.fault.FaultPlan`) fire only in the worker loop —
+never in the parent, and so never for those in-parent chunks.
 """
 
 from __future__ import annotations
@@ -56,9 +73,9 @@ import multiprocessing
 import pickle
 import time
 from multiprocessing.connection import wait as _conn_wait
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-from repro.errors import WorkerCrashError
+from repro.errors import ArenaSlotUnwritten, WorkerCrashError
 from repro.sweep import fault as fault_mod
 from repro.sweep.arena import SummaryArena
 from repro.sweep.backends import JobRecord, RowMemo, WorkerContext, run_record
@@ -80,112 +97,115 @@ _UNPICKLABLE_PAYLOAD = (
     RecursionError,
 )
 
+#: The ways CPython refuses to pickle a chunk's jobs: explicit
+#: PicklingError, TypeError ("cannot pickle '...' object") and
+#: AttributeError for unreachable locals (lambdas, closures). Anything
+#: else is a real bug in the program object and must surface, not
+#: silently demote the chunk to in-parent execution.
+_UNPICKLABLE_CHUNK = (pickle.PicklingError, TypeError, AttributeError)
+
 
 def _worker_main(
     wid: int,
     conn,
+    parent_conn,
+    progress,
     ctx: WorkerContext,
+    runner: Callable[..., JobRecord],
     want_results: bool,
     collect_errors: bool,
     arena_name: str | None,
-    n_rows: int,
     segment_rows: int,
 ) -> None:
-    """Child process loop: run chunks from the pipe until told to stop.
+    """Child process loop: run chunks from the pipe until it closes.
 
-    Message protocol (child -> parent)::
+    Each task is ``(items, n_rows)``: the chunk's ``(index, job)`` pairs
+    and the arena's row count at dispatch (0 without an arena). Before
+    each job the worker writes its index into ``progress[wid]``, the
+    slot the parent reads to blame a death or time a job. The worker
+    then sends exactly one message per chunk (child -> parent)::
 
-        ("start", index)              about to run job `index`
-        ("row", index, row, result, witness, memo_hit)
-                                      job finished; row is None when it
-                                      was published to the arena instead;
-                                      witness is the compact certificate
-                                      dict mined in-worker (or None);
-                                      memo_hit is True when the worker's
-                                      row memo served the row
-        ("error", index, exc, dropped)
-                                      job raised (collect_errors off or a
-                                      non-Repro bug); parent re-raises in
+        ("done", records)             every job ran; records are the
+                                      chunk's JobRecords in order, with
+                                      row None where the row was
+                                      published to the arena instead
+        ("error", records, index, exc, dropped)
+                                      job `index` raised (collect_errors
+                                      off, or a non-Repro bug); records
+                                      are the jobs before it, the rest of
+                                      the chunk is skipped (emission
+                                      raises at `index`, before any later
+                                      job), and the parent re-raises in
                                       job order. dropped is True when the
-                                      original exception payload could
-                                      not pickle and a summary RuntimeError
-                                      rides in its place (counted in
+                                      original exception could not pickle
+                                      and a summary RuntimeError rides in
+                                      its place (counted in
                                       Supervisor.payload_drops)
-        ("done", chunk_id)            chunk finished, worker is idle
+
+    One worker memo (:class:`~repro.sweep.backends.RowMemo`) lives
+    across all of its chunks.
     """
+    # Fork copied the parent's end of this pipe; while this process
+    # holds it, the parent's death never reads as EOF here and the
+    # worker would outlive a SIGKILLed parent.
+    parent_conn.close()
     ctx.apply()
     plan = fault_mod.active_plan()
-    arena = (
-        SummaryArena.attach(
-            arena_name, n_rows, segment_rows=segment_rows, lazy=True
-        )
-        if arena_name is not None
-        else None
-    )
     memo = RowMemo()
     try:
         while True:
-            task = conn.recv()
-            if task is None:
-                return
-            chunk_id, items = task
-            for index, job in items:
-                conn.send(("start", index))
-                if plan is not None:
-                    plan.maybe_crash(index)
-                    plan.maybe_hang(index)
-                try:
-                    record = run_record(
-                        index,
-                        job,
-                        want_result=want_results and arena is None,
-                        collect_errors=collect_errors,
-                        mine=ctx.mine_witnesses,
-                        memo=memo,
-                    )
-                except MemoryError:
-                    # Bug-class, not data: let the worker die — crash
-                    # recovery requeues the job with bounded retries
-                    # instead of shipping an OOM as an ordinary row.
-                    raise
-                except Exception as exc:
-                    try:
-                        conn.send(("error", index, exc, False))
-                    except _UNPICKLABLE_PAYLOAD:
-                        conn.send(
-                            (
-                                "error",
-                                index,
-                                RuntimeError(
-                                    f"{type(exc).__name__}: {exc}"
-                                ),
-                                True,
-                            )
-                        )
-                    continue
-                row = record.row
-                if arena is not None:
-                    published = arena.write_row(index, row)
-                    if published and plan is not None:
-                        published = not plan.maybe_corrupt(arena, index)
-                    if published:
-                        row = None
-                conn.send(
-                    (
-                        "row",
-                        index,
-                        row,
-                        record.result,
-                        record.witness,
-                        record.memo_hit,
-                    )
+            items, n_rows = conn.recv()
+            arena = (
+                SummaryArena.attach(
+                    arena_name, n_rows, segment_rows=segment_rows, lazy=True
                 )
-            conn.send(("done", chunk_id))
+                if arena_name is not None
+                else None
+            )
+            records: list[JobRecord] = []
+            msg = ("done", records)
+            try:
+                for index, job in items:
+                    progress[wid] = index
+                    if plan is not None:
+                        plan.maybe_crash(index)
+                        plan.maybe_hang(index)
+                    try:
+                        record = runner(
+                            index,
+                            job,
+                            want_result=want_results and arena is None,
+                            collect_errors=collect_errors,
+                            mine=ctx.mine_witnesses,
+                            memo=memo,
+                        )
+                    except MemoryError:
+                        # Bug-class, not data: let the worker die — crash
+                        # recovery requeues the job with bounded retries
+                        # instead of shipping an OOM as an ordinary row.
+                        raise
+                    except Exception as exc:
+                        msg = ("error", records, index, exc, False)
+                        break
+                    row = record.row
+                    if arena is not None and arena.write_row(index, row):
+                        record = record._replace(row=None)
+                        if plan is not None:
+                            plan.maybe_corrupt(arena, index)
+                    records.append(record)
+            finally:
+                if arena is not None:
+                    arena.close()
+            try:
+                conn.send(msg)
+            except _UNPICKLABLE_PAYLOAD:
+                if msg[0] != "error":
+                    raise
+                _tag, records, index, exc, _dropped = msg
+                summary = RuntimeError(f"{type(exc).__name__}: {exc}")
+                conn.send(("error", records, index, summary, True))
     except (EOFError, BrokenPipeError):  # parent went away: just exit
         pass
-    finally:
-        if arena is not None:
-            arena.close()
 
 
 class _Raise:
@@ -202,34 +222,38 @@ class _Worker:
 
     __slots__ = ("wid", "conn", "process", "task", "current", "started_at")
 
-    def __init__(self, wid: int, spawn) -> None:
+    def __init__(self, wid: int, conn, process) -> None:
         self.wid = wid
-        self.conn, child_conn = multiprocessing.Pipe(duplex=True)
-        self.process = spawn(wid, child_conn)
-        # The parent must drop its copy of the child end or pipe EOF
-        # (the crash detector) never fires.
-        child_conn.close()
-        self.task = None  # (chunk_id, items) currently assigned
-        self.current: int | None = None  # job index announced via "start"
+        self.conn = conn
+        self.process = process
+        #: The outstanding chunk's ``(index, job)`` items, or None.
+        self.task: list[tuple[int, SimJob]] | None = None
+        #: The job index last seen in the progress slot (-1: none yet).
+        self.current = -1
         self.started_at = 0.0
 
-    @property
-    def idle(self) -> bool:
-        return self.task is None
-
     def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
-        self.conn.close()
+        try:
+            if self.process.is_alive():
+                self.process.kill()
+            self.process.join()
+            self.conn.close()
+        except OSError:  # pragma: no cover - already-dead edge
+            pass
 
 
 class Supervisor:
-    """Fault-tolerant chunked execution with ordered emission."""
+    """Streaming, fault-tolerant chunked execution with ordered emission.
+
+    ``jobs`` may be any iterable; it is pulled lazily (see the module
+    docstring). ``arena`` switches rows to the shm transport.
+    ``runner`` is the per-job runner the workers call; the shm backend
+    passes the one it imported, so a test can substitute it there.
+    """
 
     def __init__(
         self,
-        jobs: Sequence[SimJob],
+        jobs: Iterable[SimJob],
         *,
         want_results: bool,
         collect_errors: bool,
@@ -238,9 +262,8 @@ class Supervisor:
         ctx: WorkerContext,
         tolerance: Tolerance,
         arena: SummaryArena | None = None,
-        probe=None,
+        runner: Callable[..., JobRecord] = run_record,
     ) -> None:
-        self.jobs = list(jobs)
         self.want_results = want_results
         self.collect_errors = collect_errors
         self.n_workers = max(1, workers)
@@ -248,12 +271,16 @@ class Supervisor:
         self.ctx = ctx
         self.tol = tolerance
         self.arena = arena
-        self.probe = probe
-        self._chunk_seq = 0
-        self._pending: list = []  # [chunk_id, items, not_before]
+        self.runner = runner
+        #: Fresh chunks still to pull; None once the iterable is spent.
+        self._chunks: Iterator | None = iter_chunks(jobs, self.chunk_size)
+        self._window = 2 * self.n_workers * self.chunk_size
+        self._jobs: dict[int, SimJob] = {}  # pulled, not yet emitted
+        self._pending: list = []  # [items, not_before] requeued chunks
         self._attempts: dict[int, int] = {}
         self._completed: dict[int, JobRecord | _Raise] = {}
-        self._workers: list[_Worker] = []
+        self._workers: list[_Worker | None] = [None] * self.n_workers
+        self._progress = multiprocessing.RawArray("q", self.n_workers)
         #: Exceptions whose payload could not cross the pipe: the worker
         #: shipped a summary RuntimeError in place of the original (see
         #: the worker protocol), and each such substitution counts here.
@@ -265,64 +292,66 @@ class Supervisor:
 
     # -- worker lifecycle -------------------------------------------------
 
-    def _spawn(self, wid: int, child_conn):
+    def _spawn(self, wid: int) -> _Worker:
+        conn, child_conn = multiprocessing.Pipe(duplex=True)
         process = multiprocessing.Process(
             target=_worker_main,
             args=(
                 wid,
                 child_conn,
+                conn,
+                self._progress,
                 self.ctx,
+                self.runner,
                 self.want_results,
                 self.collect_errors,
                 self.arena.name if self.arena is not None else None,
-                self.arena.n_rows if self.arena is not None else 0,
                 self.arena.segment_rows if self.arena is not None else 0,
             ),
             daemon=True,
         )
         process.start()
-        return process
+        # The parent must drop its copy of the child end or pipe EOF
+        # (the crash detector) never fires.
+        child_conn.close()
+        return _Worker(wid, conn, process)
 
-    def _new_worker(self, wid: int) -> _Worker:
-        return _Worker(wid, self._spawn)
+    def _on_worker_death(
+        self, worker: _Worker, now: float, hung_on: int | None = None
+    ) -> None:
+        """Requeue the lost chunk, blaming the job that was running.
 
-    def _replace(self, worker: _Worker) -> None:
-        try:
-            worker.kill()
-        except OSError:  # pragma: no cover - already-dead edge
-            pass
-        self._workers[worker.wid] = self._new_worker(worker.wid)
-
-    # -- task queue -------------------------------------------------------
-
-    def _enqueue(self, items, not_before: float = 0.0, front: bool = False):
-        task = [self._chunk_seq, list(items), not_before]
-        self._chunk_seq += 1
-        if front:
-            self._pending.insert(0, task)
+        A crashed worker is reaped before it is read, so its exit code
+        is real and its progress slot final. A hung one is killed and
+        ``hung_on``, the job the timeout check saw, is blamed. With no
+        job started, a singleton chunk is blamed anyway, so a worker
+        that dies before every job still ends in quarantine.
+        """
+        if hung_on is None:
+            worker.process.join(timeout=1.0)
+            kind, detail = "crash", f"exit code {worker.process.exitcode}"
         else:
-            self._pending.append(task)
-
-    def _pop_ready(self, now: float):
-        for pos, task in enumerate(self._pending):
-            if task[2] <= now:
-                return self._pending.pop(pos)
-        return None
-
-    def _soonest_pending(self) -> float | None:
-        if not self._pending:
-            return None
-        return min(task[2] for task in self._pending)
+            kind, detail = "hang", "job timeout"
+        worker.kill()
+        self._workers[worker.wid] = None  # respawned on next dispatch
+        items = worker.task
+        if items is None:
+            return
+        culprit = self._progress[worker.wid] if hung_on is None else hung_on
+        if culprit < 0 and len(items) == 1:
+            culprit = items[0][0]
+        for index, job in items:
+            if index == culprit:
+                self._fail(index, kind, detail, now)
+            else:
+                self._pending.append([[(index, job)], 0.0])
 
     # -- failure handling -------------------------------------------------
 
-    def _record(self, index: int, record) -> None:
-        self._completed[index] = record
-
     def _quarantine(self, index: int, kind: str, detail: str) -> None:
         """Retire a job that failed past the retry budget, as data."""
-        job = self.jobs[index]
-        attempts = self._attempts.get(index, 0)
+        job = self._jobs[index]
+        attempts = self._attempts[index]
         if kind == "hang":
             row = timeout_row(
                 index,
@@ -331,7 +360,7 @@ class Supervisor:
                 f"job_timeout_s={self.tol.job_timeout_s} on each of "
                 f"{attempts} attempts",
             )
-            self._record(index, JobRecord(index, row, None))
+            self._completed[index] = JobRecord(index, row, None)
             return
         message = (
             f"worker process died on each of {attempts} attempts "
@@ -339,13 +368,12 @@ class Supervisor:
             f"max_retries={self.tol.max_retries}"
         )
         if not self.collect_errors:
-            self._record(index, _Raise(WorkerCrashError(message)))
+            self._completed[index] = _Raise(WorkerCrashError(message))
             return
         error = BatchError(kind=WORKER_CRASH_KIND, error=message)
         row = summarize_result(index, job, error)
-        self._record(
-            index,
-            JobRecord(index, row, error if self.want_results else None),
+        self._completed[index] = JobRecord(
+            index, row, error if self.want_results else None
         )
 
     def _fail(self, index: int, kind: str, detail: str, now: float) -> None:
@@ -355,232 +383,170 @@ class Supervisor:
         if attempts > self.tol.max_retries:
             self._quarantine(index, kind, detail)
             return
-        # Singleton requeue: any future worker death while running this
-        # job is attributable to it even if the "start" message is lost.
-        self._enqueue(
-            [(index, self.jobs[index])],
-            not_before=now + self.tol.backoff(attempts),
-            front=True,
+        self._pending.insert(
+            0,
+            [[(index, self._jobs[index])], now + self.tol.backoff(attempts)],
         )
 
-    def _on_worker_death(
-        self, worker: _Worker, kind: str, detail: str, now: float
-    ) -> None:
-        """Requeue the dead worker's unfinished jobs; respawn it."""
-        if worker.task is not None:
-            _chunk_id, items = worker.task
-            remaining = [
-                (index, job)
-                for index, job in items
-                if index not in self._completed
-            ]
-            culprit = worker.current
-            if culprit is not None and culprit in self._completed:
-                culprit = None  # its row made it out before the death
-            if culprit is None and len(remaining) == 1:
-                culprit = remaining[0][0]
-            for index, job in remaining:
-                if index == culprit:
-                    self._fail(index, kind, detail, now)
-                else:
-                    self._enqueue([(index, job)])
-        self._replace(worker)
+    # -- messages ---------------------------------------------------------
 
-    # -- message handling -------------------------------------------------
-
-    def _handle(self, worker: _Worker, msg, now: float) -> None:
-        tag = msg[0]
-        if tag == "start":
-            worker.current = msg[1]
-            worker.started_at = now
-        elif tag == "row":
-            _tag, index, row, result, witness, memo_hit = msg
-            if row is None:
-                # Arena mode: decode the acknowledged slot right away; a
-                # torn write reads as unwritten and costs one retry.
-                from repro.errors import ArenaSlotUnwritten
-
-                try:
-                    row = self.arena.read_row(index)
-                except ArenaSlotUnwritten:
-                    worker.current = None
-                    self._fail(
-                        index, "crash", "arena slot unwritten", now
-                    )
-                    return
-            self._record(
-                index, JobRecord(index, row, result, witness, memo_hit)
-            )
-            worker.current = None
-        elif tag == "error":
-            _tag, index, exc, dropped = msg
-            if dropped:
-                self.payload_drops += 1
-            self._record(index, _Raise(exc))
-            worker.current = None
-        elif tag == "done":
-            worker.task = None
-            worker.current = None
-
-    def _drain_conn(self, worker: _Worker, now: float) -> bool:
-        """Pump every buffered message; False when the pipe hit EOF."""
+    def _receive(self, worker: _Worker, now: float) -> None:
+        """Take the worker's chunk message; on EOF, handle its death."""
         try:
-            while worker.conn.poll():
-                self._handle(worker, worker.conn.recv(), now)
+            msg = worker.conn.recv()
         except (EOFError, OSError):
-            return False
-        return True
+            self._on_worker_death(worker, now)
+            return
+        worker.task = None
+        for record in msg[1]:
+            if record.row is None:
+                # Arena mode: decode the acknowledged slot now; a torn
+                # write reads as unwritten and costs one retry.
+                try:
+                    row = self.arena.read_row(record.index)
+                except ArenaSlotUnwritten:
+                    self._fail(
+                        record.index, "crash", "arena slot unwritten", now
+                    )
+                    continue
+                record = record._replace(row=row)
+            self._completed[record.index] = record
+        if msg[0] == "error":
+            _tag, _records, index, exc, dropped = msg
+            self.payload_drops += dropped
+            self._completed[index] = _Raise(exc)
 
-    def _death_detail(self, worker: _Worker) -> str:
-        """Describe a dead worker; reap it first so exitcode is real."""
-        worker.process.join(timeout=1.0)
-        return f"exit code {worker.process.exitcode}"
+    def _check_timeouts(self, now: float) -> None:
+        """Kill every worker whose job has run past ``job_timeout_s``."""
+        for worker in self._workers:
+            if worker is None or worker.task is None:
+                continue
+            index = self._progress[worker.wid]
+            if index != worker.current:
+                worker.current = index
+                worker.started_at = now
+                continue
+            if index < 0 or now - worker.started_at <= self.tol.job_timeout_s:
+                continue
+            if worker.conn.poll():
+                # The chunk finished (or the worker died) since the
+                # wait: take that message before judging.
+                self._receive(worker, now)
+                continue
+            self._on_worker_death(worker, now, hung_on=index)
 
     # -- dispatch ---------------------------------------------------------
 
-    def _run_inline(self, items) -> None:
-        """In-parent fallback for chunks whose programs cannot pickle.
+    def _next_task(self, now: float) -> list[tuple[int, SimJob]] | None:
+        """A ready requeued chunk, else a fresh one if the window allows."""
+        for pos, (items, not_before) in enumerate(self._pending):
+            if not_before <= now:
+                del self._pending[pos]
+                return items
+        if self._chunks is None or len(self._jobs) >= self._window:
+            return None
+        items = next(self._chunks, None)
+        if items is None:
+            self._chunks = None
+            return None
+        for index, job in items:
+            self._jobs[index] = job
+        if self.arena is not None:
+            # Workers attach lazily, so the segments must exist before
+            # the chunk can run.
+            self.arena.ensure_rows(items[-1][0] + 1)
+        return items
+
+    def _run_inline(self, items: list[tuple[int, SimJob]]) -> None:
+        """Run a chunk whose jobs cannot pickle in the parent.
 
         No faults fire here (an injected crash would kill the parent)
         and no retries apply: in-parent execution cannot lose a worker.
+        Rows skip the arena. An exception is re-raised in job order.
         """
         memo = RowMemo()
         for index, job in items:
-            # The record carries the row directly (no arena round-trip
-            # needed in-parent), matching the unsupervised fallback.
-            self._record(
-                index,
-                run_record(
+            try:
+                self._completed[index] = self.runner(
                     index,
                     job,
                     want_result=self.want_results and self.arena is None,
                     collect_errors=self.collect_errors,
                     mine=self.ctx.mine_witnesses,
                     memo=memo,
-                ),
-            )
+                )
+            except Exception as exc:
+                self._completed[index] = _Raise(exc)
+                return
 
     def _dispatch(self, now: float) -> None:
-        for worker in self._workers:
-            if not worker.idle:
-                continue
-            task = self._pop_ready(now)
-            if task is None:
-                return
-            chunk_id, items, _not_before = task
-            if self.probe is not None and not self.probe.chunk_picklable(
-                items
-            ):
-                self._run_inline(items)
-                continue
-            worker.task = (chunk_id, items)
-            worker.current = None
-            try:
-                worker.conn.send((chunk_id, items))
-            except (BrokenPipeError, OSError):
-                # Died before we even spoke to it: nothing was running,
-                # so requeue the whole chunk unpenalized and respawn.
-                worker.task = None
-                self._enqueue(items, front=True)
-                self._replace(worker)
+        """Give each idle worker a chunk, spawning workers on first use."""
+        for wid in range(self.n_workers):
+            worker = self._workers[wid]
+            while worker is None or worker.task is None:
+                items = self._next_task(now)
+                if items is None:
+                    return
+                if worker is None:
+                    worker = self._workers[wid] = self._spawn(wid)
+                self._progress[wid] = -1
+                worker.current = -1
+                n_rows = self.arena.n_rows if self.arena is not None else 0
+                try:
+                    worker.conn.send((items, n_rows))
+                except _UNPICKLABLE_CHUNK:
+                    self._run_inline(items)
+                    continue
+                except OSError:
+                    # Died while idle: the chunk never reached it.
+                    worker.task = items
+                    self._on_worker_death(worker, now)
+                    break
+                worker.task = items
 
     # -- main loop --------------------------------------------------------
 
     def run(self) -> Iterator[JobRecord]:
         """Execute every job; yield records strictly in job order."""
-        n = len(self.jobs)
-        if n == 0:
-            return
+        next_emit = 0
         try:
-            self._workers = [
-                self._new_worker(wid) for wid in range(self.n_workers)
-            ]
-            for chunk in iter_chunks(self.jobs, self.chunk_size):
-                self._enqueue(chunk)
-            next_emit = 0
-            while next_emit < n:
+            while self._chunks is not None or self._jobs:
                 now = time.monotonic()
                 self._dispatch(now)
-                conns = {
+                busy = {
                     worker.conn: worker
                     for worker in self._workers
-                    if not worker.idle
+                    if worker is not None and worker.task is not None
                 }
-                if conns:
-                    ready = _conn_wait(
-                        list(conns), timeout=self.tol.poll_s
-                    )
+                if busy:
+                    ready = _conn_wait(list(busy), timeout=self.tol.poll_s)
                 else:
                     ready = []
-                    soonest = self._soonest_pending()
+                    soonest = min(
+                        (not_before for _items, not_before in self._pending),
+                        default=None,
+                    )
                     if soonest is not None and soonest > now:
                         time.sleep(min(soonest - now, self.tol.poll_s))
                 now = time.monotonic()
                 for conn in ready:
-                    worker = conns[conn]
-                    if not self._drain_conn(worker, now):
-                        self._on_worker_death(
-                            worker, "crash", self._death_detail(worker), now
-                        )
+                    self._receive(busy[conn], now)
                 if self.tol.job_timeout_s is not None:
-                    for worker in self._workers:
-                        if (
-                            worker.current is None
-                            or now - worker.started_at
-                            <= self.tol.job_timeout_s
-                        ):
-                            continue
-                        # Salvage rows it already produced before judging.
-                        if not self._drain_conn(worker, now):
-                            self._on_worker_death(
-                                worker,
-                                "crash",
-                                self._death_detail(worker),
-                                now,
-                            )
-                            continue
-                        if worker.current is None:
-                            continue  # finished during the drain
-                        self._on_worker_death(
-                            worker, "hang", "job timeout", now
-                        )
+                    self._check_timeouts(now)
                 while next_emit in self._completed:
                     record = self._completed.pop(next_emit)
+                    del self._jobs[next_emit]
+                    self._attempts.pop(next_emit, None)
                     next_emit += 1
                     if isinstance(record, _Raise):
                         raise record.exc
                     yield record
+                if self.arena is not None:
+                    # Every slot below next_emit is decoded; release the
+                    # segments behind the window.
+                    self.arena.retire_below(next_emit)
         finally:
             for worker in self._workers:
-                try:
+                if worker is not None:
                     worker.kill()
-                except OSError:  # pragma: no cover - teardown race
-                    pass
-            self._workers = []
-
-
-def run_supervised(
-    jobs,
-    *,
-    want_results: bool,
-    collect_errors: bool,
-    workers: int,
-    chunk_size: int,
-    ctx: WorkerContext,
-    tolerance: Tolerance,
-    arena: SummaryArena | None = None,
-    probe=None,
-) -> Iterator[JobRecord]:
-    """Run ``jobs`` under a :class:`Supervisor`; yield ordered records."""
-    supervisor = Supervisor(
-        jobs,
-        want_results=want_results,
-        collect_errors=collect_errors,
-        workers=workers,
-        chunk_size=chunk_size,
-        ctx=ctx,
-        tolerance=tolerance,
-        arena=arena,
-        probe=probe,
-    )
-    return supervisor.run()
+            self._workers = [None] * self.n_workers

@@ -7,9 +7,9 @@ configs, or prebuilt jobs) into a flat job list; the backends' shared
 runner (:func:`repro.sweep.backends.run_record`) executes one job,
 optionally trapping :class:`~repro.errors.ReproError` into a
 :class:`BatchError` so infeasible sweep corners stay data instead of
-aborting the batch. Chunking lives here too because every multiprocess
-backend needs it (per-chunk picklability probing is the pool backend's
-own concern). :func:`canonical_key` names the run a job performs, so
+aborting the batch. Chunking lives here too: the supervisor behind
+both multiprocess backends splits the job stream with it.
+:func:`canonical_key` names the run a job performs, so
 the runner can simulate each distinct run of a program once.
 """
 
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
 
 
 #: ``BatchError.kind`` of a job quarantined after crashing its worker
-#: process past the supervised executor's retry budget.
+#: process past the supervisor's retry budget.
 WORKER_CRASH_KIND = "WorkerCrash"
 
 
@@ -43,7 +43,7 @@ class BatchError:
     when a sweep runs with ``on_error="collect"`` — sweeps over queue
     provisioning legitimately contain infeasible corners (e.g. a static
     assignment with too few queues) and one such corner must not abort
-    the batch. The supervised executor also quarantines poison jobs
+    the batch. The supervisor also quarantines poison jobs
     (those that crash their worker past the retry budget) as rows of
     kind :data:`WORKER_CRASH_KIND` instead of aborting the sweep.
     """

@@ -26,6 +26,7 @@ public entry points, now thin shims over a plan + session.
 from __future__ import annotations
 
 import dataclasses
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -60,6 +61,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 _VALID_ON_ERROR = ("raise", "collect")
 
 
+def _auto_backend(workers: int) -> str:
+    """``serial`` for one worker or one CPU, else ``pool``.
+
+    On one CPU, worker processes only add transport to the same compute.
+    An unknown CPU count counts as more than one.
+    """
+    return "serial" if workers == 1 or os.cpu_count() == 1 else "pool"
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """Everything a sweep needs: jobs, labels, reducers, backend, knobs.
@@ -67,16 +77,17 @@ class SweepPlan:
     ``jobs`` may be any iterable (a lazy generator feeds
     :meth:`SweepSession.stream` without materializing — on every
     backend, the ``shm`` arena included, which grows and retires
-    segments behind the in-flight window; :meth:`SweepSession.run` and
-    fault-tolerant execution materialize it). ``backend`` ``None``
-    resolves to ``serial`` for ``workers == 1`` and ``pool`` otherwise.
+    segments behind the in-flight window; :meth:`SweepSession.run`
+    materializes it). ``backend`` ``None`` resolves to ``serial`` when
+    ``workers == 1`` or the host has one CPU, and ``pool`` otherwise.
 
-    Fault tolerance is opt-in: setting any of ``job_timeout_s``,
-    ``max_retries`` or ``fault_plan`` routes the multiprocess backends
-    through the supervised executor
-    (:mod:`repro.sweep.backends.supervise`) — crash recovery, bounded
-    retries, per-job wall-clock timeouts. ``checkpoint`` names a file
-    for periodic atomic progress snapshots
+    The multiprocess backends always run under the supervisor
+    (:mod:`repro.sweep.backends.supervise`): a crashed worker is
+    replaced and its job retried. ``max_retries`` (default 2),
+    ``job_timeout_s`` (default none) and ``retry_backoff_s`` tune that
+    recovery; ``fault_plan`` injects faults to test it.
+
+    ``checkpoint`` names a file for periodic atomic progress snapshots
     (:mod:`repro.sweep.checkpoint`); with ``resume`` a sweep restarted
     against an existing checkpoint skips finished jobs and its reducers
     report byte-identically to an uninterrupted run. Checkpointing is a
@@ -119,7 +130,7 @@ class SweepPlan:
     on_error: str = "collect"
     disk_cache: str | None = None
     job_timeout_s: float | None = None
-    max_retries: int | None = None
+    max_retries: int = 2
     retry_backoff_s: float = 0.05
     fault_plan: FaultPlan | None = None
     checkpoint: str | None = None
@@ -244,7 +255,7 @@ class SweepSession:
         self.backend: ExecutionBackend = get_backend(
             plan.backend
             if plan.backend is not None
-            else ("serial" if plan.workers == 1 else "pool")
+            else _auto_backend(plan.workers)
         )
         # Constructing the Tolerance up front validates the knobs
         # (negative retries, non-positive timeouts) at session creation.
@@ -278,22 +289,11 @@ class SweepSession:
         # applying one here can never crash or hang the parent.)
         self.ctx.apply()
 
-    def _make_tolerance(self) -> Tolerance | None:
-        """Supervisor policy, or None to keep the legacy fast paths.
-
-        Supervision engages when any fault-tolerance knob is set —
-        including a bare ``fault_plan``, whose injected faults only fire
-        inside the supervised worker loop.
-        """
+    def _make_tolerance(self) -> Tolerance:
+        """The supervisor's recovery policy from the plan's knobs."""
         plan = self.plan
-        if (
-            plan.job_timeout_s is None
-            and plan.max_retries is None
-            and plan.fault_plan is None
-        ):
-            return None
         return Tolerance(
-            max_retries=plan.max_retries if plan.max_retries is not None else 2,
+            max_retries=plan.max_retries,
             job_timeout_s=plan.job_timeout_s,
             retry_backoff_s=plan.retry_backoff_s,
         )
@@ -571,7 +571,8 @@ def simulate_many(
             ``SimJob`` inputs).
         workers: process count. ``1`` runs in-process (and still reuses
             the analysis cache across jobs); ``N > 1`` farms chunks to
-            the ``pool`` backend (or the one named by ``backend``).
+            the ``pool`` backend (or the one named by ``backend``) on a
+            host with more than one CPU.
         chunk_size: jobs per worker task (must be >= 1); defaults to an
             even split that gives each worker ~4 chunks for load
             balance.
@@ -584,10 +585,10 @@ def simulate_many(
             *and* every pool worker, so analyses computed anywhere are
             reused everywhere — including across restarts.
         backend: execution backend name; ``None`` picks ``serial`` for
-            one worker or one job, else ``pool``. ``"shm"`` is rejected
-            here: it never ships full results, so materializing *all*
-            of them (which is this function's contract) would re-run
-            every job in-parent — use
+            one worker, one job or one CPU, else ``pool``. ``"shm"`` is
+            rejected here: it never ships full results, so
+            materializing *all* of them (which is this function's
+            contract) would re-run every job in-parent — use
             :meth:`SweepSession.iter_handles` / :func:`simulate_stream`
             to get the arena's benefits.
 
@@ -614,8 +615,8 @@ def simulate_many(
     jobs = normalize_jobs(programs, configs, policy, registers)
     if not jobs:
         return []
-    if backend is None and (workers == 1 or len(jobs) == 1):
-        workers = 1  # a single job never needs a pool
+    if backend is None and len(jobs) == 1:
+        workers = 1  # a single job never needs worker processes
     plan = SweepPlan(
         jobs=jobs,
         backend=backend,
@@ -637,7 +638,7 @@ def simulate_stream(
     disk_cache: str | None = None,
     backend: str | None = None,
     job_timeout_s: float | None = None,
-    max_retries: int | None = None,
+    max_retries: int = 2,
     fault_plan: FaultPlan | None = None,
     checkpoint: str | None = None,
     checkpoint_every: int = 64,
@@ -660,23 +661,24 @@ def simulate_stream(
         reducers: :class:`StreamReducer` instances updated with every
             row before it is yielded; read their ``summary()`` after the
             stream is exhausted.
-        workers: process count; ``1`` streams in-process. With a pool,
-            chunks whose programs carry unpicklable compute closures run
-            in-process transparently, preserving order.
+        workers: process count; ``1`` streams in-process. With worker
+            processes, chunks whose programs carry unpicklable compute
+            closures run in-process transparently, preserving order.
         chunk_size: jobs per worker task.
         on_error: ``"collect"`` (default) turns failed jobs into
             ``infeasible`` rows; ``"raise"`` propagates the first error.
         disk_cache: analysis disk tier forwarded to every worker (see
             :func:`simulate_many`).
         backend: execution backend name; ``None`` picks ``serial`` for
-            one worker, else ``pool``.
-        job_timeout_s: per-job wall clock enforced by the supervised
-            executor; a hung job's worker is killed and the corner
-            recorded as a timeout-class row.
+            one worker or one CPU, else ``pool``.
+        job_timeout_s: per-job wall clock enforced by the supervisor of
+            the multiprocess backends; a hung job's worker is killed and
+            the job retried, then recorded as a timeout-class row.
+            ``None`` (the default) sets no limit.
         max_retries: extra attempts a job gets after crashing or
-            hanging its worker before being quarantined. Setting either
-            of these (or ``fault_plan``) engages fault-tolerant
-            supervision on the multiprocess backends.
+            hanging its worker before being quarantined. Crash recovery
+            is always on for the multiprocess backends; these two knobs
+            only tune it.
         fault_plan: deterministic injected faults
             (:class:`~repro.sweep.fault.FaultPlan`) for testing the
             recovery machinery.

@@ -191,6 +191,18 @@ class TestSessionValidation:
             SweepSession(SweepPlan(jobs=[], workers=3)).backend.name == "pool"
         )
 
+    def test_auto_backend_is_serial_on_one_cpu(self, monkeypatch):
+        import os
+
+        def auto_backend():
+            return SweepSession(SweepPlan(jobs=[], workers=3)).backend.name
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert auto_backend() == "serial"
+        # An unknown CPU count counts as more than one.
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert auto_backend() == "pool"
+
     def test_empty_jobs(self):
         for backend in BACKENDS:
             plan = SweepPlan(jobs=[], backend=backend, workers=2)

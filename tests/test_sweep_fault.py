@@ -11,6 +11,11 @@ aborting the sweep, and persistent hangs become timeout rows.
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +165,75 @@ class TestCrashRecovery:
             list(session.stream())
 
 
+class TestExactAttributionAndLazyPulls:
+    @pytest.mark.parametrize("backend", SUPERVISED)
+    def test_death_mid_chunk_blames_only_the_running_job(
+        self, baseline, tmp_path, backend
+    ):
+        jobs, base_rows, _ = baseline
+        # Job 4 is the middle of chunk [3, 4, 5]; with no retries, blaming
+        # any other job of that chunk would quarantine a healthy job.
+        plan = FaultPlan(spool=str(tmp_path), crash={4: 99})
+        rows, _ = run_plan(jobs, backend, fault_plan=plan, max_retries=0)
+        assert rows[4].error_kind == WORKER_CRASH_KIND
+        assert rows[3] == base_rows[3] and rows[5] == base_rows[5]
+        assert [r for i, r in enumerate(rows) if i != 4] == [
+            r for i, r in enumerate(base_rows) if i != 4
+        ]
+
+    @pytest.mark.parametrize("backend", SUPERVISED)
+    def test_many_deaths_on_more_workers_than_cores(self, tmp_path, backend):
+        # Each worker writes its own progress slot; a stale or lost slot
+        # write would blame (and, with no retries, quarantine) a healthy
+        # job instead of the one that died.
+        jobs = corpus_jobs() * 4
+        crash = {1, 5, 9, 13, 22, 30, 35}
+        serial = list(SweepSession(SweepPlan(jobs=jobs)).stream())
+        plan = SweepPlan(
+            jobs=jobs,
+            backend=backend,
+            workers=(os.cpu_count() or 1) + 2,
+            chunk_size=3,
+            fault_plan=FaultPlan(spool=str(tmp_path), crash=crash),
+            max_retries=0,
+        )
+        rows = list(SweepSession(plan).stream())
+        crashed = [
+            i for i, row in enumerate(rows) if row.error_kind == WORKER_CRASH_KIND
+        ]
+        assert crashed == sorted(crash)
+        assert [r for i, r in enumerate(rows) if i not in crash] == [
+            r for i, r in enumerate(serial) if i not in crash
+        ]
+
+    @pytest.mark.parametrize("backend", SUPERVISED)
+    def test_jobs_are_pulled_lazily_with_a_timeout_set(self, backend):
+        n_jobs, workers, chunk = 24, 2, 2
+        pulled = 0
+
+        def gen():
+            nonlocal pulled
+            for _ in range(n_jobs):
+                pulled += 1
+                yield SimJob(fig7_program())
+
+        plan = SweepPlan(
+            jobs=gen(),
+            backend=backend,
+            workers=workers,
+            chunk_size=chunk,
+            job_timeout_s=30,
+        )
+        seen = 0
+        # The same bound the shm streaming test pins: the dispatch window
+        # plus the chunk being pulled, never the whole stream.
+        bound = (workers * 2 + 1) * chunk
+        for _row in SweepSession(plan).stream():
+            seen += 1
+            assert pulled <= seen + bound
+        assert seen == pulled == n_jobs
+
+
 class TestTimeouts:
     @pytest.mark.parametrize("backend", SUPERVISED)
     def test_hung_job_recovers_on_retry(self, baseline, tmp_path, backend):
@@ -211,6 +285,10 @@ def _raise_unpicklable(value):
 
 def _raise_memory_error(value):
     raise MemoryError("injected bug-class failure")
+
+
+def _exit_process(value):
+    os._exit(CRASH_EXIT_CODE)
 
 
 def _compute_job(fn) -> SimJob:
@@ -284,6 +362,53 @@ class TestWorkerErrorNarrowing:
         assert sup.stats()["payload_drops"] == 0
 
 
+class TestDefaultSweepSurvivesWorkerDeath:
+    """With no fault knob set, a job that kills its worker costs one row.
+
+    The job's compute op exits the worker process; it must never run in
+    the test process, so the serial reference runs without it.
+    """
+
+    CRASH_AT = 4
+
+    def jobs(self):
+        jobs = corpus_jobs()
+        jobs.insert(self.CRASH_AT, _compute_job(_exit_process))
+        return jobs
+
+    @pytest.mark.parametrize("backend", SUPERVISED)
+    def test_crash_becomes_a_row_and_the_rest_match_serial(
+        self, baseline, backend
+    ):
+        _jobs, base_rows, _ = baseline
+        plan = SweepPlan(
+            jobs=self.jobs(), backend=backend, workers=2, chunk_size=3
+        )
+        rows = list(SweepSession(plan).stream())
+        crashed = rows.pop(self.CRASH_AT)
+        assert crashed.error_kind == WORKER_CRASH_KIND
+        assert str(CRASH_EXIT_CODE) in (crashed.error or "")
+        shifted = [
+            row.index + (row.index >= self.CRASH_AT) for row in base_rows
+        ]
+        assert rows == [
+            dataclasses.replace(row, index=index)
+            for row, index in zip(base_rows, shifted)
+        ]
+
+    @pytest.mark.parametrize("backend", SUPERVISED)
+    def test_crash_raises_under_on_error_raise(self, backend):
+        plan = SweepPlan(
+            jobs=self.jobs(),
+            backend=backend,
+            workers=2,
+            chunk_size=3,
+            on_error="raise",
+        )
+        with pytest.raises(WorkerCrashError, match=f"job {self.CRASH_AT}"):
+            list(SweepSession(plan).stream())
+
+
 class TestArenaFaults:
     def test_corrupt_slot_requeued(self, baseline, tmp_path):
         jobs, base_rows, base_summaries = baseline
@@ -296,6 +421,15 @@ class TestArenaFaults:
         fired = os.listdir(tmp_path)
         assert any(m.startswith("corrupt-0-") for m in fired)
         assert any(m.startswith("corrupt-6-") for m in fired)
+
+    def test_torn_slot_is_read_back_and_the_job_rerun(self, baseline, tmp_path):
+        jobs, base_rows, _ = baseline
+        plan = FaultPlan(spool=str(tmp_path), corrupt={4: 1})
+        rows, _ = run_plan(jobs, "shm", fault_plan=plan, max_retries=1)
+        assert rows == base_rows
+        # The retry claims the second marker: the parent read the torn
+        # slot as unwritten and ran the job again.
+        assert sorted(os.listdir(tmp_path)) == ["corrupt-4-0", "corrupt-4-1"]
 
     def test_unwritten_slot_error_is_typed(self):
         from repro.sweep import SummaryArena
@@ -352,6 +486,78 @@ class TestKnobValidation:
         assert fired == [True, True, False, False, False]
         assert FakeArena.cleared == 2
         assert plan.maybe_corrupt(arena, 1) is False  # unarmed index
+
+
+#: A parent that starts a two-worker sweep, takes one row, records its
+#: workers' pids and then waits to be killed.
+_PARENT_SCRIPT = """
+import multiprocessing, os, sys, time
+from repro.algorithms.figures import fig7_program
+from repro.sweep import SimJob, SweepPlan, SweepSession
+
+if __name__ == "__main__":
+    backend, out = sys.argv[1], sys.argv[2]
+    plan = SweepPlan(
+        jobs=[SimJob(fig7_program())] * 8,
+        backend=backend,
+        workers=2,
+        chunk_size=1,
+    )
+    stream = SweepSession(plan).stream()
+    next(stream)
+    pids = " ".join(str(p.pid) for p in multiprocessing.active_children())
+    with open(out + ".tmp", "w") as f:
+        f.write(pids)
+    os.replace(out + ".tmp", out)
+    time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (not gone, not a zombie)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+class TestParentDeath:
+    """Workers must not outlive a SIGKILLed parent."""
+
+    @pytest.mark.parametrize("backend", SUPERVISED)
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path, backend):
+        script = tmp_path / "parent.py"
+        script.write_text(_PARENT_SCRIPT)
+        out = tmp_path / "pids"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, str(script), backend, str(out)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and not out.exists():
+                time.sleep(0.02)
+            assert out.exists(), "the parent never reported its workers"
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+        pids = [int(pid) for pid in out.read_text().split()]
+        assert len(pids) == 2
+        alive = pids
+        deadline = time.monotonic() + 10
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.05)
+            alive = [pid for pid in alive if _running(pid)]
+        for pid in alive:  # never leak them past the test
+            os.kill(pid, signal.SIGKILL)
+        assert not alive, "workers outlived their killed parent"
 
 
 class TestArenaCleanup:
