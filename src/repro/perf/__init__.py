@@ -6,15 +6,12 @@ ablations, Theorem-1 ensembles) share one content-keyed
 capacities and the constraint labeling — so only the first run pays for
 static analysis. See :mod:`repro.perf.analysis_cache`.
 
-Lookups resolve through three tiers, cheapest first:
+Lookups resolve through two tiers, cheapest first:
 
-1. **memory** — the process-local LRU (:class:`AnalysisCache`);
-2. **shm** — a single-host shared-memory arena
-   (:mod:`repro.perf.shm_cache`) the sweep session publishes its warm
-   analyses into: pool workers attach once and resolve content
-   fingerprints with zero filesystem I/O, memoizing deserialized
-   entries per process. Disable with ``REPRO_ANALYSIS_SHM_CACHE=0``;
-3. **disk** — the persistent tier (:mod:`repro.perf.disk_cache`):
+1. **memory** — the process-local LRU (:class:`AnalysisCache`). Sweep
+   workers are forked from the parent, so each starts with every
+   analysis the parent held when the sweep began;
+2. **disk** — the persistent tier (:mod:`repro.perf.disk_cache`):
    export ``REPRO_ANALYSIS_DISK_CACHE=/path/to/dir`` or call
    :func:`configure_disk_cache` and every process sharing that
    directory — pool workers, restarted sweeps, separate sessions —
@@ -38,14 +35,16 @@ from repro.perf.disk_cache import (
     active_disk_cache_config,
     configure_disk_cache,
 )
-from repro.perf.shm_cache import (
-    ShmAnalysisCache,
-    active_shm_cache,
-    attach_shm_cache,
-    ensure_shm_cache,
-    reset_shm_cache_state,
-    shm_cache_stats,
-)
+
+
+def reset_shm_cache_state() -> None:
+    """No-op kept only because ``perfbench/workloads.py`` imports it.
+
+    The shared-memory analysis tier it used to tear down is gone.
+    ``perfbench/`` changes only together with its baselines; the next
+    such change drops the import, and then this stub goes too.
+    """
+
 
 __all__ = [
     "AnalysisCache",
@@ -53,18 +52,13 @@ __all__ = [
     "AnalysisKey",
     "DiskAnalysisCache",
     "GLOBAL_ANALYSIS_CACHE",
-    "ShmAnalysisCache",
     "active_disk_cache",
     "active_disk_cache_config",
-    "active_shm_cache",
     "analysis_cache_stats",
-    "attach_shm_cache",
     "clear_analysis_cache",
     "configure_disk_cache",
-    "ensure_shm_cache",
     "program_fingerprint",
     "reset_shm_cache_state",
     "router_fingerprint",
-    "shm_cache_stats",
     "topology_fingerprint",
 ]

@@ -178,7 +178,6 @@ class AnalysisEntry:
         "_labeling_error",
         "_ordered_groups",
         "_disk_synced",
-        "_shm_synced",
     )
 
     def __init__(
@@ -207,11 +206,8 @@ class AnalysisEntry:
         self._labeling_error: tuple[type, str] | None = None
         self._ordered_groups: dict[Link, tuple[tuple[str, ...], ...]] | None = None
         # True while the disk tier (if any) already holds everything this
-        # entry has computed; any fresh computation clears it. The shm
-        # flag mirrors it for the shared-memory tier
-        # (:mod:`repro.perf.shm_cache`).
+        # entry has computed; any fresh computation clears it.
         self._disk_synced = False
-        self._shm_synced = False
 
     @property
     def routes(self) -> dict[str, Route]:
@@ -221,7 +217,6 @@ class AnalysisEntry:
                 if self._routes is None:
                     program, router = self._program, self._router
                     self._disk_synced = False
-                    self._shm_synced = False
                     self._routes = {
                         msg.name: router.route(msg.sender, msg.receiver)
                         for msg in program.messages.values()
@@ -236,7 +231,6 @@ class AnalysisEntry:
                 if self._competing is None:
                     table = competing_messages(self._program, self._router)
                     self._disk_synced = False
-                    self._shm_synced = False
                     self._competing = {
                         link: tuple(names) for link, names in table.items()
                     }
@@ -249,7 +243,6 @@ class AnalysisEntry:
             with self._lock:
                 if not self._has_capacities:
                     self._disk_synced = False
-                    self._shm_synced = False
                     if self._queue_capacity > 0 or self._allow_extension:
                         self._capacities = route_capacities(
                             self._program,
@@ -283,7 +276,6 @@ class AnalysisEntry:
                         self._labeling_error = (type(exc), str(exc))
                         raise
                     self._disk_synced = False
-                    self._shm_synced = False
                     self._labeling = labeling
         return self._labeling
 
@@ -310,7 +302,6 @@ class AnalysisEntry:
                         for link, names in self.competing.items()
                     }
                     self._disk_synced = False
-                    self._shm_synced = False
                     self._ordered_groups = groups
         return self._ordered_groups
 
@@ -339,21 +330,14 @@ class AnalysisEntry:
                 self._competing = competing
 
     # ------------------------------------------------------------------
-    # Persistent tiers (repro.perf.shm_cache, repro.perf.disk_cache)
+    # Persistent tier (repro.perf.disk_cache)
     # ------------------------------------------------------------------
 
-    def preload_artifacts(self, artifacts: dict, *, source: str = "disk") -> None:
-        """Seed this entry from a persistent-tier artifact dict.
+    def preload_artifacts(self, artifacts: dict) -> None:
+        """Seed this entry from a disk-tier artifact dict.
 
         Only known fields are accepted; anything missing stays lazily
-        computable. A disk-served entry (``source="disk"``) stays
-        unsynced with the shm tier so the owning parent's next
-        :meth:`persist` publishes it into the arena — that is how a
-        disk-warm cache populates shared memory. A shm-served entry
-        (``source="shm"``) marks *both* tiers synced: whoever published
-        it owns its persistence, and a reader writing the identical
-        artifacts back to disk would turn every LRU-thrashed revisit in
-        a worker into a redundant pickle + file write.
+        computable.
         """
         with self._lock:
             routes = artifacts.get("routes")
@@ -373,11 +357,7 @@ class AnalysisEntry:
             ordered_groups = artifacts.get("ordered_groups")
             if isinstance(ordered_groups, dict):
                 self._ordered_groups = ordered_groups
-            if source == "shm":
-                self._shm_synced = True
-                self._disk_synced = True
-            else:
-                self._disk_synced = True
+            self._disk_synced = True
 
     def export_artifacts(self) -> dict:
         """Everything computed so far, in disk-tier artifact form."""
@@ -392,27 +372,16 @@ class AnalysisEntry:
             }
 
     def persist(self) -> bool:
-        """Write this entry to the active persistent tiers, if needed.
+        """Write this entry to the active disk tier, if needed.
 
-        The shm tier is published first (it is the one workers race to
-        read), then the disk tier; each is skipped when absent or when
-        nothing changed since the last load/store for that tier. Returns
-        whether the *disk* tier stored (the long-standing contract); a
-        no-op also covers the no-content-key ``reuse_analysis=False``
-        path. Publishing from a non-owning process is refused inside
-        :meth:`~repro.perf.shm_cache.ShmAnalysisCache.publish` at the
-        cost of one pid check.
+        Skipped when there is no disk tier or nothing changed since the
+        last load/store. Returns whether the disk tier stored; a no-op
+        also covers the no-content-key ``reuse_analysis=False`` path.
         """
         from repro.perf.disk_cache import active_disk_cache
-        from repro.perf.shm_cache import active_shm_cache
 
         if self.key is None:
             return False
-        shm = active_shm_cache()
-        if shm is not None and not self._shm_synced:
-            if shm.publish(self.key, self.export_artifacts()):
-                with self._lock:
-                    self._shm_synced = True
         disk = active_disk_cache()
         if disk is None or self._disk_synced:
             return False
@@ -475,52 +444,17 @@ class AnalysisCache:
             self._entries[key] = entry
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-        # Probe the persistent tiers outside the cache lock —
-        # deserialization is slow compared to a dict hit and must not
-        # serialize other threads. Order is cost order: the shm tier
-        # (one checksum-verified read, memoized per process) before the
-        # disk tier (file read plus two unpickles).
+        # Probe the disk tier outside the cache lock — a file read plus
+        # two unpickles is slow compared to a dict hit and must not
+        # serialize other threads.
         from repro.perf.disk_cache import active_disk_cache
-        from repro.perf.shm_cache import active_shm_cache
 
-        shm = active_shm_cache()
-        if shm is not None:
-            artifacts = shm.load(key)
-            if artifacts is not None:
-                entry.preload_artifacts(artifacts, source="shm")
-                return entry
         disk = active_disk_cache()
         if disk is not None:
             artifacts = disk.load(key)
             if artifacts is not None:
                 entry.preload_artifacts(artifacts)
         return entry
-
-    def publish_shm(self) -> int:
-        """Publish every warm entry into the shm tier; entries published.
-
-        Called by the sweep session right after it creates the arena, so
-        workers start with the parent's whole working set instead of
-        only what the parent persists from then on. Already-synced
-        entries and keyless entries are skipped; a refused publish (full
-        arena) just leaves that entry for the disk tier.
-        """
-        from repro.perf.shm_cache import active_shm_cache
-
-        shm = active_shm_cache()
-        if shm is None:
-            return 0
-        with self._lock:
-            entries = list(self._entries.values())
-        published = 0
-        for entry in entries:
-            if entry.key is None or entry._shm_synced:
-                continue
-            if shm.publish(entry.key, entry.export_artifacts()):
-                with entry._lock:
-                    entry._shm_synced = True
-                published += 1
-        return published
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""

@@ -45,9 +45,9 @@ iterable of jobs to an *ordered* stream of
   store's subsumption rules;
 * worker processes apply the session's
   :class:`~repro.sweep.backends.WorkerContext` — the persistent
-  analysis disk tier, the single-host shared-memory analysis arena
-  (:mod:`repro.perf.shm_cache`), the mining flag, and any fault plan —
-  before running jobs.
+  analysis disk tier, the mining flag, and any fault plan — before
+  running jobs; forked workers start with the parent's in-memory
+  analysis cache.
 
 Built-in backends:
 

@@ -198,7 +198,9 @@ class WorkerContext:
     ``disk_cache`` parameter threaded through ``simulate_many``: the
     session captures it once, every backend applies it in each worker
     (and in the parent), and future per-process knobs extend this
-    dataclass instead of every backend's signature.
+    dataclass instead of every backend's signature. Cached analyses
+    need no forwarding: a forked worker starts with a copy of the
+    parent's in-memory analysis cache.
     """
 
     disk_cache: str | None = None
@@ -209,10 +211,6 @@ class WorkerContext:
     #: contract) and ship the compact dicts back on each
     #: :class:`JobRecord`.
     mine_witnesses: bool = False
-    #: Name of the parent's shared-memory analysis arena
-    #: (:mod:`repro.perf.shm_cache`); workers attach once and resolve
-    #: analysis fingerprints with zero filesystem I/O.
-    shm_cache: str | None = None
 
     @classmethod
     def capture(
@@ -221,7 +219,6 @@ class WorkerContext:
         fault_plan: FaultPlan | None = None,
         *,
         mine_witnesses: bool = False,
-        shm_cache: str | None = None,
     ) -> "WorkerContext":
         """Snapshot the parent's per-process configuration.
 
@@ -236,9 +233,8 @@ class WorkerContext:
         environment and resolve it themselves. ``fault_plan`` rides
         along verbatim: it is the injection channel for the
         deterministic fault harness (:mod:`repro.sweep.fault`).
-        ``mine_witnesses`` and ``shm_cache`` are session decisions (a
-        witness store is attached; a shared-memory analysis arena was
-        published), not ambient state, so the session passes them
+        ``mine_witnesses`` is a session decision (a witness store is
+        attached), not ambient state, so the session passes it
         explicitly.
         """
         from repro.core.crossing import configured_crossing_backend
@@ -257,7 +253,6 @@ class WorkerContext:
             fault_plan=fault_plan,
             crossing_backend=crossing_backend,
             mine_witnesses=mine_witnesses,
-            shm_cache=shm_cache,
         )
 
     def apply(self) -> None:
@@ -266,11 +261,7 @@ class WorkerContext:
         Installing the fault plan is inert outside supervised workers:
         only the supervised worker loop calls the plan's ``maybe_*``
         hooks, so the parent (which applies its own context too) can
-        never fire an injected crash or hang. Attaching the
-        shared-memory analysis arena is best-effort: a failed attach
-        (the parent already exited, a torn header) degrades to "no shm
-        tier" inside :func:`repro.perf.shm_cache.attach_shm_cache`,
-        never to a failed worker.
+        never fire an injected crash or hang.
         """
         if self.disk_cache is not None:
             from repro.perf.disk_cache import configure_disk_cache
@@ -282,10 +273,6 @@ class WorkerContext:
             from repro.core.crossing import configure_crossing_backend
 
             configure_crossing_backend(self.crossing_backend)
-        if self.shm_cache is not None:
-            from repro.perf.shm_cache import attach_shm_cache
-
-            attach_shm_cache(self.shm_cache)
         fault_mod.install(self.fault_plan)
 
 

@@ -102,7 +102,8 @@ def _load_raw(path: str) -> tuple[dict | None, bool]:
     rejected loads instead of conflating them with absence.
     """
     try:
-        blob = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            blob = handle.read()
     except FileNotFoundError:
         return None, False
     except OSError:

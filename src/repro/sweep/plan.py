@@ -264,24 +264,8 @@ class SweepSession:
         # where the job ran and ships a compact certificate on its
         # record; the parent merges them (see _witness_records).
         mine = plan.witness_store is not None and plan.witness_mine
-        shm_name: str | None = None
-        if self.backend.name != "serial":
-            # Publish the parent's warm analyses into the shared-memory
-            # tier so workers resolve fingerprints with no filesystem
-            # I/O. Best-effort: ensure_shm_cache returns None when the
-            # tier is disabled or /dev/shm is unusable.
-            from repro.perf.shm_cache import ensure_shm_cache
-
-            shm_name = ensure_shm_cache()
-            if shm_name is not None:
-                from repro.perf.analysis_cache import GLOBAL_ANALYSIS_CACHE
-
-                GLOBAL_ANALYSIS_CACHE.publish_shm()
         self.ctx = WorkerContext.capture(
-            plan.disk_cache,
-            plan.fault_plan,
-            mine_witnesses=mine,
-            shm_cache=shm_name,
+            plan.disk_cache, plan.fault_plan, mine_witnesses=mine
         )
         # The parent applies the context too: in-process execution and
         # result hydration must see the same disk tier as the workers.

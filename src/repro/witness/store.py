@@ -77,7 +77,8 @@ class WitnessStore:
 
     def _load(self) -> None:
         try:
-            blob = open(self.path, "rb").read()
+            with open(self.path, "rb") as handle:
+                blob = handle.read()
         except FileNotFoundError:
             return  # absent is the normal cold-start case, not an error
         except OSError:

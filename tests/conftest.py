@@ -5,21 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import ArrayConfig
-
-
-@pytest.fixture(autouse=True)
-def _isolated_shm_cache():
-    """Tear down the process-wide shm analysis arena between tests.
-
-    Any multiprocess sweep lazily creates the shared-memory analysis
-    tier for the whole process; left alive, it would warm lookups in
-    every *later* test (e.g. turning disk-tier "restart" hits into shm
-    hits) and leak one segment per pytest session.
-    """
-    yield
-    from repro.perf.shm_cache import reset_shm_cache_state
-
-    reset_shm_cache_state()
 from repro.algorithms.figures import (
     fig2_fir,
     fig5_p1,

@@ -307,3 +307,74 @@ class TestFailedLabeling:
         assert second.value is not first.value
         assert str(second.value) == str(first.value)
         assert entry.export_artifacts()["labeling"] is None
+
+
+class TestForkedWorkersInherit:
+    """Forked pool workers start with the parent's in-memory analyses.
+
+    This is why the cache needs no tier between memory and disk: a
+    parent that analyzed a program before the sweep hands every worker
+    that analysis through fork, so the workers recompute nothing.
+    """
+
+    @staticmethod
+    def grid():
+        from repro.algorithms.figures import (
+            fig2_fir,
+            fig2_registers,
+            fig7_program,
+        )
+        from repro.sweep import sweep_jobs
+
+        axes = dict(
+            policies=("ordered", "static", "fcfs"),
+            queues=(1, 2),
+            capacities=(0, 2),
+        )
+        return sweep_jobs(fig7_program(), **axes) + sweep_jobs(
+            fig2_fir(), registers=fig2_registers(), **axes
+        )
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_warm_parent_leaves_workers_nothing_to_analyze(
+        self, monkeypatch, warm
+    ):
+        import multiprocessing
+        import os
+
+        from repro.perf import analysis_cache
+        from repro.sweep import SweepPlan, SweepSession
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the parent's memory only under fork")
+        jobs = self.grid()
+        serial = list(SweepSession(SweepPlan(jobs=jobs)).stream())
+        if not warm:
+            clear_analysis_cache()
+
+        # Counts analyses run in any process but this one; forked
+        # workers inherit both the wrappers and the shared counter.
+        parent = os.getpid()
+        in_workers = multiprocessing.Value("q", 0)
+
+        def counted(analysis):
+            def wrapper(*args, **kwargs):
+                if os.getpid() != parent:
+                    with in_workers.get_lock():
+                        in_workers.value += 1
+                return analysis(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("competing_messages", "constraint_labeling"):
+            monkeypatch.setattr(
+                analysis_cache, name, counted(getattr(analysis_cache, name))
+            )
+        plan = SweepPlan(jobs=jobs, backend="pool", workers=2)
+        rows = list(SweepSession(plan).stream())
+
+        assert rows == serial
+        if warm:
+            assert in_workers.value == 0
+        else:
+            assert in_workers.value > 0

@@ -298,6 +298,31 @@ class TestStore:
     def test_pathless_save_is_noop(self):
         WitnessStore().save()  # must not raise
 
+    def test_loads_close_their_files(self, tmp_path):
+        # A file left for the garbage collector to close raises
+        # ResourceWarning (shown under ``python -X dev``).
+        import warnings
+
+        from repro.sweep import CompletedCount, SweepCheckpoint
+
+        checkpoint_path = str(tmp_path / "sweep.ckpt")
+        checkpoint = SweepCheckpoint(checkpoint_path, "fp", 8)
+        checkpoint.mark_done(0)
+        checkpoint.save([CompletedCount()])
+        store_path = tmp_path / "w.json"
+        store = WitnessStore(store_path)
+        store.add(mined(capacity=2))
+        store.save()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            resumed = SweepCheckpoint(checkpoint_path, "fp", 8)
+            assert resumed.resume([CompletedCount()]) == 1
+            assert len(WitnessStore(store_path)) == 1
+        assert [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ] == []
+
     def test_prune_compacts_hand_merged_stores(self, tmp_path):
         # add() keeps a store minimal; a file assembled by hand (or by
         # merging two stores) may hold subsumed entries.
