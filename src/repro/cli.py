@@ -428,11 +428,16 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         _print_row(sweep_label(row.policy, row.queues, row.capacity), row)
     for line in report.lines:
         cap = line.frontier_capacity
+        shared = (
+            f", shared with q={line.shared_with}"
+            if line.shared_with is not None
+            else ""
+        )
         print(
             f"frontier {line.policy} q={line.queues}: "
             + (f"cap={cap}" if cap is not None else "none (no capacity on "
                "the axis completes)")
-            + f"  [{line.mode}, {line.jobs_executed} probes]"
+            + f"  [{line.mode}, {line.jobs_executed} probes{shared}]"
         )
     if store is not None:
         store.save()
@@ -640,8 +645,12 @@ def build_parser() -> argparse.ArgumentParser:
              "O(log n) jobs where monotonicity allows",
         description="Find each (policy, queues) line's minimal completing "
                     "queue capacity on the given axis. Monotone policies "
-                    "(static) are binary-searched — 2 + log2(n) runs "
-                    "instead of n; FCFS is evaluated exhaustively because "
+                    "(static) are binary-searched — 2 + log2(n) runs, n "
+                    "counting the distinct runs on the axis (capacities "
+                    "at or past the longest message are one run), and "
+                    "lines that perform the same runs (queue counts at or "
+                    "past the widest competing count) share one search; "
+                    "FCFS is evaluated exhaustively because "
                     "extra buffering can introduce a deadlock there. "
                     "Exit status 0 when every line has a frontier, 1 when "
                     "some line never completes.",
@@ -662,7 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     frontier.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for each probe round",
+        help="worker processes for each probe round (a round of one "
+             "probe runs in-process unless --backend names a backend)",
     )
     frontier.add_argument(
         "--backend", choices=("auto", "serial", "pool", "shm"), default="auto",

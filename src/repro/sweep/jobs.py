@@ -229,16 +229,27 @@ class ProgramShape:
     longest: int
 
 
+#: Instance attribute :func:`program_shape` memoizes its result under.
+_SHAPE_ATTR = "_sweep_shape"
+
+
 def program_shape(
     program: "ArrayProgram", config: ArrayConfig | None = None
 ) -> ProgramShape:
     """The :class:`ProgramShape` of ``program`` on a job's default array.
 
-    The competing table comes from the analysis entry a job of
-    ``program`` under ``config`` simulates with (the table does not
-    depend on the config, so the lookup is the one the job's own
-    simulator makes next), and message lengths from the intern table.
+    The competing table comes from an analysis entry of ``program``, and
+    message lengths from the intern table. The table does not depend on
+    the config, so ``config`` only chooses the lookup that computes it:
+    the one a job of ``program`` under ``config`` makes next in its own
+    simulator. The shape is memoized on the program instance, the way
+    :func:`~repro.perf.analysis_cache.program_fingerprint` memoizes its
+    digest (programs are immutable after construction); as an ordinary
+    instance attribute, a memoized shape travels with a pickled program.
     """
+    shape = getattr(program, _SHAPE_ATTR, None)
+    if shape is not None:
+        return shape
     from repro.arch.routing import default_router
     from repro.arch.topology import ExplicitLinear
     from repro.perf.analysis_cache import (
@@ -253,12 +264,17 @@ def program_shape(
     links = tuple(
         sorted((link, len(names)) for link, names in entry.competing.items())
     )
-    return ProgramShape(
+    shape = ProgramShape(
         fingerprint=program_fingerprint(program),
         links=links,
         widest=max((count for _link, count in links), default=0),
         longest=max(program.intern.lengths, default=0),
     )
+    try:
+        setattr(program, _SHAPE_ATTR, shape)
+    except AttributeError:  # pragma: no cover - slotted subclass
+        pass
+    return shape
 
 
 #: The ArrayConfig fields a canonical key carries as they are: all but

@@ -12,9 +12,10 @@ evaluation where it does not:
   (buffering only relaxes blocking under a per-message static
   assignment; the property is hypothesis-pinned in
   ``tests/test_properties.py::test_buffering_never_hurts_static_completion``),
-  so the planner bisects: probe the top capacity, probe the bottom,
-  then binary-search the boundary — 2 + ceil(log2 n) probes instead of
-  n;
+  so the planner bisects: probe the top point, probe the bottom, then
+  binary-search the boundary — 2 + ceil(log2 n) probes instead of n,
+  where n counts the *distinct canonical capacities* on the axis (see
+  below);
 * **fcfs** (and any policy not in :data:`MONOTONE_POLICIES`) — extra
   capacity can *introduce* a deadlock (the pinned PR 2 counterexample,
   ``test_fcfs_buffering_can_hurt_completion``: FCFS grants queues in
@@ -23,6 +24,24 @@ evaluation where it does not:
   The differential tests keep this fallback honest by reusing exactly
   that counterexample program.
 
+A bisecting search runs each distinct run once. Jobs with equal
+:func:`~repro.sweep.jobs.canonical_key` perform the same run (the row
+memo trusts the same key), so:
+
+* capacities whose keys agree — every capacity at or past the longest
+  message — form one *point*, probed and reported at its smallest
+  capacity. The clamp is monotone, so a point is a run of adjacent
+  capacities on the sorted axis, and the smallest capacity of the first
+  completing point is the frontier;
+* bisecting lines whose keys agree — every queue count at or past the
+  widest competing count — share one search, the one of the first such
+  line. Its probes and frontier answer every member line, and
+  :attr:`FrontierResult.shared_with` names the line that searched.
+
+Exhaustive lines never share and never collapse: they evaluate the whole
+axis, which is what keeps :func:`exhaustive_spec` the differential
+oracle.
+
 Every probe the planner *does* run goes through the ordinary sweep
 machinery — a :class:`~repro.sweep.plan.SweepPlan` per probe round,
 executed by whichever backend the :class:`PlanSpec` names — and is
@@ -30,13 +49,14 @@ emitted as a standard :class:`~repro.sweep.summary.RunSummary` row whose
 ``index`` is the job's position in the *exhaustive* grid (policy-major,
 then queues, then ascending capacity, exactly
 :func:`repro.sweep.grid.sweep_jobs` order over the sorted capacity
-axis). Reducers therefore fold planner rows unchanged, and a planner row
-is byte-identical to the exhaustive grid's row at the same index
-(simulations are deterministic) — which is what the differential harness
-asserts. Checkpointing is the one sweep feature that does not compose:
-probe rounds are data-dependent, so there is no fixed grid to fingerprint;
-the planner rejects a request for it at the :class:`PlanSpec` layer by
-simply not offering the knob.
+axis), on the searching line. Only executed jobs become rows: a shared
+line and a collapsed capacity emit none. Reducers therefore fold planner
+rows unchanged, and a planner row is byte-identical to the exhaustive
+grid's row at the same index (simulations are deterministic) — which is
+what the differential harness asserts. Checkpointing is the one sweep
+feature that does not compose: probe rounds are data-dependent, so there
+is no fixed grid to fingerprint; the planner rejects a request for it at
+the :class:`PlanSpec` layer by simply not offering the knob.
 
 Between probe rounds the planner re-uses neighboring-config analysis
 deltas through the content-keyed analysis cache
@@ -66,7 +86,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.arch.config import ArrayConfig
 from repro.errors import ConfigError
 from repro.sweep.grid import sweep_label
-from repro.sweep.jobs import SimJob
+from repro.sweep.jobs import SimJob, canonical_key, program_shape
 from repro.sweep.plan import SweepPlan, SweepSession
 from repro.sweep.reducers import StreamReducer
 from repro.sweep.summary import RunSummary
@@ -116,6 +136,12 @@ class PlanSpec:
     into every probe round's :class:`~repro.sweep.plan.SweepPlan`, so
     covered probes are answered from the store and fresh deadlocks are
     mined back into it.
+
+    ``backend`` and ``workers`` run each probe round. A round of one
+    job (a query with a single bisecting search has no other kind) runs
+    in-process unless ``backend`` names a backend, as
+    :func:`~repro.sweep.plan.simulate_many` runs a single job: forking
+    workers for one simulation costs more than the simulation.
     """
 
     program: "ArrayProgram"
@@ -149,9 +175,17 @@ class FrontierResult:
 
     ``frontier_capacity`` is the minimal capacity on the axis whose run
     completed — ``None`` when no probed capacity completes. ``probes``
-    holds only the capacities actually executed, ascending, with each
-    row's outcome string; under :data:`MODE_EXHAUSTIVE` that is the
-    whole axis, under :data:`MODE_BISECT` the O(log n) probe set.
+    holds the capacities the line's search executed, ascending, with
+    each row's outcome string; under :data:`MODE_EXHAUSTIVE` that is the
+    whole axis, under :data:`MODE_BISECT` the O(log n) probe set over
+    the distinct canonical capacities, each probed at its smallest
+    capacity (so the frontier is always the least completed probe).
+
+    ``shared_with`` is the queue count of the line whose search answered
+    this one, or ``None`` when the line searched itself. A shared line
+    performs the same run as that line at every capacity (equal
+    canonical keys), so it reports that search's probes and frontier;
+    those probes were executed once, as the searching line's rows.
     """
 
     policy: str
@@ -159,9 +193,11 @@ class FrontierResult:
     mode: str
     frontier_capacity: int | None
     probes: tuple[tuple[int, str], ...]
+    shared_with: int | None = None
 
     @property
     def jobs_executed(self) -> int:
+        """The probe count of the search that answered this line."""
         return len(self.probes)
 
     def as_dict(self) -> dict:
@@ -171,6 +207,7 @@ class FrontierResult:
             "mode": self.mode,
             "frontier_capacity": self.frontier_capacity,
             "jobs_executed": self.jobs_executed,
+            "shared_with": self.shared_with,
             "probes": [
                 {"capacity": cap, "outcome": outcome}
                 for cap, outcome in self.probes
@@ -182,17 +219,23 @@ class FrontierResult:
 class FrontierReport:
     """A full planner run: per-line frontiers plus every executed row.
 
-    ``rows`` carry exhaustive-grid indices (see the module docstring),
-    in emission order — round by round, within a round in job order.
+    ``lines`` holds one :class:`FrontierResult` per grid line, shared
+    lines included. ``rows`` holds only the executed jobs — one per
+    probe of each distinct search, none for a shared line — carrying
+    the searching line's exhaustive-grid indices (see the module
+    docstring), in emission order: round by round, within a round in
+    job order. ``jobs_executed`` is their count; ``grid_jobs`` the
+    exhaustive grid's.
     """
 
     lines: list[FrontierResult]
     rows: list[RunSummary]
     grid_jobs: int
     capacities: tuple[int, ...]
-    #: Witness-store accounting (all 0 without a store): lines whose
-    #: bisection bounds a certificate seeded, probe jobs answered from
-    #: the store, and new certificates mined during probe rounds.
+    #: Witness-store accounting (all 0 without a store): lines answered
+    #: by a search whose bisection bounds a certificate seeded (shared
+    #: lines included), probe jobs answered from the store, and new
+    #: certificates mined during probe rounds.
     witness_seeded_lines: int = 0
     witness_pruned: int = 0
     witness_mined: int = 0
@@ -224,71 +267,81 @@ class FrontierReport:
 class _LineSearch:
     """The per-line state machine: bisect phases or exhaustive sweep.
 
+    It walks ``points``, ascending capacity indices: a bisecting line's
+    distinct canonical capacities (each the smallest capacity of its
+    run of equal keys), or an exhaustive line's whole axis. Positions
+    below are indices into ``points``.
+
     Bisect invariant (requires completed-monotone-in-capacity): after
-    the top and bottom probes, ``lo`` indexes a not-completed capacity
-    and ``hi`` a completed one; each midpoint probe halves the bracket
+    the top and bottom probes, ``lo`` indexes a not-completed point and
+    ``hi`` a completed one; each midpoint probe halves the bracket
     until they are adjacent and ``hi`` is the frontier.
     """
 
     __slots__ = (
-        "policy", "queues", "line_index", "mode", "done",
-        "frontier_idx", "outcomes", "seeded", "_phase", "_lo", "_hi", "_n",
+        "policy", "queues", "line_index", "mode", "points", "done",
+        "frontier_idx", "outcomes", "seeded", "_phase", "_lo", "_hi",
     )
 
     def __init__(
-        self, policy: str, queues: int, line_index: int, mode: str, n: int
+        self,
+        policy: str,
+        queues: int,
+        line_index: int,
+        mode: str,
+        points: Sequence[int],
     ) -> None:
         self.policy = policy
         self.queues = queues
         self.line_index = line_index
         self.mode = mode
+        self.points = points
         self.done = False
         self.frontier_idx: int | None = None
-        self.outcomes: dict[int, str] = {}  # capacity index -> outcome
+        self.outcomes: dict[int, str] = {}  # position -> outcome
         self.seeded = False
         self._phase = "top"
         self._lo = 0
-        self._hi = n - 1
-        self._n = n
+        self._hi = len(points) - 1
 
-    def seed_known_deadlocked(self, cap_index: int) -> None:
-        """Fold witness knowledge: capacities ``<= cap_index`` deadlock.
+    def seed_known_deadlocked(self, position: int) -> None:
+        """Fold witness knowledge: points ``<= position`` deadlock.
 
         Outcome-only dominance from a stored certificate under a
-        monotone policy. Covering the whole axis settles the line with
-        zero probes; otherwise the bottom probe is skipped (its answer
-        is known not-completed) and the bisection bracket starts at the
-        highest dominated index instead of 0.
+        monotone policy. Covering the whole line settles it with zero
+        probes; otherwise the bottom probe is skipped (its answer is
+        known not-completed) and the bisection bracket starts at the
+        highest dominated position instead of 0.
         """
         if self.mode != MODE_BISECT or self.done:
             return
-        if cap_index >= self._n - 1:
-            # Even the top capacity is witnessed deadlocked: no probe
-            # can complete, the frontier is known absent.
+        if position >= len(self.points) - 1:
+            # Even the top point is witnessed deadlocked: no probe can
+            # complete, the frontier is known absent.
             self.frontier_idx = None
             self.done = True
             self.seeded = True
             return
-        self._lo = max(self._lo, cap_index)
+        self._lo = max(self._lo, position)
         self.seeded = True
 
     def next_probes(self) -> list[int]:
-        """Capacity indices to execute this round (empty when done)."""
+        """Positions to execute this round (empty when done)."""
         if self.done:
             return []
         if self.mode == MODE_EXHAUSTIVE:
-            return list(range(self._n))
+            return list(range(len(self.points)))
         if self._phase == "top":
-            return [self._n - 1]
+            return [len(self.points) - 1]
         if self._phase == "bottom":
             return [0]
         return [(self._lo + self._hi) // 2]
 
-    def record(self, index: int, outcome: str) -> None:
+    def record(self, position: int, outcome: str) -> None:
         """Fold one probe's outcome and advance the phase machine."""
-        self.outcomes[index] = outcome
+        self.outcomes[position] = outcome
         if self.mode == MODE_EXHAUSTIVE:
-            if len(self.outcomes) == self._n:
+            if len(self.outcomes) == len(self.points):
                 completed = [
                     i for i, o in sorted(self.outcomes.items())
                     if o == "completed"
@@ -303,7 +356,7 @@ class _LineSearch:
                 # everything below it fails too.
                 self.frontier_idx = None
                 self.done = True
-            elif self._n == 1:
+            elif len(self.points) == 1:
                 self.frontier_idx = 0
                 self.done = True
             elif self.seeded:
@@ -335,19 +388,26 @@ class _LineSearch:
             self.frontier_idx = self._hi
             self.done = True
 
-    def result(self, capacities: tuple[int, ...]) -> FrontierResult:
+    def result(
+        self, capacities: tuple[int, ...], line_index: int, queues: int
+    ) -> FrontierResult:
+        """The answer for grid line ``line_index`` (this one or a member)."""
+        points = self.points
         return FrontierResult(
             policy=self.policy,
-            queues=self.queues,
+            queues=queues,
             mode=self.mode,
             frontier_capacity=(
-                capacities[self.frontier_idx]
+                capacities[points[self.frontier_idx]]
                 if self.frontier_idx is not None
                 else None
             ),
             probes=tuple(
-                (capacities[i], outcome)
+                (capacities[points[i]], outcome)
                 for i, outcome in sorted(self.outcomes.items())
+            ),
+            shared_with=(
+                None if line_index == self.line_index else self.queues
             ),
         )
 
@@ -355,10 +415,10 @@ class _LineSearch:
 class FrontierPlanner:
     """Executes a :class:`PlanSpec`: bisect where sound, sweep elsewhere.
 
-    Probe rounds batch one pending probe per bisecting line (plus, in
-    the first round, every exhaustive line's whole axis) into a single
-    :class:`~repro.sweep.plan.SweepPlan`, so line-level parallelism is
-    available to multiprocess backends; errors are collected
+    Probe rounds batch one pending probe per distinct bisecting search
+    (plus, in the first round, every exhaustive line's whole axis) into
+    a single :class:`~repro.sweep.plan.SweepPlan`, so line-level
+    parallelism is available to multiprocess backends; errors are collected
     (``on_error="collect"``) — an infeasible corner is a not-completed
     data point, exactly as in an exhaustive sweep.
     """
@@ -383,19 +443,60 @@ class FrontierPlanner:
 
     # -- grid geometry ----------------------------------------------------
 
-    def _lines(self) -> list[_LineSearch]:
+    def _job(self, policy: str, queues: int, cap_index: int) -> SimJob:
+        """The grid job at (policy, queues, ``capacities[cap_index]``)."""
+        return SimJob(
+            self.spec.program,
+            config=ArrayConfig(
+                queues_per_link=queues,
+                queue_capacity=self.capacities[cap_index],
+            ),
+            policy=policy,
+            registers=self.spec.registers,
+        )
+
+    def _searches(self) -> list[tuple[int, _LineSearch]]:
+        """Every grid line's queue count and the search answering it.
+
+        An exhaustive line searches itself over the whole axis. A
+        bisecting line is keyed by its job's
+        :func:`~repro.sweep.jobs.canonical_key` at the first capacity:
+        the key clamps queues and capacity independently, so lines whose
+        keys agree there agree at every capacity, and the first such
+        line's search answers them all. A search's points are the
+        capacities where its key changes along the sorted axis. The
+        program's shape is computed here, not in ``__init__``, and only
+        when some line bisects.
+        """
         spec = self.spec
-        lines = []
-        for pol in spec.policies:
-            for nq in spec.queues:
-                mode = (
-                    MODE_BISECT
-                    if pol in spec.monotone_policies
-                    else MODE_EXHAUSTIVE
-                )
-                lines.append(
-                    _LineSearch(pol, nq, len(lines), mode, len(self.capacities))
-                )
+        n = len(self.capacities)
+        shape = None
+        by_key: dict[tuple, _LineSearch] = {}
+        lines: list[tuple[int, _LineSearch]] = []
+        for policy in spec.policies:
+            for queues in spec.queues:
+                if policy not in spec.monotone_policies:
+                    search = _LineSearch(
+                        policy, queues, len(lines), MODE_EXHAUSTIVE, range(n)
+                    )
+                    lines.append((queues, search))
+                    continue
+                if shape is None:
+                    shape = program_shape(spec.program)
+                key = canonical_key(self._job(policy, queues, 0), shape)
+                search = by_key.get(key)
+                if search is None:
+                    keys = [key] + [
+                        canonical_key(self._job(policy, queues, i), shape)
+                        for i in range(1, n)
+                    ]
+                    points = [
+                        i for i in range(n) if i == 0 or keys[i] != keys[i - 1]
+                    ]
+                    search = by_key[key] = _LineSearch(
+                        policy, queues, len(lines), MODE_BISECT, points
+                    )
+                lines.append((queues, search))
         return lines
 
     def _grid_index(self, line: _LineSearch, cap_index: int) -> int:
@@ -447,22 +548,17 @@ class FrontierPlanner:
     ) -> list[RunSummary]:
         spec = self.spec
         jobs = [
-            SimJob(
-                spec.program,
-                config=ArrayConfig(
-                    queues_per_link=line.queues,
-                    queue_capacity=self.capacities[cap_index],
-                ),
-                policy=line.policy,
-                registers=spec.registers,
-            )
-            for line, cap_index in probes
+            self._job(line.policy, line.queues, line.points[position])
+            for line, position in probes
         ]
         self._warm_analysis([job.config.queue_capacity for job in jobs])
         plan = SweepPlan(
             jobs=jobs,
             backend=spec.backend,
-            workers=spec.workers,
+            # One job never needs worker processes (simulate_many's rule).
+            workers=(
+                1 if spec.backend is None and len(jobs) == 1 else spec.workers
+            ),
             chunk_size=spec.chunk_size,
             on_error="collect",
             disk_cache=spec.disk_cache,
@@ -474,68 +570,71 @@ class FrontierPlanner:
         self._witness_mined += session.witness_mined
         return round_rows
 
-    def _seed_from_witnesses(self, lines: "list[_LineSearch]") -> int:
-        """Fold stored certificates into each bisecting line's bounds.
+    def _seed_from_witnesses(self, searches: "list[_LineSearch]") -> None:
+        """Fold stored certificates into each bisecting search's bounds.
 
-        A certificate at capacity ``c`` proves (by monotonicity) that
-        every capacity ``<= c`` deadlocks, so the line's bottom probe —
-        and part of its bracket — is already answered. Returns the
-        number of lines seeded. Outcome-only knowledge: no row is
-        synthesized here, the grid's dominated rows simply stop being
-        interesting to a frontier query.
+        A certificate at capacity ``c`` in the searching line's scope
+        proves (by monotonicity) that every capacity ``<= c`` deadlocks,
+        so every point whose smallest capacity is ``<= c`` — the whole
+        point, as its capacities share one run — is already answered:
+        the bottom probe and part of the bracket. Outcome-only
+        knowledge: no row is synthesized here, the grid's dominated rows
+        simply stop being interesting to a frontier query.
         """
         store = self.spec.witness_store
         if store is None:
-            return 0
+            return
         from repro.witness import witness_scope
 
-        seeded = 0
-        for line in lines:
-            if line.mode != MODE_BISECT:
+        for search in searches:
+            if search.mode != MODE_BISECT:
                 continue
-            representative = SimJob(
-                self.spec.program,
-                config=ArrayConfig(queues_per_link=line.queues),
-                policy=line.policy,
-                registers=self.spec.registers,
-            )
-            bound = store.monotone_bound(witness_scope(representative))
+            # The scope is capacity-neutral: any of the line's jobs names it.
+            scope = witness_scope(self._job(search.policy, search.queues, 0))
+            bound = store.monotone_bound(scope)
             if bound is None:
                 continue
             dominated = [
-                i for i, cap in enumerate(self.capacities) if cap <= bound
+                position
+                for position, i in enumerate(search.points)
+                if self.capacities[i] <= bound
             ]
             if dominated:
-                line.seed_known_deadlocked(dominated[-1])
-                seeded += 1
-        return seeded
+                search.seed_known_deadlocked(dominated[-1])
 
     def run(self) -> FrontierReport:
         """Execute the search; every executed row is in the report."""
-        lines = self._lines()
+        lines = self._searches()
+        searches = list(dict.fromkeys(search for _queues, search in lines))
         self._witness_pruned = 0
         self._witness_mined = 0
-        seeded = self._seed_from_witnesses(lines)
+        self._seed_from_witnesses(searches)
         reducers = tuple(self.spec.reducers)
         rows: list[RunSummary] = []
         while True:
             probes = [
-                (line, cap_index)
-                for line in lines
-                for cap_index in line.next_probes()
+                (search, position)
+                for search in searches
+                for position in search.next_probes()
             ]
             if not probes:
                 break
-            for (line, cap_index), row in zip(probes, self._run_round(probes)):
+            for (search, position), row in zip(
+                probes, self._run_round(probes)
+            ):
                 grid_row = dataclasses.replace(
-                    row, index=self._grid_index(line, cap_index)
+                    row,
+                    index=self._grid_index(search, search.points[position]),
                 )
-                line.record(cap_index, grid_row.outcome)
+                search.record(position, grid_row.outcome)
                 for reducer in reducers:
                     reducer.update(grid_row)
                 rows.append(grid_row)
         return FrontierReport(
-            lines=[line.result(self.capacities) for line in lines],
+            lines=[
+                search.result(self.capacities, line_index, queues)
+                for line_index, (queues, search) in enumerate(lines)
+            ],
             rows=rows,
             grid_jobs=(
                 len(self.spec.policies)
@@ -543,7 +642,7 @@ class FrontierPlanner:
                 * len(self.capacities)
             ),
             capacities=self.capacities,
-            witness_seeded_lines=seeded,
+            witness_seeded_lines=sum(search.seeded for _q, search in lines),
             witness_pruned=self._witness_pruned,
             witness_mined=self._witness_mined,
         )

@@ -164,6 +164,25 @@ def test_key_clamps_queues_and_capacity_to_the_program():
     assert key_of(SimJob(program)) == key(1, 0)
 
 
+def test_shape_is_memoized_on_the_program_and_travels_with_it(monkeypatch):
+    import pickle
+
+    from repro.perf.analysis_cache import GLOBAL_ANALYSIS_CACHE
+
+    program = fig7_program()
+    shape = program_shape(program)
+    clone = pickle.loads(pickle.dumps(program))
+
+    def no_lookup(*_args, **_kwargs):
+        raise AssertionError("a memoized shape needs no analysis lookup")
+
+    monkeypatch.setattr(GLOBAL_ANALYSIS_CACHE, "lookup", no_lookup)
+    # The competing table does not depend on the config: any config
+    # returns the memoized shape.
+    assert program_shape(program, ArrayConfig(queue_capacity=9)) is shape
+    assert program_shape(clone) == shape
+
+
 def _override_config(shape, draw_counts, queues, capacity, base):
     overrides = {link: n for (link, _count), n in zip(shape.links, draw_counts) if n}
     return ArrayConfig(

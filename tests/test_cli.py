@@ -366,9 +366,23 @@ class TestFrontier:
         assert "grid jobs" in out
 
     def test_probe_rows_use_sweep_labels(self, burst_file, capsys):
-        main(["frontier", burst_file, "--capacity", "0,1,2,3"])
+        main(["frontier", burst_file, "--capacity", "0,1,2"])
         out = capsys.readouterr().out
-        assert "static q=1 cap=3" in out  # top probe, grid-format label
+        assert "static q=1 cap=2" in out  # top probe, grid-format label
+
+    def test_shared_lines_name_the_line_that_searched(self, burst_file, capsys):
+        code = main([
+            "frontier", burst_file, "--queues", "1,2",
+            "--capacity", "0,1,2,3,4,5",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "frontier static q=1: cap=2  [bisect, 3 probes]" in out
+        assert (
+            "frontier static q=2: cap=2  [bisect, 3 probes, shared with q=1]"
+            in out
+        )
+        assert "executed 3/12 grid jobs" in out
 
     def test_no_frontier_exit_one(self, burst_file, capsys):
         code = main(["frontier", burst_file, "--capacity", "0,1"])

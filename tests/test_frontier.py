@@ -13,6 +13,11 @@ minimal capacity that completes. These tests pin that claim three ways:
   counterexample (``test_properties.test_fcfs_buffering_can_hurt_completion``):
   on that program a bisection would *miss* the frontier that full
   evaluation finds.
+
+The corpus includes saturating axes — queue counts at and past the
+widest competing count, capacities past the longest message — where
+lines share one search and capacities collapse into one point, and cost
+pins that catch a planner which stops sharing.
 """
 
 from __future__ import annotations
@@ -34,11 +39,17 @@ from repro.sweep import (
     CompletedCount,
     FrontierPlanner,
     PlanSpec,
+    SweepPlan,
+    SweepSession,
     exhaustive_spec,
     find_frontier,
+    sweep_jobs,
     sweep_labels,
 )
+from repro.sweep.backends.pool import PoolBackend
+from repro.sweep.jobs import program_shape
 from repro.sweep.planner import MODE_BISECT, MODE_EXHAUSTIVE, probe_label
+from repro.witness import WitnessStore
 from repro.workloads import WorkloadSpec, hoist_writes, random_program
 
 #: The pinned FCFS non-monotonicity counterexample of
@@ -60,6 +71,25 @@ def burst_exchange(k: int) -> ArrayProgram:
     return ArrayProgram(["A", "B"], msgs, progs)
 
 
+#: A capacity axis that runs past every generated program's longest
+#: message (generated messages here are at most 3 words).
+SATURATING_CAPACITIES = (0, 1, 2, 4, 8, 16)
+
+
+def saturating_queues(program: ArrayProgram) -> tuple[int, ...]:
+    """Queue counts below, at and past the widest competing count."""
+    widest = program_shape(program).widest
+    candidates = (1, widest - 1, widest, widest + 1, widest + 3)
+    return tuple(sorted({q for q in candidates if q >= 1}))
+
+
+def generated(seed: int, **fields) -> ArrayProgram:
+    params = dict(cells=4, messages=6, max_length=2, max_span=2, burst=3)
+    params.update(fields)
+    program = random_program(WorkloadSpec(seed=seed, **params))
+    return hoist_writes(program, swaps=4, seed=seed)
+
+
 def assert_differential(spec: PlanSpec) -> tuple:
     """Planner vs exhaustive twin: same frontier, identical shared rows."""
     planned = FrontierPlanner(spec).run()
@@ -69,7 +99,15 @@ def assert_differential(spec: PlanSpec) -> tuple:
     grid_rows = {row.index: row for row in grid.rows}
     for row in planned.rows:
         assert row == grid_rows[row.index]
+    assert_frontier_is_least_completed_probe(planned)
     return planned, grid
+
+
+def assert_frontier_is_least_completed_probe(report) -> None:
+    for line in report.lines:
+        completed = [cap for cap, outcome in line.probes if outcome == "completed"]
+        expected = min(completed) if completed else None
+        assert line.frontier_capacity == expected, line
 
 
 class TestDifferentialCorpus:
@@ -112,6 +150,32 @@ class TestDifferentialCorpus:
             )
             assert_differential(spec)
 
+    def test_burst_programs_on_long_axis_with_three_queue_counts(self):
+        for k in (1, 3, 6, 11):
+            spec = PlanSpec(
+                burst_exchange(k),
+                policies=("static",),
+                queues=(1, 2, 3),
+                capacities=tuple(range(64)),
+            )
+            planned, _grid = assert_differential(spec)
+            assert set(planned.frontier().values()) == {k}
+
+    def test_generated_workloads_on_saturating_axes(self):
+        programs = [generated(seed) for seed in (0, 7, 23, 91)] + [
+            generated(seed, cells=5, messages=8, max_length=3)
+            for seed in (3, 14)
+        ]
+        for prog in programs:
+            assert program_shape(prog).longest < SATURATING_CAPACITIES[-1]
+            spec = PlanSpec(
+                prog,
+                policies=("static",),
+                queues=saturating_queues(prog),
+                capacities=SATURATING_CAPACITIES,
+            )
+            assert_differential(spec)
+
     def test_logarithmic_cost_on_long_axis(self):
         spec = PlanSpec(
             burst_exchange(5),
@@ -151,6 +215,197 @@ class TestStaticPropertyAgreement:
             capacities=(0, 1, 2, 4),
         )
         assert_differential(spec)
+
+    @given(
+        st.builds(
+            WorkloadSpec,
+            cells=st.integers(min_value=2, max_value=6),
+            messages=st.integers(min_value=1, max_value=8),
+            max_length=st.integers(min_value=1, max_value=3),
+            max_span=st.integers(min_value=1, max_value=2),
+            burst=st.integers(min_value=1, max_value=3),
+            seed=st.integers(min_value=0, max_value=10_000),
+        )
+    )
+    @settings(
+        max_examples=25,
+        suppress_health_check=[HealthCheck.too_slow],
+        deadline=None,
+    )
+    def test_planner_equals_exhaustive_on_saturating_axes(self, wspec):
+        prog = hoist_writes(random_program(wspec), swaps=3, seed=wspec.seed)
+        spec = PlanSpec(
+            prog,
+            policies=("static",),
+            queues=saturating_queues(prog),
+            capacities=SATURATING_CAPACITIES,
+        )
+        assert_differential(spec)
+
+
+class TestSharedSearch:
+    """Lines and capacities with equal canonical keys share one run."""
+
+    def test_burst_long_axis_costs_one_search_over_distinct_points(self):
+        # Widest competing count 1 and longest message 11: q=2 runs
+        # what q=1 runs, and caps 11..63 are one point. 2 endpoint
+        # probes + 4 bisections over 12 points (16 jobs unshared).
+        report = find_frontier(
+            burst_exchange(11),
+            policies=("static",),
+            queues=(1, 2),
+            capacities=tuple(range(64)),
+        )
+        assert report.frontier() == {"static q=1": 11, "static q=2": 11}
+        assert report.jobs_executed <= 6
+        assert [line.shared_with for line in report.lines] == [None, 1]
+
+    def test_equal_key_group_costs_its_first_line_alone(self):
+        for prog in (burst_exchange(3), generated(7), generated(23)):
+            widest = program_shape(prog).widest
+            alone = find_frontier(
+                prog, queues=(widest,), capacities=SATURATING_CAPACITIES
+            )
+            for k in (2, 3, 5):
+                group = tuple(widest + extra for extra in range(k))
+                shared = find_frontier(
+                    prog, queues=group, capacities=SATURATING_CAPACITIES
+                )
+                assert shared.rows == alone.rows
+                assert shared.jobs_executed == alone.jobs_executed
+                (first,) = alone.lines
+                for line in shared.lines:
+                    assert line.probes == first.probes
+                    assert line.frontier_capacity == first.frontier_capacity
+                assert [line.shared_with for line in shared.lines] == [
+                    None
+                ] + [widest] * (k - 1)
+
+    def test_lines_with_different_clamped_queues_search_themselves(self):
+        prog = generated(7)
+        widest = program_shape(prog).widest
+        assert widest >= 2
+        report = find_frontier(
+            prog,
+            queues=(widest - 1, widest, widest + 1),
+            capacities=SATURATING_CAPACITIES,
+        )
+        assert [line.shared_with for line in report.lines] == [
+            None,
+            None,
+            widest,
+        ]
+
+    def test_rows_only_for_executed_jobs_on_searching_lines(self):
+        prog = generated(23)
+        spec = PlanSpec(
+            prog,
+            queues=saturating_queues(prog),
+            capacities=SATURATING_CAPACITIES,
+        )
+        report = FrontierPlanner(spec).run()
+        width = len(SATURATING_CAPACITIES)
+        searching = {
+            i for i, line in enumerate(report.lines) if line.shared_with is None
+        }
+        assert len(searching) < len(report.lines)
+        assert {row.index // width for row in report.rows} <= searching
+        assert report.jobs_executed == sum(
+            line.jobs_executed for line in report.lines
+            if line.shared_with is None
+        )
+
+    def test_collapsed_capacities_are_probed_at_their_smallest(self):
+        # Longest message 2: capacities 2..64 are one point, probed at 2.
+        report = find_frontier(
+            burst_exchange(2),
+            queues=(1,),
+            capacities=(0, 1, 2, 3, 4, 8, 64),
+        )
+        (line,) = report.lines
+        assert line.frontier_capacity == 2
+        assert {cap for cap, _outcome in line.probes} <= {0, 1, 2}
+        assert {row.capacity for row in report.rows} <= {0, 1, 2}
+
+    def test_exhaustive_lines_never_share_or_collapse(self):
+        spec = PlanSpec(
+            burst_exchange(2),
+            policies=("static", "fcfs"),
+            queues=(1, 2),
+            capacities=(0, 1, 2, 3),
+        )
+        report = FrontierPlanner(spec).run()
+        static, fcfs = report.lines[:2], report.lines[2:]
+        assert [line.shared_with for line in static] == [None, 1]
+        for line in fcfs:
+            assert line.mode == MODE_EXHAUSTIVE
+            assert line.shared_with is None
+            assert [cap for cap, _ in line.probes] == [0, 1, 2, 3]
+        grid = FrontierPlanner(exhaustive_spec(spec)).run()
+        assert grid.jobs_executed == grid.grid_jobs == 16
+        assert all(line.shared_with is None for line in grid.lines)
+
+    def test_shared_with_in_report_dict(self):
+        report = find_frontier(
+            burst_exchange(1), queues=(1, 4), capacities=(0, 1, 2)
+        )
+        lines = report.as_dict()["lines"]
+        assert [line["shared_with"] for line in lines] == [None, 1]
+
+    def test_seeded_search_counts_every_line_it_answers(self):
+        store = WitnessStore()
+        jobs = sweep_jobs(
+            burst_exchange(2), policies=("static",), queues=(1,), capacities=(0, 1)
+        )
+        list(SweepSession(SweepPlan(jobs=jobs, witness_store=store)).stream())
+        report = find_frontier(
+            burst_exchange(2),
+            queues=(1, 2, 3),
+            capacities=(0, 1, 2, 3),
+            witness_store=store,
+        )
+        assert report.frontier() == {f"static q={q}": 2 for q in (1, 2, 3)}
+        assert report.witness_seeded_lines == 3
+        # Caps 0 and 1 are witnessed deadlocked: only the top point runs.
+        assert report.jobs_executed == 1
+
+
+class TestSingleJobRounds:
+    """A round of one probe runs in-process whatever ``workers`` says."""
+
+    class PoolUsed(Exception):
+        pass
+
+    @pytest.fixture
+    def pool_raises(self, monkeypatch):
+        import os
+
+        def execute(*_args, **_kwargs):
+            raise self.PoolUsed
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(PoolBackend, "execute", execute)
+
+    def test_shared_search_never_starts_workers(self, pool_raises):
+        report = find_frontier(
+            burst_exchange(3),
+            queues=(1, 2, 3),
+            capacities=tuple(range(8)),
+            workers=2,
+        )
+        assert set(report.frontier().values()) == {3}
+
+    def test_a_round_holding_a_whole_fcfs_axis_still_uses_the_pool(
+        self, pool_raises
+    ):
+        with pytest.raises(self.PoolUsed):
+            find_frontier(
+                random_program(FCFS_COUNTEREXAMPLE),
+                policies=("fcfs",),
+                queues=(2,),
+                capacities=(0, 1, 2),
+                workers=2,
+            )
 
 
 class TestFcfsFallback:
