@@ -1,29 +1,37 @@
-"""Sweep-backend throughput at scale: serial vs pool vs shm.
+"""Sweep-backend throughput at scale: serial vs pool on full results.
 
-The workload is the provisioning shape the shm backend exists for — a
-queue-rich configuration (many :class:`HardwareQueue` stats objects, a
-full assignment trace) whose *full* :class:`SimulationResult` costs
-about as much to pickle + unpickle through the pool pipe as the
-simulation itself costs to run. For a full-result sweep:
+The workload is a queue-rich configuration (many :class:`HardwareQueue`
+stats objects, a full assignment trace) whose *full*
+:class:`SimulationResult` costs about as much to pickle + unpickle
+through the pool pipe as the simulation itself costs to run. For a
+full-result sweep (:meth:`SweepSession.iter_handles`):
 
 * ``serial`` runs and materializes everything in-process (no pipe);
-* ``pool`` ships every full result back through the pipe — the
-  pipe-bound regime;
-* ``shm`` ships only 256-byte arena rows and hydrates full results on
-  demand (the bench hydrates a sample to price that path honestly).
+* ``pool`` builds every full result in its workers and ships it back
+  through the pipe — the pipe-bound regime.
 
 Rows/sec per backend at 1k and 10k jobs is recorded into
-``BENCH_core.json`` (``sweep_rows_{backend}_{1k,10k}``), with
-``speedup_vs_pool`` on the shm records — the tentpole claim is shm
->= 2x pool on the 10k full-result sweep. Smoke mode (CI,
-``--benchmark-disable``) runs a small sweep and checks only the
+``BENCH_core.json`` (``sweep_rows_{backend}_{1k,10k}``). Smoke mode
+(CI, ``--benchmark-disable``) runs a small sweep and checks only the
 cross-backend row agreement.
+
+``BENCH_core.json`` also keeps ``sweep_rows_shm_{1k,10k}`` from a
+former shared-memory backend, with ``speedup_vs_pool`` 2.3 and 2.25.
+Its workers returned rows only and never built a full result, so that
+speed-up measured skipping the build and the ~86 KB pipe message of
+every result, not a faster transport; today the row memo also serves
+such row-only repeats. On 1,000 identical jobs of this workload (2
+vCPUs), that backend's ``iter_handles()`` ran 14,876 rows/s and pool's
+``stream()`` 15,391, each with 998 memo hits, while pool's
+``iter_handles()`` ran 93. A sweep that needs only a few full results
+streams its rows and re-runs the jobs it wants. The regression guard
+reports the shm records as not measured.
 
 Note the host caveat: on a single-core box (like the recording
 container) the pool's parallelism cannot hide any of its
 serialization, so the pool numbers here are a *floor* — on multi-core
 hosts pool closes part of the gap on sim time but its parent-side
-unpickle stays serialized, which is exactly the bottleneck shm removes.
+unpickle stays serialized.
 """
 
 import time
@@ -36,10 +44,9 @@ from repro.core.ops import R, W
 from repro.core.program import ArrayProgram
 from repro.sweep import SimJob, SweepPlan, SweepSession
 
-BACKENDS = ("serial", "pool", "shm")
+BACKENDS = ("serial", "pool")
 WORKERS = 2
 CHUNK = 64
-HYDRATE_SAMPLE = 10
 
 
 def chain_program(n_cells: int) -> ArrayProgram:
@@ -58,9 +65,8 @@ def sweep_jobs_for(n_jobs: int) -> list[SimJob]:
     # A queue-rich provisioning corner: 31 links x 48 queues puts ~1.5k
     # QueueStats objects in every result, so the full-result payload
     # (~86 KB pickled) costs roughly as much to ship + rebuild through
-    # the pool pipe as the simulation costs to run — the regime the
-    # arena removes. Chosen for measurement stability over maximum
-    # ratio.
+    # the pool pipe as the simulation costs to run. Chosen for
+    # measurement stability over maximum ratio.
     program = chain_program(32)
     config = ArrayConfig(queues_per_link=48)
     return [SimJob(program, config=config) for _ in range(n_jobs)]
@@ -77,17 +83,7 @@ def run_full_result_sweep(backend: str, jobs):
         jobs=jobs, backend=backend, workers=WORKERS, chunk_size=CHUNK
     )
     session = SweepSession(plan)
-    rows = []
-    sampled = 0
-    for handle in session.iter_handles():
-        rows.append(handle.summary)
-        if backend == "shm" and sampled < HYDRATE_SAMPLE:
-            # Price the on-demand hydration path honestly: the sampled
-            # results re-execute in-parent against the warm cache.
-            result = handle.result()
-            assert result.completed
-            sampled += 1
-    return rows
+    return [handle.summary for handle in session.iter_handles()]
 
 
 def _measure(backend: str, n_jobs: int):
@@ -106,8 +102,7 @@ def test_backends_agree_smoke(benchmark):
     for backend in BACKENDS:
         per_backend[backend], _wall = _measure(backend, 3 * CHUNK)
     assert per_backend["pool"] == per_backend["serial"]
-    assert per_backend["shm"] == per_backend["serial"]
-    benchmark(lambda: run_full_result_sweep("shm", sweep_jobs_for(CHUNK)))
+    benchmark(lambda: run_full_result_sweep("pool", sweep_jobs_for(CHUNK)))
 
 
 def test_sweep_scale_rows_per_sec(core_metrics):
@@ -138,11 +133,6 @@ def test_sweep_scale_rows_per_sec(core_metrics):
             else:
                 assert rows == reference  # byte-identical across backends
         for backend in BACKENDS:
-            extra = {}
-            if backend == "shm":
-                extra["speedup_vs_pool"] = round(
-                    walls["pool"] / walls["shm"], 2
-                )
             core_metrics(
                 f"sweep_rows_{backend}_{tag}",
                 events=events[backend],
@@ -150,11 +140,8 @@ def test_sweep_scale_rows_per_sec(core_metrics):
                 rows=n_jobs,
                 rows_per_sec=round(n_jobs / walls[backend]),
                 workers=WORKERS,
-                **extra,
             )
         print(
             f"[sweep {tag}] serial={n_jobs/walls['serial']:.0f} "
-            f"pool={n_jobs/walls['pool']:.0f} "
-            f"shm={n_jobs/walls['shm']:.0f} rows/s "
-            f"(shm {walls['pool']/walls['shm']:.2f}x pool)"
+            f"pool={n_jobs/walls['pool']:.0f} rows/s"
         )

@@ -50,12 +50,10 @@ the literal op-by-op procedure. The knobs that matter at scale:
 * **Pluggable sweep execution** — ensemble sweeps run through the
   :mod:`repro.sweep` package: a :class:`repro.sweep.SweepPlan` (jobs +
   grid labels + reducers + backend choice) executed by a
-  :class:`repro.sweep.SweepSession` over the ``serial``, ``pool``
-  (chunked multiprocessing) or ``shm`` backend — the latter writes
-  fixed-width :class:`repro.sweep.RunSummary` rows into a
-  ``multiprocessing.shared_memory`` arena and hydrates full results
-  only on demand, eliminating the per-result pickle round-trip that
-  makes million-run full-result sweeps pipe-bound.
+  :class:`repro.sweep.SweepSession` over the ``serial`` or ``pool``
+  backend — the latter runs chunks on supervised worker processes
+  that send each chunk's :class:`repro.sweep.RunSummary` rows back
+  over their own pipe, and recovers from worker crashes and hangs.
   :func:`repro.sweep.simulate_many` (deterministic merge order) and
   :func:`repro.sweep.simulate_stream` (one O(1) summary row per job,
   lazily) remain the stable entry points; ``repro sweep`` exposes the

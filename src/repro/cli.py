@@ -186,10 +186,10 @@ def _interrupted(rows, args, store: WitnessStore | None = None) -> int:
     """Ctrl-C during a sweep: tear down cleanly, report, exit 130.
 
     Closing the stream generator unwinds every layer's ``finally``:
-    the supervisor terminates its workers, the shm backend
-    unlinks its arena, and a checkpointed sweep writes one final
-    snapshot — so an interrupted run is immediately resumable. Mined
-    witnesses are durable progress too, so the store is saved as well.
+    the supervisor terminates its workers and a checkpointed sweep
+    writes one final snapshot — so an interrupted run is immediately
+    resumable. Mined witnesses are durable progress too, so the store
+    is saved as well.
     """
     rows.close()
     if store is not None:
@@ -223,8 +223,8 @@ def _witness_report(store: WitnessStore | None, session) -> None:
 def _witness_json_fields(store: WitnessStore | None, session) -> dict:
     """Witness counters for ``--json`` payloads (empty without a store).
 
-    Mining happens inside pool/shm workers too, so the
-    counters are meaningful on every backend, not just serial.
+    Mining happens inside pool workers too, so the counters are
+    meaningful on every backend, not just serial.
     """
     if store is None:
         return {}
@@ -576,11 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = in-process with shared analysis cache)",
     )
     sweep.add_argument(
-        "--backend", choices=("auto", "serial", "pool", "shm"), default="auto",
-        help="execution backend: serial (in-process), pool (chunked "
-             "multiprocessing), shm (summary rows via a shared-memory "
-             "arena, full results hydrated on demand); auto picks serial "
-             "for --workers 1 or on a one-CPU host, pool otherwise",
+        "--backend", choices=("auto", "serial", "pool"), default="auto",
+        help="execution backend: serial (in-process) or pool (chunked "
+             "multiprocessing, rows sent back over each worker's pipe); "
+             "auto picks serial for --workers 1 or on a one-CPU host, "
+             "pool otherwise",
     )
     sweep.add_argument(
         "--stream", action="store_true",
@@ -599,13 +599,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--job-timeout", dest="job_timeout", type=float, default=None,
         metavar="SEC",
-        help="per-job wall-clock limit on pool/shm backends: a job "
+        help="per-job wall-clock limit on the pool backend: a job "
              "running longer has its worker killed and is retried, then "
              "recorded as a timeout row (default: no limit)",
     )
     sweep.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
-        help="extra attempts a job gets on pool/shm backends after "
+        help="extra attempts a job gets on the pool backend after "
              "crashing or hanging its worker before being quarantined "
              "as a WorkerCrash or timeout row (default: 2)",
     )
@@ -675,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
              "probe runs in-process unless --backend names a backend)",
     )
     frontier.add_argument(
-        "--backend", choices=("auto", "serial", "pool", "shm"), default="auto",
+        "--backend", choices=("auto", "serial", "pool"), default="auto",
         help="execution backend for probe rounds (see 'repro sweep')",
     )
     frontier.add_argument(

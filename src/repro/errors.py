@@ -50,16 +50,6 @@ class SimulationError(ReproError):
     expected outcome; run-time deadlock is reported in results, not raised)."""
 
 
-class ArenaSlotUnwritten(ReproError):
-    """A shared-memory arena slot was read before any worker wrote it.
-
-    Distinguishes "the worker that owned this slot died (or its write was
-    torn) before publishing the row" from every other arena failure, so
-    the supervised execution path can catch exactly this and requeue the
-    affected job instead of aborting the sweep.
-    """
-
-
 class WorkerCrashError(ReproError):
     """A sweep job crashed its worker process past the retry budget.
 

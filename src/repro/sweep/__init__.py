@@ -30,12 +30,11 @@ iterable of jobs to an *ordered* stream of
 
 * records arrive in job order, whatever the worker scheduling;
 * ``row`` — the job's :class:`~repro.sweep.summary.RunSummary` — must
-  be **byte-identical across backends** for the same job list; the
-  transport (pipe, shared memory) may differ, the row may not;
-* ``result`` is the full simulation result only when the session asked
-  for results and the backend materializes them eagerly, else ``None``
-  and the session hydrates on demand (deterministic in-parent
-  re-execution); a summary-only row builds one only to mine a deadlock;
+  be **byte-identical across backends** for the same job list; it may
+  come from this process or over a worker's pipe, but never differ;
+* ``result`` is the full simulation result when the session asked for
+  results (a job killed for hanging has none), else ``None``; a
+  summary-only row builds one only to mine a deadlock;
 * ``witness`` is a compact deadlock-certificate dict
   (:meth:`~repro.witness.DeadlockWitness.as_dict`) mined *where the
   job ran* — in process or inside the worker — when the session asked
@@ -56,54 +55,16 @@ serial   In-process, in order. The reference implementation: every
          other backend's rows are differential-tested against it.
 pool     Chunks of jobs run on supervised worker processes
          (:mod:`repro.sweep.backends.supervise`), one pipe per worker
-         and one message per chunk. Full results (when requested) are
-         pickled back through the pipe — exact, but pipe-bound for
-         large full-result sweeps.
-shm      The same supervised workers, but they encode rows into a
-         ``multiprocessing.shared_memory`` arena; only string-overflow
-         rows (pathological error messages) ride the pipe. Full
-         results are never shipped: handles re-execute on demand. The
-         backend for sweeps where shipping every full result is the
-         bottleneck.
+         and one message per chunk. Rows, mined certificates and (when
+         requested) full results are pickled back through the pipe.
 ======== ==============================================================
 
-Both multiprocess backends pull lazy job streams incrementally — a
-generator is never materialized — and recover from worker deaths (see
-below). ``backend=None`` picks ``serial`` for one worker or on a
-one-CPU host, ``pool`` otherwise.
-
-The arena layout
-----------------
-
-The ``shm`` backend's arena (:class:`~repro.sweep.arena.SummaryArena`)
-is a *segmented* sequence of fixed-width slots of
-:data:`~repro.sweep.arena.ROW_SIZE` (256) bytes, one per job, written by
-whichever worker ran that job (slots are disjoint — no locks) and
-decoded directly by the parent. Segments of
-:data:`~repro.sweep.arena.DEFAULT_SEGMENT_ROWS` slots are separate
-shared-memory blocks named ``{base}_s{k}`` (segment 0 keeps the base
-name), allocated on demand by the owner as the job stream advances
-(``ensure_rows``) and unlinked once every slot in them has been drained
-(``retire_below``) — so a streaming sweep's resident shared memory is
-bounded by the in-flight window, not the grid size, and ``n_jobs``
-never needs to be known up front. Workers attach lazily, mapping only
-the segments their chunks actually touch. Within a segment each slot
-is::
-
-    offset  size  field
-    ------  ----  -----------------------------------------------
-         0     1  flags (WRITTEN | COMPLETED | DEADLOCKED |
-                  TIMED_OUT | HAS_KIND | HAS_ERROR)
-         1     8  time       (int64)        9     8  events (int64)
-        17     8  words      (int64)       25     4  queues (int32)
-        29     4  capacity   (int32)
-        33  1+23  policy     (len byte + utf-8, max 23 bytes)
-        57  1+31  error_kind (len byte + utf-8, max 31 bytes)
-        89  2+165 error      (len u16 + utf-8, max 165 bytes)
-
-Strings that exceed their field fall back to the pipe (never truncated);
-an unwritten slot raises on decode instead of reading as a row of
-zeros. See :mod:`repro.sweep.arena`.
+The pool backend pulls lazy job streams incrementally — a generator is
+never materialized — and recovers from worker deaths (see below).
+``backend=None`` picks ``serial`` for one worker or on a one-CPU host,
+``pool`` otherwise. A sweep that needs only a few full results streams
+its rows and re-runs the jobs it wants
+(:meth:`~repro.sweep.plan.SweepSession.iter_handles` says how).
 
 Reducers and quantiles
 ----------------------
@@ -123,7 +84,7 @@ Fault tolerance and checkpointing
 
 A sweep that runs for hours meets real failures: workers die (OOM
 kills), corners hang, the whole process gets SIGKILLed. The ``pool``
-and ``shm`` backends always run under the supervisor
+backend always runs under the supervisor
 (:mod:`repro.sweep.backends.supervise`), which owns worker lifecycles
 directly — one duplex pipe per worker, so a dead worker is an EOF, not
 a deadlock — and blames a death on the job its worker was running.
@@ -131,11 +92,11 @@ a deadlock — and blames a death on the job its worker was running.
 :class:`~repro.sweep.plan.SweepPlan` (CLI: ``--max-retries``,
 ``--job-timeout``) tune that recovery:
 
-* a **crashed worker** (abrupt exit, broken pipe, unwritten arena slot)
-  is replaced; the job it was running is retried with bounded retries
-  and exponential backoff, and the rest of its chunk is requeued
-  without penalty; a job that keeps killing workers is
-  quarantined as a :class:`~repro.sweep.jobs.BatchError` row of kind
+* a **crashed worker** (abrupt exit, broken pipe) is replaced; the job
+  it was running is retried with bounded retries and exponential
+  backoff, and the rest of its chunk is requeued without penalty; a job
+  that keeps killing workers is quarantined as a
+  :class:`~repro.sweep.jobs.BatchError` row of kind
   :data:`~repro.sweep.jobs.WORKER_CRASH_KIND` (under
   ``on_error="collect"``) instead of aborting the sweep;
 * a **hung job** is killed at ``job_timeout_s`` and retried; a
@@ -173,7 +134,7 @@ witnessed trace. Pruning is restricted to
 :data:`~repro.sweep.planner.MONOTONE_POLICIES` (static); FCFS — where
 extra buffering can change the outcome, a pinned counterexample — is
 exempt by construction and always simulates. Mining runs in-process on
-the serial backend and *inside the workers* on pool/shm
+the serial backend and *inside the workers* on pool
 (the ``witness`` field of the backend contract), so cold multiprocess
 sweeps grow the store too. Skips and newly mined certificates are
 counted on the session (``witness_pruned`` / ``witness_mined``; both
@@ -219,7 +180,6 @@ capacity-dependent work is repaid per probe. CLI: ``repro frontier``
 (``--exhaustive`` forces the full evaluation baseline).
 """
 
-from repro.sweep.arena import ROW_SIZE, SummaryArena
 from repro.sweep.backends import (
     WorkerContext,
     available_backends,
@@ -284,12 +244,10 @@ __all__ = [
     "PerConfigMakespan",
     "PlanSpec",
     "QuantileReducer",
-    "ROW_SIZE",
     "ResultHandle",
     "RunSummary",
     "SimJob",
     "StreamReducer",
-    "SummaryArena",
     "SweepCheckpoint",
     "SweepOutcome",
     "SweepPlan",

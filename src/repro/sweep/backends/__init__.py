@@ -9,20 +9,18 @@ witness, memo_hit)``:
 
 * records MUST be yielded in job order (index 0, 1, 2, ...);
 * ``row`` is the job's :class:`~repro.sweep.summary.RunSummary` and MUST
-  be byte-identical across backends for the same job list — backends
-  may move rows through any transport (pipe, shared memory) but never
-  alter them;
+  be byte-identical across backends for the same job list — a backend
+  moves rows (in process, or over its workers' pipes) but never alters
+  them;
 * ``result`` is the full :class:`~repro.sim.result.SimulationResult`
-  (or :class:`~repro.sweep.jobs.BatchError`) only when ``want_results``
-  is set *and* the backend materializes results eagerly, else ``None``
-  — the session then hydrates on demand through a
-  :class:`~repro.sweep.plan.ResultHandle`. Without ``want_results`` no
-  backend attaches a result: rows come straight off the stopped
-  simulator, and a full result is built only to be shipped or to mine a
-  deadlock;
+  (or :class:`~repro.sweep.jobs.BatchError`) when ``want_results`` is
+  set — except for a job the supervisor killed for hanging, which has
+  none — else ``None``. Without ``want_results`` no backend attaches a
+  result: rows come straight off the stopped simulator, and a full
+  result is built only to mine a deadlock;
 * ``witness`` is the mining hook: with ``WorkerContext.mine_witnesses``
   set, every backend mines each deadlocked job *where it ran* — in
-  process for the serial backend, in the worker for the others — via
+  process for the serial backend, in the worker for pool — via
   :func:`~repro.sweep.jobs.mine_witness_payload` and attaches the
   compact certificate dict; the parent merges it into the witness store
   under the usual two-way subsumption, so summary-only streams mine at
@@ -42,8 +40,8 @@ witness, memo_hit)``:
 * worker processes MUST apply the :class:`WorkerContext` before running
   jobs, so per-process state (the analysis disk-cache tier, the fault
   plan of the deterministic injection harness) matches the parent;
-* the ``tolerance`` argument tunes fault recovery — the multiprocess
-  backends run every job under the supervisor
+* the ``tolerance`` argument tunes fault recovery — the pool backend
+  runs every job under the supervisor
   (:mod:`repro.sweep.backends.supervise`: crash recovery, per-job
   wall-clock timeouts, bounded retries with backoff, poison-job
   quarantine), which satisfies every clause above; the serial backend,
@@ -51,10 +49,10 @@ witness, memo_hit)``:
 
 Every backend runs a job through the one shared runner,
 :func:`run_record`, so rows, results and witnesses come from the same
-code whatever the transport.
+code in process and in a worker.
 
-The built-in backends go by a short name (``serial``, ``pool``,
-``shm``); :func:`get_backend` resolves names for
+The built-in backends go by a short name (``serial``, ``pool``);
+:func:`get_backend` resolves names for
 :class:`~repro.sweep.plan.SweepSession`.
 """
 
@@ -295,7 +293,7 @@ class ExecutionBackend:
         """Run every job; yield :class:`JobRecord` in job order.
 
         ``tolerance`` tunes the supervisor's crash recovery, per-job
-        timeouts and retries on the multiprocess backends; the serial
+        timeouts and retries on the pool backend; the serial
         backend ignores it.
         """
         raise NotImplementedError
@@ -305,9 +303,8 @@ def _builtin_backends() -> dict[str, type[ExecutionBackend]]:
     """The built-in backends by name, imported on first use."""
     from repro.sweep.backends.pool import PoolBackend
     from repro.sweep.backends.serial import SerialBackend
-    from repro.sweep.backends.shm import ShmBackend
 
-    return {cls.name: cls for cls in (SerialBackend, PoolBackend, ShmBackend)}
+    return {cls.name: cls for cls in (SerialBackend, PoolBackend)}
 
 
 def available_backends() -> tuple[str, ...]:

@@ -11,9 +11,11 @@ the cache hot, and the :class:`~repro.sweep.backends.WorkerContext`
 replays the parent's disk tier so analyses are shared *across*
 processes too.
 
-With ``want_results`` every full :class:`SimulationResult` is pickled
-back through the pipe — exact but pipe-bound at scale; the ``shm``
-backend exists for that regime.
+Rows, mined certificates and, with ``want_results``, every full
+:class:`SimulationResult` cross the worker's pipe, one message per
+chunk. A full result is tens of kilobytes pickled, so a sweep that
+needs only a few of them streams its rows and re-runs the jobs it wants
+(see :meth:`~repro.sweep.plan.SweepSession.iter_handles`).
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ class SerialBackend(ExecutionBackend):
 
     ``tolerance`` is accepted and ignored: there are no worker processes
     to lose, kill or retry, so the serial backend is the fault-free
-    reference that the multiprocess backends are differential-tested
-    against.
+    reference that the pool backend is differential-tested against.
     """
 
     name = "serial"

@@ -1,4 +1,4 @@
-"""The one worker lifecycle behind the pool and shm backends.
+"""The one worker lifecycle behind the pool backend.
 
 Every multiprocess sweep runs here, whether it is a short grid or a
 million-job provisioning run where a single OOM-killed worker or one
@@ -24,11 +24,12 @@ processes, each spawned on first use and connected by its own duplex
   materialized. The supervisor holds only unemitted jobs (for requeue
   and quarantine) and drops each one as its row is emitted;
 * **one message per chunk** — a worker runs its whole chunk and ships
-  every record in one message that also marks the chunk done. Each
-  worker has one chunk outstanding at a time: sending a second one
-  ahead on the same duplex pipe can deadlock when a batch of full
-  results and the next task both overflow the socket buffers. A death
-  loses exactly the undelivered chunk, and exactly its jobs are
+  every record (its row, any mined certificate and, when the session
+  wants results, the full result) in one message that also marks the
+  chunk done. Each worker has one chunk outstanding at a time: sending
+  a second one ahead on the same duplex pipe can deadlock when a batch
+  of full results and the next task both overflow the socket buffers.
+  A death loses exactly the undelivered chunk, and exactly its jobs are
   requeued;
 * **a shared progress slot per worker** — before each job a worker
   writes the job's index into its slot of a shared array, so on pipe
@@ -51,15 +52,6 @@ processes, each spawned on first use and connected by its own duplex
   (rows byte-identical to the serial backend, reducers fold in job
   order).
 
-In arena mode (the shm backend) workers write rows into the shared
-arena and the chunk message carries ``row=None`` acknowledgements in
-their place (overflow rows ride the pipe, as ever). The owner grows the
-arena before dispatch and retires segments behind emission; each chunk
-message to a worker carries the arena's current row count, because the
-worker attaches lazily per chunk. The parent decodes each acknowledged
-slot on receipt; an :class:`~repro.errors.ArenaSlotUnwritten` decode —
-a torn write — is charged to that one job like a crash and requeued.
-
 A chunk whose programs cannot pickle (lambda or closure compute ops)
 fails in ``Connection.send``, which pickles the whole message before it
 writes a byte; that chunk runs in the parent instead. Injected faults
@@ -73,11 +65,10 @@ import multiprocessing
 import pickle
 import time
 from multiprocessing.connection import wait as _conn_wait
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from repro.errors import ArenaSlotUnwritten, WorkerCrashError
+from repro.errors import WorkerCrashError
 from repro.sweep import fault as fault_mod
-from repro.sweep.arena import SummaryArena
 from repro.sweep.backends import JobRecord, RowMemo, WorkerContext, run_record
 from repro.sweep.fault import Tolerance
 from repro.sweep.jobs import WORKER_CRASH_KIND, BatchError, SimJob, iter_chunks
@@ -111,24 +102,18 @@ def _worker_main(
     parent_conn,
     progress,
     ctx: WorkerContext,
-    runner: Callable[..., JobRecord],
     want_results: bool,
     collect_errors: bool,
-    arena_name: str | None,
-    segment_rows: int,
 ) -> None:
     """Child process loop: run chunks from the pipe until it closes.
 
-    Each task is ``(items, n_rows)``: the chunk's ``(index, job)`` pairs
-    and the arena's row count at dispatch (0 without an arena). Before
-    each job the worker writes its index into ``progress[wid]``, the
-    slot the parent reads to blame a death or time a job. The worker
-    then sends exactly one message per chunk (child -> parent)::
+    Each task is a chunk's list of ``(index, job)`` pairs. Before each
+    job the worker writes its index into ``progress[wid]``, the slot the
+    parent reads to blame a death or time a job. The worker then sends
+    exactly one message per chunk (child -> parent)::
 
         ("done", records)             every job ran; records are the
-                                      chunk's JobRecords in order, with
-                                      row None where the row was
-                                      published to the arena instead
+                                      chunk's JobRecords in order
         ("error", records, index, exc, dropped)
                                       job `index` raised (collect_errors
                                       off, or a non-Repro bug); records
@@ -154,48 +139,32 @@ def _worker_main(
     memo = RowMemo()
     try:
         while True:
-            items, n_rows = conn.recv()
-            arena = (
-                SummaryArena.attach(
-                    arena_name, n_rows, segment_rows=segment_rows, lazy=True
-                )
-                if arena_name is not None
-                else None
-            )
+            items = conn.recv()
             records: list[JobRecord] = []
             msg = ("done", records)
-            try:
-                for index, job in items:
-                    progress[wid] = index
-                    if plan is not None:
-                        plan.maybe_crash(index)
-                        plan.maybe_hang(index)
-                    try:
-                        record = runner(
-                            index,
-                            job,
-                            want_result=want_results and arena is None,
-                            collect_errors=collect_errors,
-                            mine=ctx.mine_witnesses,
-                            memo=memo,
-                        )
-                    except MemoryError:
-                        # Bug-class, not data: let the worker die — crash
-                        # recovery requeues the job with bounded retries
-                        # instead of shipping an OOM as an ordinary row.
-                        raise
-                    except Exception as exc:
-                        msg = ("error", records, index, exc, False)
-                        break
-                    row = record.row
-                    if arena is not None and arena.write_row(index, row):
-                        record = record._replace(row=None)
-                        if plan is not None:
-                            plan.maybe_corrupt(arena, index)
-                    records.append(record)
-            finally:
-                if arena is not None:
-                    arena.close()
+            for index, job in items:
+                progress[wid] = index
+                if plan is not None:
+                    plan.maybe_crash(index)
+                    plan.maybe_hang(index)
+                try:
+                    record = run_record(
+                        index,
+                        job,
+                        want_result=want_results,
+                        collect_errors=collect_errors,
+                        mine=ctx.mine_witnesses,
+                        memo=memo,
+                    )
+                except MemoryError:
+                    # Bug-class, not data: let the worker die — crash
+                    # recovery requeues the job with bounded retries
+                    # instead of shipping an OOM as an ordinary row.
+                    raise
+                except Exception as exc:
+                    msg = ("error", records, index, exc, False)
+                    break
+                records.append(record)
             try:
                 conn.send(msg)
             except _UNPICKLABLE_PAYLOAD:
@@ -246,9 +215,7 @@ class Supervisor:
     """Streaming, fault-tolerant chunked execution with ordered emission.
 
     ``jobs`` may be any iterable; it is pulled lazily (see the module
-    docstring). ``arena`` switches rows to the shm transport.
-    ``runner`` is the per-job runner the workers call; the shm backend
-    passes the one it imported, so a test can substitute it there.
+    docstring).
     """
 
     def __init__(
@@ -261,8 +228,6 @@ class Supervisor:
         chunk_size: int,
         ctx: WorkerContext,
         tolerance: Tolerance,
-        arena: SummaryArena | None = None,
-        runner: Callable[..., JobRecord] = run_record,
     ) -> None:
         self.want_results = want_results
         self.collect_errors = collect_errors
@@ -270,8 +235,6 @@ class Supervisor:
         self.chunk_size = max(1, chunk_size)
         self.ctx = ctx
         self.tol = tolerance
-        self.arena = arena
-        self.runner = runner
         #: Fresh chunks still to pull; None once the iterable is spent.
         self._chunks: Iterator | None = iter_chunks(jobs, self.chunk_size)
         self._window = 2 * self.n_workers * self.chunk_size
@@ -302,11 +265,8 @@ class Supervisor:
                 conn,
                 self._progress,
                 self.ctx,
-                self.runner,
                 self.want_results,
                 self.collect_errors,
-                self.arena.name if self.arena is not None else None,
-                self.arena.segment_rows if self.arena is not None else 0,
             ),
             daemon=True,
         )
@@ -399,17 +359,6 @@ class Supervisor:
             return
         worker.task = None
         for record in msg[1]:
-            if record.row is None:
-                # Arena mode: decode the acknowledged slot now; a torn
-                # write reads as unwritten and costs one retry.
-                try:
-                    row = self.arena.read_row(record.index)
-                except ArenaSlotUnwritten:
-                    self._fail(
-                        record.index, "crash", "arena slot unwritten", now
-                    )
-                    continue
-                record = record._replace(row=row)
             self._completed[record.index] = record
         if msg[0] == "error":
             _tag, _records, index, exc, dropped = msg
@@ -451,10 +400,6 @@ class Supervisor:
             return None
         for index, job in items:
             self._jobs[index] = job
-        if self.arena is not None:
-            # Workers attach lazily, so the segments must exist before
-            # the chunk can run.
-            self.arena.ensure_rows(items[-1][0] + 1)
         return items
 
     def _run_inline(self, items: list[tuple[int, SimJob]]) -> None:
@@ -462,15 +407,15 @@ class Supervisor:
 
         No faults fire here (an injected crash would kill the parent)
         and no retries apply: in-parent execution cannot lose a worker.
-        Rows skip the arena. An exception is re-raised in job order.
+        An exception is re-raised in job order.
         """
         memo = RowMemo()
         for index, job in items:
             try:
-                self._completed[index] = self.runner(
+                self._completed[index] = run_record(
                     index,
                     job,
-                    want_result=self.want_results and self.arena is None,
+                    want_result=self.want_results,
                     collect_errors=self.collect_errors,
                     mine=self.ctx.mine_witnesses,
                     memo=memo,
@@ -491,9 +436,8 @@ class Supervisor:
                     worker = self._workers[wid] = self._spawn(wid)
                 self._progress[wid] = -1
                 worker.current = -1
-                n_rows = self.arena.n_rows if self.arena is not None else 0
                 try:
-                    worker.conn.send((items, n_rows))
+                    worker.conn.send(items)
                 except _UNPICKLABLE_CHUNK:
                     self._run_inline(items)
                     continue
@@ -541,10 +485,6 @@ class Supervisor:
                     if isinstance(record, _Raise):
                         raise record.exc
                     yield record
-                if self.arena is not None:
-                    # Every slot below next_emit is decoded; release the
-                    # segments behind the window.
-                    self.arena.retire_below(next_emit)
         finally:
             for worker in self._workers:
                 if worker is not None:

@@ -1,17 +1,16 @@
 """Deterministic fault injection and fault-tolerance knobs for sweeps.
 
-Million-job provisioning sweeps die in three characteristic ways: a
-worker process crashes mid-job (OOM kill, interpreter abort), a job
-hangs past any useful wall clock, or a shared-memory row write is torn
-so its arena slot reads back unwritten. The supervised execution path
-(:mod:`repro.sweep.backends.supervise`) recovers from all three; this
+Million-job provisioning sweeps die in two characteristic ways: a
+worker process crashes mid-job (OOM kill, interpreter abort), or a job
+hangs past any useful wall clock. The supervised execution path
+(:mod:`repro.sweep.backends.supervise`) recovers from both; this
 module provides the pieces that make that recovery *testable*:
 
 * :class:`FaultPlan` — a declarative, picklable plan of injected faults
-  ("crash the worker running job 4, once; hang job 7, twice; corrupt
-  arena slot 3"). It travels to workers through the existing
-  :class:`~repro.sweep.backends.WorkerContext` hook and fires inside the
-  supervised worker loop only — never in the parent, so result
+  ("crash the worker running job 4, once; hang job 7, twice"). It
+  travels to workers through the existing
+  :class:`~repro.sweep.backends.WorkerContext` hook and fires inside
+  the supervised worker loop only — never in the parent, so result
   hydration and serial execution are immune by construction.
 * :class:`Tolerance` — the supervisor's policy knobs: retry budget,
   per-job wall-clock timeout, backoff.
@@ -58,8 +57,8 @@ def _normalize(spec) -> dict[int, int]:
 class FaultPlan:
     """Declarative injected faults, keyed by executed-job index.
 
-    ``crash``/``hang``/``corrupt`` each accept an iterable of job
-    indices (fire once per index) or an ``{index: times}`` mapping.
+    ``crash`` and ``hang`` each accept an iterable of job indices (fire
+    once per index) or an ``{index: times}`` mapping.
     ``spool`` is a directory (shared by every worker — a tmpdir) whose
     marker files count firings across processes and retries.
     """
@@ -67,13 +66,11 @@ class FaultPlan:
     spool: str
     crash: Mapping[int, int] = field(default_factory=dict)
     hang: Mapping[int, int] = field(default_factory=dict)
-    corrupt: Mapping[int, int] = field(default_factory=dict)
     hang_s: float = 60.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "crash", _normalize(self.crash))
         object.__setattr__(self, "hang", _normalize(self.hang))
-        object.__setattr__(self, "corrupt", _normalize(self.corrupt))
 
     def _fire(self, kind: str, index: int, times: int) -> bool:
         """Atomically claim the next attempt marker; True while armed.
@@ -113,18 +110,6 @@ class FaultPlan:
         times = self.hang.get(index)
         if times is not None and self._fire("hang", index, times):
             time.sleep(self.hang_s)
-
-    def maybe_corrupt(self, arena, index: int) -> bool:
-        """Zero job ``index``'s arena slot if a corrupt fault is armed.
-
-        Models a torn row write: the job ran, the worker reported it,
-        but the slot reads back unwritten. Returns True when fired.
-        """
-        times = self.corrupt.get(index)
-        if times is not None and self._fire("corrupt", index, times):
-            arena.clear_slot(index)
-            return True
-        return False
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ runner (:func:`repro.sweep.backends.run_record`) executes one job,
 optionally trapping :class:`~repro.errors.ReproError` into a
 :class:`BatchError` so infeasible sweep corners stay data instead of
 aborting the batch. Chunking lives here too: the supervisor behind
-both multiprocess backends splits the job stream with it.
+the pool backend splits the job stream with it.
 :func:`canonical_key` names the run a job performs, so
 the runner can simulate each distinct run of a program once.
 """

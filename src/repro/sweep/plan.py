@@ -10,9 +10,10 @@ runs it in one of two shapes:
   feeding every reducer along the way. Full results never accumulate.
 * :meth:`SweepSession.run` — eagerly execute everything and return a
   :class:`SweepOutcome` whose :class:`ResultHandle` objects expose the
-  full per-job results: materialized in place for the serial and pool
-  backends, hydrated on demand (a deterministic in-parent re-execution
-  against the warm analysis cache) for the ``shm`` backend.
+  full per-job results: materialized by the backend that ran the job,
+  or, for a job the witness store answered without running it,
+  hydrated on demand (a deterministic in-parent re-execution against
+  the warm analysis cache).
 
 Reducers are always folded in the parent, in job order, so their
 summaries are byte-identical no matter which backend ran the jobs; the
@@ -75,13 +76,12 @@ class SweepPlan:
     """Everything a sweep needs: jobs, labels, reducers, backend, knobs.
 
     ``jobs`` may be any iterable (a lazy generator feeds
-    :meth:`SweepSession.stream` without materializing — on every
-    backend, the ``shm`` arena included, which grows and retires
-    segments behind the in-flight window; :meth:`SweepSession.run`
-    materializes it). ``backend`` ``None`` resolves to ``serial`` when
-    ``workers == 1`` or the host has one CPU, and ``pool`` otherwise.
+    :meth:`SweepSession.stream` without materializing, on every
+    backend; :meth:`SweepSession.run` materializes it). ``backend``
+    ``None`` resolves to ``serial`` when ``workers == 1`` or the host
+    has one CPU, and ``pool`` otherwise.
 
-    The multiprocess backends always run under the supervisor
+    The pool backend always runs under the supervisor
     (:mod:`repro.sweep.backends.supervise`): a crashed worker is
     replaced and its job retried. ``max_retries`` (default 2),
     ``job_timeout_s`` (default none) and ``retry_backoff_s`` tune that
@@ -102,7 +102,7 @@ class SweepPlan:
     counted in :attr:`SweepSession.witness_pruned`. With
     ``witness_mine`` (the default), every deadlocked job is mined into a
     new certificate where it ran — in process on the serial backend,
-    inside the workers on ``pool``/``shm`` — and only the compact
+    inside the workers on ``pool`` — and only the compact
     certificate dict travels back on its record, so summary-only
     streams warm the store at full speed on every backend (a job builds
     its full result only to be mined or shipped). Only monotone
@@ -149,11 +149,12 @@ class ResultHandle:
     ``summary`` is always present (the flat
     :class:`~repro.sweep.summary.RunSummary` row). :meth:`result`
     returns the full :class:`~repro.sim.result.SimulationResult` (or
-    :class:`~repro.sweep.jobs.BatchError`): backends that shipped the
-    full result hand it over directly; the ``shm`` backend instead
-    re-executes the job in-parent on first access — simulations are
-    deterministic and the analysis cache is warm, so hydration is exact
-    and cheap relative to ever having pickled the result through a pipe.
+    :class:`~repro.sweep.jobs.BatchError`): a handle whose job ran holds
+    the result its backend materialized; a handle without one (a job
+    the witness store answered, or one the supervisor killed for
+    hanging) re-executes the job in-parent on first access —
+    simulations are deterministic and the analysis cache is warm, so
+    hydration is exact.
     """
 
     __slots__ = ("summary", "label", "_job", "_collect_errors", "_result")
@@ -226,8 +227,8 @@ class SweepSession:
 
     #: Rows the runner's memo served instead of simulating (see
     #: :class:`~repro.sweep.backends.RowMemo`). Exact on the serial
-    #: backend; multiprocess backends count their workers' hits, which
-    #: depend on chunking.
+    #: backend; the pool backend counts its workers' hits, which depend
+    #: on chunking.
     memo_hits: int
 
     def __init__(self, plan: SweepPlan) -> None:
@@ -313,7 +314,7 @@ class SweepSession:
                 yield record
         finally:
             # Closing this stream must tear the backend down now (reap
-            # workers, unlink the arena), not when the GC gets to it.
+            # its workers), not when the GC gets to it.
             records.close()
 
     def _witness_records(
@@ -341,7 +342,9 @@ class SweepSession:
 
         store = self.plan.witness_store
         synth: deque[tuple[int, RunSummary]] = deque()
-        sent: list[int] = []  # compact index -> original
+        # Original indices of dispatched jobs; records arrive in compact
+        # order, so each one pops the head and memory stays flat.
+        sent: deque[int] = deque()
 
         def feed() -> Iterator[SimJob]:
             for original, job in enumerate(jobs):
@@ -354,7 +357,7 @@ class SweepSession:
                 yield job
 
         for record in self._execute(feed(), want_results=want_results):
-            original = sent[record.index]
+            original = sent.popleft()
             while synth and synth[0][0] < original:
                 index, row = synth.popleft()
                 yield JobRecord(index, row, None)
@@ -482,10 +485,17 @@ class SweepSession:
         The memory-bounded way to consume a *full-result* sweep:
         handles arrive as the backend finishes jobs (at most one drain
         window of chunks in flight), each carrying its summary row and
-        — for backends that ship results eagerly — the materialized
-        full result. Drop a handle after processing it and full results
-        never accumulate, whatever the sweep size. Reducers are fed as
-        each row passes.
+        the materialized full result; a witness-pruned handle hydrates
+        on first access instead. Drop a handle after processing it and
+        full results never accumulate, whatever the sweep size.
+        Reducers are fed as each row passes.
+
+        Each executed job builds its full result, and the pool backend
+        pickles it through a worker pipe (tens of kilobytes each). To
+        inspect a few full results from a large sweep, :meth:`stream`
+        the rows instead and call :meth:`~repro.sweep.jobs.SimJob.run`
+        on the jobs you want: runs are deterministic, so those results
+        equal the ones this method would have shipped.
         """
         if self.plan.checkpoint is not None:
             raise ConfigError(
@@ -503,7 +513,7 @@ class SweepSession:
         collect = self._collect_errors()
         # A witness-pruned handle arrives with no materialized result
         # (there was no run); its ResultHandle hydrates by executing
-        # the job on demand, exactly like a shm-backend handle.
+        # the job on demand.
         for record in self._records(jobs, want_results=True):
             for reducer in reducers:
                 reducer.update(record.row)
@@ -569,12 +579,7 @@ def simulate_many(
             *and* every pool worker, so analyses computed anywhere are
             reused everywhere — including across restarts.
         backend: execution backend name; ``None`` picks ``serial`` for
-            one worker, one job or one CPU, else ``pool``. ``"shm"`` is
-            rejected here: it never ships full results, so
-            materializing *all* of them (which is this function's
-            contract) would re-run every job in-parent — use
-            :meth:`SweepSession.iter_handles` / :func:`simulate_stream`
-            to get the arena's benefits.
+            one worker, one job or one CPU, else ``pool``.
 
     Returns:
         One :class:`SimulationResult` (or :class:`BatchError` under
@@ -588,13 +593,6 @@ def simulate_many(
     if on_error not in _VALID_ON_ERROR:
         raise ConfigError(
             f"on_error must be 'raise' or 'collect', got {on_error!r}"
-        )
-    if backend == "shm":
-        raise ConfigError(
-            "simulate_many materializes every full result, which the shm "
-            "backend would satisfy by re-running each job in-parent; use "
-            "SweepSession.iter_handles() or simulate_stream(backend='shm') "
-            "instead"
         )
     jobs = normalize_jobs(programs, configs, policy, registers)
     if not jobs:
@@ -635,10 +633,7 @@ def simulate_stream(
     :class:`RunSummary` (in the worker, for ``workers > 1``, so full
     results also never cross the pool pipe), fed through every reducer,
     and yielded in job order. Peak memory is bounded by
-    ``workers * chunk_size`` in-flight jobs, independent of sweep size
-    (the ``shm`` backend too: its segmented arena holds 256-byte slots
-    only for the in-flight window, growing ahead of dispatch and
-    retiring drained segments behind it).
+    ``workers * chunk_size`` in-flight jobs, independent of sweep size.
 
     Args:
         jobs: the jobs to run, lazily consumed.
@@ -656,12 +651,12 @@ def simulate_stream(
         backend: execution backend name; ``None`` picks ``serial`` for
             one worker or one CPU, else ``pool``.
         job_timeout_s: per-job wall clock enforced by the supervisor of
-            the multiprocess backends; a hung job's worker is killed and
+            the pool backend; a hung job's worker is killed and
             the job retried, then recorded as a timeout-class row.
             ``None`` (the default) sets no limit.
         max_retries: extra attempts a job gets after crashing or
             hanging its worker before being quarantined. Crash recovery
-            is always on for the multiprocess backends; these two knobs
+            is always on for the pool backend; these two knobs
             only tune it.
         fault_plan: deterministic injected faults
             (:class:`~repro.sweep.fault.FaultPlan`) for testing the

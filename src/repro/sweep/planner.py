@@ -68,8 +68,8 @@ later capacity's entry
 and each new probe point pays only for the capacity-*dependent*
 artifacts (lookahead capacities, labeling) instead of a cold start. The
 warm-up happens in the planner's process, so it benefits the default
-in-process (serial) execution directly and multiprocess backends through
-the shared disk tier when one is configured.
+in-process (serial) execution directly and pool workers through the
+shared disk tier when one is configured.
 
 Entry points: build a :class:`PlanSpec` and call
 :meth:`FrontierPlanner.run`, or use :func:`find_frontier` /
@@ -418,7 +418,7 @@ class FrontierPlanner:
     Probe rounds batch one pending probe per distinct bisecting search
     (plus, in the first round, every exhaustive line's whole axis) into
     a single :class:`~repro.sweep.plan.SweepPlan`, so line-level
-    parallelism is available to multiprocess backends; errors are collected
+    parallelism is available to the pool backend; errors are collected
     (``on_error="collect"``) — an infeasible corner is a not-completed
     data point, exactly as in an exhaustive sweep.
     """

@@ -3,8 +3,8 @@
 A :class:`RunSummary` is one job's outcome reduced to a constant-size
 row — never the full :class:`~repro.sim.result.SimulationResult` with
 its traces and register files. Rows are what streaming reducers consume,
-what the ``shm`` backend encodes into its shared-memory arena, and what
-every backend must reproduce byte-identically for the same job list.
+what pool workers send back over their pipes, and what every backend
+must reproduce byte-identically for the same job list.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 class RunSummary:
     """One job's outcome, reduced to a flat constant-size row.
 
-    This is what crosses the pool pipe (or the shared-memory arena) and
-    what reducers see — never the full
-    :class:`~repro.sim.result.SimulationResult` with its traces and
-    register files.
+    This is what crosses the pool pipe and what reducers see — never
+    the full :class:`~repro.sim.result.SimulationResult` with its
+    traces and register files.
     """
 
     index: int

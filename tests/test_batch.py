@@ -72,13 +72,6 @@ class TestSimulateMany:
             assert a.time == b.time
             assert a.received == b.received
 
-    def test_shm_backend_rejected(self, ensemble):
-        # simulate_many materializes every full result; the shm backend
-        # never ships them, so honoring it would re-run each job
-        # in-parent — worse than serial. Refuse instead of degrading.
-        with pytest.raises(ConfigError, match="shm"):
-            simulate_many(ensemble, CONFIG, workers=2, backend="shm")
-
     def test_pool_backend_matches_serial(self, ensemble):
         serial = simulate_many(ensemble, CONFIG, workers=1)
         via_pool = simulate_many(ensemble, CONFIG, workers=2, backend="pool")

@@ -325,11 +325,9 @@ def stream(jobs, **plan):
 BACKENDS = [
     ("serial", {}),
     ("pool", {"workers": 2, "chunk_size": 7}),
-    ("shm", {"workers": 2, "chunk_size": 7}),
     ("pool", {"workers": 2, "chunk_size": 7, "max_retries": 1}),
-    ("shm", {"workers": 2, "chunk_size": 7, "max_retries": 1}),
 ]
-BACKEND_IDS = ("serial", "pool", "shm", "supervised-pool", "supervised-shm")
+BACKEND_IDS = ("serial", "pool", "supervised-pool")
 
 
 @pytest.mark.parametrize("backend,knobs", BACKENDS, ids=BACKEND_IDS)
@@ -412,7 +410,7 @@ def mining_grid() -> list[SimJob]:
     return jobs
 
 
-@pytest.mark.parametrize("backend,knobs", BACKENDS[:3], ids=BACKEND_IDS[:3])
+@pytest.mark.parametrize("backend,knobs", BACKENDS[:2], ids=BACKEND_IDS[:2])
 def test_mining_sees_every_deadlock(backend, knobs):
     """While mining, deadlocked rows are simulated (a certificate's scope
     carries the job's own queue count), so every backend's store equals

@@ -178,10 +178,16 @@ class TestSweepQuantiles:
     def test_backend_flag_accepted(self, fig7_file, capsys):
         code = main([
             "sweep", fig7_file, "--queues", "1,2",
-            "--backend", "shm", "--workers", "2",
+            "--backend", "pool", "--workers", "2",
         ])
         assert code == 0
         assert "2/2 runs completed" in capsys.readouterr().out
+        # Only the built-in backends are choices; the parser refuses
+        # anything else before a sweep starts.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", fig7_file, "--backend", "shm"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'shm'" in capsys.readouterr().err
 
 
 class TestSweepStream:
@@ -544,7 +550,7 @@ class TestWitnessCli:
         assert main(["witness", "prune", store]) == 0
         assert "pruned 0" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("backend", ("pool", "shm"))
+    @pytest.mark.parametrize("backend", ("pool",))
     def test_json_carries_witness_counters_per_backend(
         self, crossread_file, tmp_path, capsys, backend
     ):

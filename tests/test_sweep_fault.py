@@ -1,7 +1,7 @@
-"""Fault-injection harness: the supervised executor under crash/hang/corrupt.
+"""Fault-injection harness: the supervised executor under crash and hang.
 
-Deterministically injects the three characteristic sweep failures —
-worker crash (abrupt ``os._exit``), hung job, torn arena write — via
+Deterministically injects the two characteristic sweep failures —
+worker crash (abrupt ``os._exit``) and hung job — via
 :class:`repro.sweep.fault.FaultPlan` and pins the recovery contract:
 a recovered sweep's rows and reducer summaries are byte-identical to a
 fault-free serial run, poison jobs are quarantined as data instead of
@@ -10,6 +10,7 @@ aborting the sweep, and persistent hangs become timeout rows.
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -19,13 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms.figures import fig7_program
-from repro.errors import (
-    ArenaSlotUnwritten,
-    ConfigError,
-    ReproError,
-    WorkerCrashError,
-)
+from repro.algorithms.figures import fig7_program, fig8_program
+from repro.errors import ConfigError, WorkerCrashError
 from repro.sweep import (
     WORKER_CRASH_KIND,
     CompletedCount,
@@ -41,7 +37,7 @@ from repro.sweep import (
 )
 from repro.sweep.fault import CRASH_EXIT_CODE
 
-SUPERVISED = ("pool", "shm")
+SUPERVISED = ("pool",)
 
 
 def corpus_jobs() -> list[SimJob]:
@@ -225,8 +221,8 @@ class TestExactAttributionAndLazyPulls:
             job_timeout_s=30,
         )
         seen = 0
-        # The same bound the shm streaming test pins: the dispatch window
-        # plus the chunk being pulled, never the whole stream.
+        # The dispatch window plus the chunk being pulled, never the
+        # whole stream.
         bound = (workers * 2 + 1) * chunk
         for _row in SweepSession(plan).stream():
             seen += 1
@@ -409,41 +405,6 @@ class TestDefaultSweepSurvivesWorkerDeath:
             list(SweepSession(plan).stream())
 
 
-class TestArenaFaults:
-    def test_corrupt_slot_requeued(self, baseline, tmp_path):
-        jobs, base_rows, base_summaries = baseline
-        plan = FaultPlan(spool=str(tmp_path), corrupt={0: 1, 6: 1})
-        rows, summaries = run_plan(
-            jobs, "shm", fault_plan=plan, max_retries=2
-        )
-        assert rows == base_rows
-        assert summaries == base_summaries
-        fired = os.listdir(tmp_path)
-        assert any(m.startswith("corrupt-0-") for m in fired)
-        assert any(m.startswith("corrupt-6-") for m in fired)
-
-    def test_torn_slot_is_read_back_and_the_job_rerun(self, baseline, tmp_path):
-        jobs, base_rows, _ = baseline
-        plan = FaultPlan(spool=str(tmp_path), corrupt={4: 1})
-        rows, _ = run_plan(jobs, "shm", fault_plan=plan, max_retries=1)
-        assert rows == base_rows
-        # The retry claims the second marker: the parent read the torn
-        # slot as unwritten and ran the job again.
-        assert sorted(os.listdir(tmp_path)) == ["corrupt-4-0", "corrupt-4-1"]
-
-    def test_unwritten_slot_error_is_typed(self):
-        from repro.sweep import SummaryArena
-
-        arena = SummaryArena.create(2)
-        try:
-            with pytest.raises(ArenaSlotUnwritten, match="never written"):
-                arena.read_row(1)
-            assert issubclass(ArenaSlotUnwritten, ReproError)
-        finally:
-            arena.close()
-            arena.unlink()
-
-
 class TestKnobValidation:
     def test_tolerance_validates(self):
         with pytest.raises(ConfigError, match="max_retries"):
@@ -472,20 +433,17 @@ class TestKnobValidation:
         with pytest.raises(ConfigError, match="index >= 0"):
             FaultPlan(spool=str(tmp_path), hang=[-1])
 
-    def test_fault_plan_fires_bounded_times(self, tmp_path):
-        plan = FaultPlan(spool=str(tmp_path), corrupt={0: 2})
+    def test_fault_plan_fires_bounded_times(self, tmp_path, monkeypatch):
+        from repro.sweep import fault as fault_mod
 
-        class FakeArena:
-            cleared = 0
-
-            def clear_slot(self, slot):
-                FakeArena.cleared += 1
-
-        arena = FakeArena()
-        fired = [plan.maybe_corrupt(arena, 0) for _ in range(5)]
-        assert fired == [True, True, False, False, False]
-        assert FakeArena.cleared == 2
-        assert plan.maybe_corrupt(arena, 1) is False  # unarmed index
+        slept = []
+        monkeypatch.setattr(fault_mod.time, "sleep", slept.append)
+        plan = FaultPlan(spool=str(tmp_path), hang={0: 2}, hang_s=7.0)
+        for _ in range(5):
+            plan.maybe_hang(0)
+        assert slept == [7.0, 7.0]
+        plan.maybe_hang(1)  # unarmed index
+        assert slept == [7.0, 7.0]
 
 
 #: A parent that starts a two-worker sweep, takes one row, records its
@@ -560,76 +518,54 @@ class TestParentDeath:
         assert not alive, "workers outlived their killed parent"
 
 
-class TestArenaCleanup:
-    """The shm arena must be unlinked on every exit path."""
+class TestWorkerReaping:
+    """Pool workers are reaped on every exit path of a stream."""
 
-    def _capture_arena_names(self, monkeypatch):
-        from repro.sweep import arena as arena_mod
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        """The pids of every worker the supervisor starts in this test."""
+        from repro.sweep.backends.supervise import Supervisor
 
-        created = []
-        real_create = arena_mod.SummaryArena.create.__func__
+        pids = []
+        real_spawn = Supervisor._spawn
 
-        def recording_create(cls, n_rows):
-            arena = real_create(cls, n_rows)
-            created.append(arena.name)
-            return arena
+        def recording_spawn(self, wid):
+            worker = real_spawn(self, wid)
+            pids.append(worker.process.pid)
+            return worker
 
-        monkeypatch.setattr(
-            arena_mod.SummaryArena,
-            "create",
-            classmethod(recording_create),
-        )
-        return created
+        monkeypatch.setattr(Supervisor, "_spawn", recording_spawn)
+        return pids
 
-    def _assert_unlinked(self, names):
-        from repro.sweep import SummaryArena
+    @staticmethod
+    def assert_reaped(spawned):
+        assert spawned, "the sweep never started a worker"
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert not alive & set(spawned)
 
-        assert names, "backend never created an arena"
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                SummaryArena.attach(name, 1)
-
-    def test_unlinked_after_error_raise(self, monkeypatch):
-        names = self._capture_arena_names(monkeypatch)
-        bad = SimJob(fig7_program(), policy="no-such-policy")
-        session = SweepSession(
-            SweepPlan(
-                jobs=[bad],
-                backend="shm",
-                workers=2,
-                on_error="raise",
-                max_retries=1,
-            )
-        )
-        with pytest.raises(ReproError):
-            list(session.stream())
-        self._assert_unlinked(names)
-
-    def test_unlinked_after_generator_close(self, monkeypatch, baseline):
+    def test_reaped_after_generator_close(self, spawned, baseline):
         jobs, _, _ = baseline
-        names = self._capture_arena_names(monkeypatch)
         stream = SweepSession(
-            SweepPlan(
-                jobs=jobs,
-                backend="shm",
-                workers=2,
-                chunk_size=3,
-                max_retries=1,
-            )
+            SweepPlan(jobs=jobs, backend="pool", workers=2, chunk_size=3)
         ).stream()
         next(stream)
         stream.close()  # mid-sweep teardown (what Ctrl-C does in the CLI)
-        self._assert_unlinked(names)
+        self.assert_reaped(spawned)
 
-    def test_unlinked_after_legacy_close(self, monkeypatch, baseline):
-        jobs, _, _ = baseline
-        names = self._capture_arena_names(monkeypatch)
-        stream = SweepSession(
-            SweepPlan(jobs=jobs, backend="shm", workers=2, chunk_size=3)
-        ).stream()
-        next(stream)
-        stream.close()
-        self._assert_unlinked(names)
+    def test_reaped_after_error_raise(self, spawned):
+        jobs = sweep_jobs(fig8_program(), policies=("static",), queues=(1,))
+        session = SweepSession(
+            SweepPlan(jobs=jobs, backend="pool", workers=2, on_error="raise")
+        )
+        with pytest.raises(ConfigError):
+            list(session.stream())
+        self.assert_reaped(spawned)
+
+    def test_reaped_after_exhaustion(self, spawned, baseline):
+        jobs, base_rows, _ = baseline
+        rows, _ = run_plan(jobs, "pool")
+        assert rows == base_rows
+        self.assert_reaped(spawned)
 
 
 class TestFaultPlanUnits:

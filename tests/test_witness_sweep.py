@@ -11,9 +11,12 @@ half its jobs on a warm store, with FCFS never pruned.
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
+from repro import ArrayConfig
+from repro.algorithms.figures import fig7_program
 from repro.core.message import Message
 from repro.core.ops import R, W
 from repro.core.program import ArrayProgram
@@ -23,6 +26,7 @@ from repro.sweep import (
     FrontierPlanner,
     MakespanHistogram,
     PlanSpec,
+    SimJob,
     SweepPlan,
     SweepSession,
     exhaustive_spec,
@@ -126,7 +130,7 @@ class TestAcceptanceGrid:
 
 
 class TestBackendDifferential:
-    @pytest.mark.parametrize("backend", ("pool", "shm"))
+    @pytest.mark.parametrize("backend", ("pool",))
     def test_pruned_rows_byte_identical_across_backends(
         self, tmp_path, backend
     ):
@@ -148,6 +152,45 @@ class TestBackendDifferential:
         # The warm store withholds every static job, and worker-side
         # mining refuses FCFS (non-monotone), so nothing new mines.
         assert session.witness_mined == 0
+
+
+class TestPrunedHandles:
+    """Full-result sessions: run jobs hand over their results, pruned
+    jobs hydrate on first access to the result they would have had."""
+
+    @pytest.mark.parametrize("backend", ("serial", "pool"))
+    def test_pruned_handles_hydrate_on_demand(self, backend):
+        jobs = sweep_jobs(
+            cross_read(),
+            policies=("static", "fcfs"),
+            queues=(1,),
+            capacities=(0, 1, 2, 3),
+        )
+        store = WitnessStore()
+        run_sweep(jobs, store)  # warm it up on the serial baseline
+        session = SweepSession(
+            SweepPlan(
+                jobs=jobs,
+                witness_store=store,
+                backend=backend,
+                workers=2,
+                chunk_size=2,
+            )
+        )
+        handles = session.run().handles
+        assert session.witness_pruned == 4  # the whole static line
+        assert [h.hydrated for h in handles] == [
+            job.policy != "static" for job in jobs
+        ]
+        for handle, job in zip(handles, jobs):
+            got, want = handle.result(), job.run()
+            assert handle.hydrated and got.deadlocked
+            assert (got.time, got.events, got.received) == (
+                want.time,
+                want.events,
+                want.received,
+            )
+            assert got.assignment_trace == want.assignment_trace
 
 
 class TestWorkerMining:
@@ -184,11 +227,10 @@ class TestWorkerMining:
         "backend,extra",
         [
             ("pool", {}),
-            ("shm", {}),
             # max_retries engages the supervised executor underneath.
             ("pool", {"max_retries": 1}),
         ],
-        ids=("pool", "shm", "supervised"),
+        ids=("pool", "supervised"),
     )
     def test_cold_store_matches_serial_post_subsumption(self, backend, extra):
         jobs = self.jobs()
@@ -206,6 +248,36 @@ class TestWorkerMining:
         # can only have come through the worker-side witness payloads.
         assert session.witness_mined == 1
         assert self.dump(store) == self.dump(serial_store)
+
+
+class TestStreamMemory:
+    """A store-backed stream keeps no per-job state in the parent."""
+
+    @staticmethod
+    def traced_peak(n_jobs: int) -> int:
+        job = SimJob(fig7_program(), ArrayConfig(queues_per_link=2), "static")
+        session = SweepSession(
+            SweepPlan(
+                jobs=itertools.repeat(job, n_jobs),
+                witness_store=WitnessStore(),
+            )
+        )
+        stream = session.stream()
+        next(stream)  # set-up and the first run are not on trial
+        tracemalloc.start()
+        try:
+            for _row in stream:
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_sweep_size(self):
+        small = self.traced_peak(1_000)
+        large = self.traced_peak(10_000)
+        # One retained int per job would add ~300 KiB for the extra
+        # 9,000 jobs; a flat stream stays well inside this margin.
+        assert large - small < 64 * 1024
 
 
 class TestCheckpointComposition:
