@@ -41,12 +41,6 @@ the literal op-by-op procedure. The knobs that matter at scale:
   (sweeps, policy ablations, Theorem-1 ensembles) skip static analysis
   entirely. Use ``repro.perf.clear_analysis_cache()`` to reset, and
   ``reuse_analysis=False`` for stateful custom routers.
-* **Persistent disk tier** — export
-  ``REPRO_ANALYSIS_DISK_CACHE=/path/to/dir`` (or call
-  :func:`repro.perf.configure_disk_cache`) and analyses persist across
-  processes and sessions under the same content fingerprints, with
-  atomic writes and corruption-tolerant loads: pool workers and
-  restarted sweeps skip re-analysis entirely.
 * **Pluggable sweep execution** — ensemble sweeps run through the
   :mod:`repro.sweep` package: a :class:`repro.sweep.SweepPlan` (jobs +
   grid labels + reducers + backend choice) executed by a

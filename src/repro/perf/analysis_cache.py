@@ -66,9 +66,9 @@ def program_fingerprint(program: ArrayProgram) -> str:
     labeling. The digest is memoized on the program instance (programs
     are immutable after construction).
 
-    The digest hashes *names*, never interned ids: two structurally
-    identical programs must share disk-cache entries even across
-    processes and releases, so the fingerprint cannot depend on how any
+    The digest hashes *names*, never interned ids: checkpoint grid
+    fingerprints and witness-store scopes are built from it and persist
+    across processes and releases, so it cannot depend on how any
     particular build assigned ids. (Intern order is itself content-
     derived — sorted names — but keeping ids out of the hash makes the
     independence unconditional.) The intern table is used only as the
@@ -164,7 +164,6 @@ class AnalysisEntry:
     """
 
     __slots__ = (
-        "key",
         "_program",
         "_router",
         "_queue_capacity",
@@ -177,7 +176,6 @@ class AnalysisEntry:
         "_labeling",
         "_labeling_error",
         "_ordered_groups",
-        "_disk_synced",
     )
 
     def __init__(
@@ -186,9 +184,7 @@ class AnalysisEntry:
         router: Router,
         queue_capacity: int,
         allow_extension: bool,
-        key: "AnalysisKey | None" = None,
     ) -> None:
-        self.key = key
         self._program = program
         self._router = router
         self._queue_capacity = queue_capacity
@@ -201,13 +197,10 @@ class AnalysisEntry:
         self._capacities: LookaheadConfig | None = None
         self._has_capacities = False
         self._labeling: Labeling | None = None
-        # (type, message) of a labeling that raised: kept in memory only,
-        # never exported to the persistent tiers.
+        # (type, message) of a labeling that raised, so a later access
+        # raises a fresh error instead of crossing off again.
         self._labeling_error: tuple[type, str] | None = None
         self._ordered_groups: dict[Link, tuple[tuple[str, ...], ...]] | None = None
-        # True while the disk tier (if any) already holds everything this
-        # entry has computed; any fresh computation clears it.
-        self._disk_synced = False
 
     @property
     def routes(self) -> dict[str, Route]:
@@ -216,7 +209,6 @@ class AnalysisEntry:
             with self._lock:
                 if self._routes is None:
                     program, router = self._program, self._router
-                    self._disk_synced = False
                     self._routes = {
                         msg.name: router.route(msg.sender, msg.receiver)
                         for msg in program.messages.values()
@@ -230,7 +222,6 @@ class AnalysisEntry:
             with self._lock:
                 if self._competing is None:
                     table = competing_messages(self._program, self._router)
-                    self._disk_synced = False
                     self._competing = {
                         link: tuple(names) for link, names in table.items()
                     }
@@ -242,7 +233,6 @@ class AnalysisEntry:
         if not self._has_capacities:
             with self._lock:
                 if not self._has_capacities:
-                    self._disk_synced = False
                     if self._queue_capacity > 0 or self._allow_extension:
                         self._capacities = route_capacities(
                             self._program,
@@ -275,7 +265,6 @@ class AnalysisEntry:
                     except DeadlockedProgramError as exc:
                         self._labeling_error = (type(exc), str(exc))
                         raise
-                    self._disk_synced = False
                     self._labeling = labeling
         return self._labeling
 
@@ -301,7 +290,6 @@ class AnalysisEntry:
                         link: label_groups(names, labeling)
                         for link, names in self.competing.items()
                     }
-                    self._disk_synced = False
                     self._ordered_groups = groups
         return self._ordered_groups
 
@@ -314,11 +302,8 @@ class AnalysisEntry:
         :mod:`repro.sweep.planner`) can seed each new capacity's entry
         from the first one analyzed and pay only for the
         capacity-*dependent* work (lookahead capacities, labeling).
-        Only artifacts the donor has actually computed are copied, an
-        already-populated field is never overwritten, and
-        ``_disk_synced`` is left untouched: copied artifacts the disk
-        tier does not yet hold under *this* key must still be written
-        back by :meth:`persist`.
+        Only artifacts the donor has actually computed are copied, and
+        an already-populated field is never overwritten.
         """
         with donor._lock:
             routes = donor._routes
@@ -328,68 +313,6 @@ class AnalysisEntry:
                 self._routes = routes
             if competing is not None and self._competing is None:
                 self._competing = competing
-
-    # ------------------------------------------------------------------
-    # Persistent tier (repro.perf.disk_cache)
-    # ------------------------------------------------------------------
-
-    def preload_artifacts(self, artifacts: dict) -> None:
-        """Seed this entry from a disk-tier artifact dict.
-
-        Only known fields are accepted; anything missing stays lazily
-        computable.
-        """
-        with self._lock:
-            routes = artifacts.get("routes")
-            if isinstance(routes, dict):
-                self._routes = routes
-            competing = artifacts.get("competing")
-            if isinstance(competing, dict):
-                self._competing = competing
-            if artifacts.get("has_capacities"):
-                capacities = artifacts.get("capacities")
-                if capacities is None or isinstance(capacities, LookaheadConfig):
-                    self._capacities = capacities
-                    self._has_capacities = True
-            labeling = artifacts.get("labeling")
-            if isinstance(labeling, Labeling):
-                self._labeling = labeling
-            ordered_groups = artifacts.get("ordered_groups")
-            if isinstance(ordered_groups, dict):
-                self._ordered_groups = ordered_groups
-            self._disk_synced = True
-
-    def export_artifacts(self) -> dict:
-        """Everything computed so far, in disk-tier artifact form."""
-        with self._lock:
-            return {
-                "routes": self._routes,
-                "competing": self._competing,
-                "capacities": self._capacities,
-                "has_capacities": self._has_capacities,
-                "labeling": self._labeling,
-                "ordered_groups": self._ordered_groups,
-            }
-
-    def persist(self) -> bool:
-        """Write this entry to the active disk tier, if needed.
-
-        Skipped when there is no disk tier or nothing changed since the
-        last load/store. Returns whether the disk tier stored; a no-op
-        also covers the no-content-key ``reuse_analysis=False`` path.
-        """
-        from repro.perf.disk_cache import active_disk_cache
-
-        if self.key is None:
-            return False
-        disk = active_disk_cache()
-        if disk is None or self._disk_synced:
-            return False
-        stored = disk.store(self.key, self.export_artifacts())
-        if stored:
-            with self._lock:
-                self._disk_synced = True
-        return stored
 
 
 class AnalysisCache:
@@ -435,25 +358,11 @@ class AnalysisCache:
                 return entry
             self.misses += 1
             entry = AnalysisEntry(
-                program,
-                router,
-                config.queue_capacity,
-                config.allow_extension,
-                key=key,
+                program, router, config.queue_capacity, config.allow_extension
             )
             self._entries[key] = entry
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-        # Probe the disk tier outside the cache lock — a file read plus
-        # two unpickles is slow compared to a dict hit and must not
-        # serialize other threads.
-        from repro.perf.disk_cache import active_disk_cache
-
-        disk = active_disk_cache()
-        if disk is not None:
-            artifacts = disk.load(key)
-            if artifacts is not None:
-                entry.preload_artifacts(artifacts)
         return entry
 
     def clear(self) -> None:

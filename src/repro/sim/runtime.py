@@ -8,13 +8,11 @@ consistent labeling plus a compatible queue assignment runs to completion
 Static analyses (routing, competing-message sets, lookahead capacities,
 labeling) are shared across simulators through the content-keyed cache in
 :mod:`repro.perf` — repeated simulations of the same program pay for them
-once. With ``REPRO_ANALYSIS_DISK_CACHE`` (or
-:func:`repro.perf.configure_disk_cache`) the analyses additionally
-persist to a cross-process disk tier, so pool workers and restarted
-sweep sessions skip re-analysis entirely. Custom router/topology
-subclasses are automatically excluded from sharing unless they expose an
-``analysis_fingerprint`` token (see :mod:`repro.perf.analysis_cache`);
-``reuse_analysis=False`` disables sharing entirely.
+once, and forked pool workers start with the parent's copies. Custom
+router/topology subclasses are automatically excluded from sharing
+unless they expose an ``analysis_fingerprint`` token (see
+:mod:`repro.perf.analysis_cache`); ``reuse_analysis=False`` disables
+sharing entirely.
 """
 
 from __future__ import annotations
@@ -153,11 +151,6 @@ class Simulator:
         self._stop: StopReason | None = None
         self._closed = False
         self._build(registers or {})
-        if self._analysis is not None:
-            # Publish freshly computed analyses to the disk tier (no-op
-            # unless REPRO_ANALYSIS_DISK_CACHE / configure_disk_cache is
-            # active and something new was computed).
-            self._analysis.persist()
 
     def _auto_labeling(self) -> Labeling:
         # The constraint-based labeling always exists and matches the

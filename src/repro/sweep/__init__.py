@@ -43,10 +43,10 @@ iterable of jobs to an *ordered* stream of
   speed without shipping full results; the parent merges under the
   store's subsumption rules;
 * worker processes apply the session's
-  :class:`~repro.sweep.backends.WorkerContext` — the persistent
-  analysis disk tier, the mining flag, and any fault plan — before
-  running jobs; forked workers start with the parent's in-memory
-  analysis cache.
+  :class:`~repro.sweep.backends.WorkerContext` — the crossing-engine
+  preference, the mining flag, and any fault plan — before running
+  jobs; forked workers start with the parent's in-memory analysis
+  cache.
 
 Built-in backends:
 

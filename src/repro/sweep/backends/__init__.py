@@ -38,8 +38,9 @@ witness, memo_hit)``:
 * with ``collect_errors`` unset, the first failing job's exception MUST
   propagate to the consumer (no silent loss);
 * worker processes MUST apply the :class:`WorkerContext` before running
-  jobs, so per-process state (the analysis disk-cache tier, the fault
-  plan of the deterministic injection harness) matches the parent;
+  jobs, so per-process state (the crossing-engine preference) matches
+  the parent; the parent never applies it, and only the supervised
+  worker loop reads its fault plan;
 * the ``tolerance`` argument tunes fault recovery — the pool backend
   runs every job under the supervisor
   (:mod:`repro.sweep.backends.supervise`: crash recovery, per-job
@@ -65,7 +66,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 from repro.arch.config import ArrayConfig
 from repro.errors import ConfigError, ReproError
 from repro.perf.analysis_cache import program_fingerprint
-from repro.sweep import fault as fault_mod
 from repro.sweep.fault import FaultPlan, Tolerance
 from repro.sweep.jobs import (
     BatchError,
@@ -190,19 +190,17 @@ def run_record(
 
 @dataclass(frozen=True)
 class WorkerContext:
-    """Per-process configuration a backend replays inside its workers.
+    """Per-process configuration a backend carries to its workers.
 
-    This is the worker-configuration hook that used to be a hard-coded
-    ``disk_cache`` parameter threaded through ``simulate_many``: the
-    session captures it once, every backend applies it in each worker
-    (and in the parent), and future per-process knobs extend this
-    dataclass instead of every backend's signature. Cached analyses
-    need no forwarding: a forked worker starts with a copy of the
-    parent's in-memory analysis cache.
+    The session captures it once and every worker applies it before
+    running jobs; per-process knobs extend this dataclass instead of
+    every backend's signature. Cached analyses need no forwarding: a
+    forked worker starts with a copy of the parent's in-memory analysis
+    cache.
     """
 
-    disk_cache: str | None = None
-    disk_cache_max_bytes: int | None = None
+    #: Deterministic injected faults (:mod:`repro.sweep.fault`), read
+    #: only by the supervised worker loop.
     fault_plan: FaultPlan | None = None
     crossing_backend: str | None = None
     #: Mine deadlock witnesses where each job runs (see the backend
@@ -213,65 +211,36 @@ class WorkerContext:
     @classmethod
     def capture(
         cls,
-        disk_cache: str | None = None,
         fault_plan: FaultPlan | None = None,
         *,
         mine_witnesses: bool = False,
     ) -> "WorkerContext":
         """Snapshot the parent's per-process configuration.
 
-        An explicit ``disk_cache`` wins; otherwise a programmatically
-        configured disk tier (:func:`repro.perf.disk_cache.
-        configure_disk_cache`) is forwarded so pool workers share it.
-        The crossing-backend preference follows the same rule: a
-        parent-process :func:`repro.core.crossing.
+        A parent-process :func:`repro.core.crossing.
         configure_crossing_backend` call is forwarded so every worker
         resolves engines the way the parent does. Env-var-only
         configuration needs no forwarding — workers inherit the
         environment and resolve it themselves. ``fault_plan`` rides
         along verbatim: it is the injection channel for the
-        deterministic fault harness (:mod:`repro.sweep.fault`).
-        ``mine_witnesses`` is a session decision (a witness store is
-        attached), not ambient state, so the session passes it
-        explicitly.
+        deterministic fault harness. ``mine_witnesses`` is a session
+        decision (a witness store is attached), not ambient state, so
+        the session passes it explicitly.
         """
         from repro.core.crossing import configured_crossing_backend
 
-        crossing_backend = configured_crossing_backend()
-        disk_cache_max_bytes = None
-        if disk_cache is None:
-            from repro.perf.disk_cache import active_disk_cache_config
-
-            active = active_disk_cache_config()
-            if active is not None:
-                disk_cache, disk_cache_max_bytes = active
         return cls(
-            disk_cache=disk_cache,
-            disk_cache_max_bytes=disk_cache_max_bytes,
             fault_plan=fault_plan,
-            crossing_backend=crossing_backend,
+            crossing_backend=configured_crossing_backend(),
             mine_witnesses=mine_witnesses,
         )
 
     def apply(self) -> None:
-        """Apply this configuration in the current process.
-
-        Installing the fault plan is inert outside supervised workers:
-        only the supervised worker loop calls the plan's ``maybe_*``
-        hooks, so the parent (which applies its own context too) can
-        never fire an injected crash or hang.
-        """
-        if self.disk_cache is not None:
-            from repro.perf.disk_cache import configure_disk_cache
-
-            configure_disk_cache(
-                self.disk_cache, max_bytes=self.disk_cache_max_bytes
-            )
+        """Apply this configuration in the current (worker) process."""
         if self.crossing_backend is not None:
             from repro.core.crossing import configure_crossing_backend
 
             configure_crossing_backend(self.crossing_backend)
-        fault_mod.install(self.fault_plan)
 
 
 class ExecutionBackend:

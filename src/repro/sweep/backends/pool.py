@@ -6,10 +6,9 @@ bounded retries and per-job timeouts come with every run, and records
 drain strictly in job order. A chunk whose programs carry unpicklable
 compute closures (inline lambdas) is simply computed in-process and
 slotted into the same position — graceful degradation, never an error.
-Each worker warms its own analysis cache, so chunking by program keeps
-the cache hot, and the :class:`~repro.sweep.backends.WorkerContext`
-replays the parent's disk tier so analyses are shared *across*
-processes too.
+Each worker starts with the parent's analysis cache (it is forked) and
+warms its own copy from there, so chunking by program keeps the cache
+hot.
 
 Rows, mined certificates and, with ``want_results``, every full
 :class:`SimulationResult` cross the worker's pipe, one message per

@@ -42,7 +42,6 @@ class SerialBackend(ExecutionBackend):
         ctx: WorkerContext,
         tolerance: Tolerance,
     ) -> Iterator[JobRecord]:
-        ctx.apply()
         memo = RowMemo()
         for index, job in enumerate(jobs):
             yield run_record(

@@ -68,18 +68,20 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import Iterable, Iterator
 
 from repro.errors import WorkerCrashError
-from repro.sweep import fault as fault_mod
 from repro.sweep.backends import JobRecord, RowMemo, WorkerContext, run_record
 from repro.sweep.fault import Tolerance
 from repro.sweep.jobs import WORKER_CRASH_KIND, BatchError, SimJob, iter_chunks
 from repro.sweep.summary import summarize_result, timeout_row
 
 #: What ``conn.send`` raises when an exception *payload* cannot pickle
-#: (closures in args, exotic __reduce__): the same classes the disk
-#: cache narrows its stores to. Transport failures (``BrokenPipeError``,
-#: ``OSError``) are NOT in this set — a dead parent must propagate to
-#: the worker loop's exit handler, not trigger a pointless resend — and
-#: bug-class exceptions (``MemoryError``) must never be swallowed.
+#: (closures in args, exotic __reduce__): ``PicklingError``,
+#: ``TypeError`` and ``AttributeError`` for an unpicklable member,
+#: ``ValueError`` from a ``__reduce__`` that refuses (ctypes pointers,
+#: for one) and ``RecursionError`` for a payload nested too deep.
+#: Transport failures (``BrokenPipeError``, ``OSError``) are NOT in this
+#: set — a dead parent must propagate to the worker loop's exit handler,
+#: not trigger a pointless resend — and bug-class exceptions
+#: (``MemoryError``) must never be swallowed.
 _UNPICKLABLE_PAYLOAD = (
     pickle.PicklingError,
     TypeError,
@@ -135,7 +137,7 @@ def _worker_main(
     # worker would outlive a SIGKILLed parent.
     parent_conn.close()
     ctx.apply()
-    plan = fault_mod.active_plan()
+    plan = ctx.fault_plan
     memo = RowMemo()
     try:
         while True:

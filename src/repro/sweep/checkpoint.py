@@ -18,9 +18,10 @@ feeds the remaining rows in the same order the uninterrupted run would
 have — the final reducer summaries are therefore byte-identical to a
 never-interrupted sweep, which is pinned by differential tests.
 
-Durability follows :mod:`repro.perf.disk_cache`: snapshots are written
-to a temporary file and published with :func:`os.replace` (atomic on
-POSIX), carry a BLAKE2 checksum over the pickled payload, and any
+A snapshot must survive the crash it exists for, so it is written to a
+temporary file and published with :func:`os.replace` (atomic on POSIX):
+a reader sees the old snapshot or the new one, never half of one. It
+carries a BLAKE2 checksum over the pickled payload, and any
 corruption — truncation, bit flips, foreign bytes — reads as *absent*
 (clean restart), never as an error, but is counted
 (:meth:`SweepCheckpoint.stats`) rather than silently conflated with a
@@ -73,9 +74,8 @@ def sweep_fingerprint(
     return h.hexdigest()
 
 
-#: What corrupt checkpoint bytes can raise while deserializing — the
-#: same classes :mod:`repro.perf.disk_cache` narrows to: pickle framing
-#: (``UnpicklingError``/``EOFError``/``ValueError``), and payloads
+#: What corrupt checkpoint bytes can raise while deserializing: pickle
+#: framing (``UnpicklingError``/``EOFError``/``ValueError``), and payloads
 #: referencing renamed or missing classes across versions
 #: (``AttributeError``/``ImportError``/``IndexError``). Anything
 #: outside this set — ``MemoryError``, ``KeyboardInterrupt``, a bug in
@@ -253,7 +253,7 @@ class SweepCheckpoint:
         return self.done_count()
 
     def stats(self) -> dict:
-        """Observability counters, mirroring ``DiskCacheTier.stats``."""
+        """Observability counters (load rejections are never silent)."""
         return {
             "n_jobs": self.n_jobs,
             "done": self.done_count(),

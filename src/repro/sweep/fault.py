@@ -8,10 +8,10 @@ module provides the pieces that make that recovery *testable*:
 
 * :class:`FaultPlan` — a declarative, picklable plan of injected faults
   ("crash the worker running job 4, once; hang job 7, twice"). It
-  travels to workers through the existing
-  :class:`~repro.sweep.backends.WorkerContext` hook and fires inside
-  the supervised worker loop only — never in the parent, so result
-  hydration and serial execution are immune by construction.
+  travels to workers on the :class:`~repro.sweep.backends.
+  WorkerContext`, and only the supervised worker loop reads it — never
+  the parent, so result hydration and serial execution are immune by
+  construction.
 * :class:`Tolerance` — the supervisor's policy knobs: retry budget,
   per-job wall-clock timeout, backoff.
 
@@ -150,24 +150,3 @@ class Tolerance:
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before requeueing a job's ``attempt``-th retry."""
         return min(self.retry_backoff_s * (2 ** max(0, attempt - 1)), 2.0)
-
-
-_ACTIVE_PLAN: FaultPlan | None = None
-
-
-def install(plan: FaultPlan | None) -> None:
-    """Set (or clear) this process's active fault plan.
-
-    Called by :meth:`~repro.sweep.backends.WorkerContext.apply` in every
-    process. Installation alone is inert: faults fire only where the
-    supervised worker loop calls the ``maybe_*`` hooks, so a plan
-    installed in the parent (the session applies its context locally
-    too) can never crash or hang the parent.
-    """
-    global _ACTIVE_PLAN
-    _ACTIVE_PLAN = plan
-
-
-def active_plan() -> FaultPlan | None:
-    """The fault plan installed in this process, if any."""
-    return _ACTIVE_PLAN

@@ -128,7 +128,6 @@ class SweepPlan:
     workers: int = 1
     chunk_size: int | None = None
     on_error: str = "collect"
-    disk_cache: str | None = None
     job_timeout_s: float | None = None
     max_retries: int = 2
     retry_backoff_s: float = 0.05
@@ -265,14 +264,7 @@ class SweepSession:
         # where the job ran and ships a compact certificate on its
         # record; the parent merges them (see _witness_records).
         mine = plan.witness_store is not None and plan.witness_mine
-        self.ctx = WorkerContext.capture(
-            plan.disk_cache, plan.fault_plan, mine_witnesses=mine
-        )
-        # The parent applies the context too: in-process execution and
-        # result hydration must see the same disk tier as the workers.
-        # (Fault plans are inert outside the supervised worker loop, so
-        # applying one here can never crash or hang the parent.)
-        self.ctx.apply()
+        self.ctx = WorkerContext.capture(plan.fault_plan, mine_witnesses=mine)
 
     def _make_tolerance(self) -> Tolerance:
         """The supervisor's recovery policy from the plan's knobs."""
@@ -549,7 +541,6 @@ def simulate_many(
     workers: int = 1,
     chunk_size: int | None = None,
     on_error: str = "raise",
-    disk_cache: str | None = None,
     backend: str | None = None,
 ) -> "list[SimulationResult | BatchError]":
     """Simulate every (program, config) job; results in job order.
@@ -574,10 +565,6 @@ def simulate_many(
             ``"collect"`` replaces a failed job's result with a
             :class:`BatchError` so the rest of the batch still runs
             (infeasible sweep corners are data, not fatal).
-        disk_cache: directory of the persistent analysis tier
-            (:mod:`repro.perf.disk_cache`); configured in this process
-            *and* every pool worker, so analyses computed anywhere are
-            reused everywhere — including across restarts.
         backend: execution backend name; ``None`` picks ``serial`` for
             one worker, one job or one CPU, else ``pool``.
 
@@ -605,7 +592,6 @@ def simulate_many(
         workers=workers,
         chunk_size=chunk_size,
         on_error=on_error,
-        disk_cache=disk_cache,
     )
     return SweepSession(plan).run().results()
 
@@ -617,7 +603,6 @@ def simulate_stream(
     workers: int = 1,
     chunk_size: int = 32,
     on_error: str = "collect",
-    disk_cache: str | None = None,
     backend: str | None = None,
     job_timeout_s: float | None = None,
     max_retries: int = 2,
@@ -646,8 +631,6 @@ def simulate_stream(
         chunk_size: jobs per worker task.
         on_error: ``"collect"`` (default) turns failed jobs into
             ``infeasible`` rows; ``"raise"`` propagates the first error.
-        disk_cache: analysis disk tier forwarded to every worker (see
-            :func:`simulate_many`).
         backend: execution backend name; ``None`` picks ``serial`` for
             one worker or one CPU, else ``pool``.
         job_timeout_s: per-job wall clock enforced by the supervisor of
@@ -678,7 +661,6 @@ def simulate_stream(
         workers=workers,
         chunk_size=chunk_size,
         on_error=on_error,
-        disk_cache=disk_cache,
         job_timeout_s=job_timeout_s,
         max_retries=max_retries,
         fault_plan=fault_plan,

@@ -68,8 +68,8 @@ later capacity's entry
 and each new probe point pays only for the capacity-*dependent*
 artifacts (lookahead capacities, labeling) instead of a cold start. The
 warm-up happens in the planner's process, so it benefits the default
-in-process (serial) execution directly and pool workers through the
-shared disk tier when one is configured.
+in-process (serial) execution directly, and pool workers forked after
+it start with the warm entries.
 
 Entry points: build a :class:`PlanSpec` and call
 :meth:`FrontierPlanner.run`, or use :func:`find_frontier` /
@@ -153,7 +153,6 @@ class PlanSpec:
     backend: str | None = None
     workers: int = 1
     chunk_size: int | None = None
-    disk_cache: str | None = None
     monotone_policies: frozenset[str] = MONOTONE_POLICIES
     witness_store: "WitnessStore | None" = None
 
@@ -561,7 +560,6 @@ class FrontierPlanner:
             ),
             chunk_size=spec.chunk_size,
             on_error="collect",
-            disk_cache=spec.disk_cache,
             witness_store=spec.witness_store,
         )
         session = SweepSession(plan)

@@ -197,6 +197,10 @@ class WitnessStore:
         runs before any certificate is consulted, so no store content
         can ever prune them.
         """
+        # An empty store answers nothing: return before building the
+        # job's scope, which costs two dataclass copies and a hash.
+        if not self._by_scope:
+            return None
         from repro.arch.config import ArrayConfig
         from repro.sweep.planner import MONOTONE_POLICIES
 

@@ -197,6 +197,18 @@ class TestCustomSubclassSafety:
 
         assert topology_fingerprint(WeirdTopology(("C1", "C2"))) is None
 
+    def test_custom_topology_with_token_is_cacheable(self):
+        from repro.perf import topology_fingerprint
+
+        class TokenTopology(ExplicitLinear):
+            def __init__(self, cells, flavor):
+                super().__init__(cells)
+                self.analysis_fingerprint = f"flavor={flavor}"
+
+        fp_a = topology_fingerprint(TokenTopology(("C1", "C2"), "a"))
+        fp_b = topology_fingerprint(TokenTopology(("C1", "C2"), "b"))
+        assert fp_a is not None and fp_b is not None and fp_a != fp_b
+
 
 class TestBackendIndependence:
     """The content key deliberately excludes the crossing backend.
@@ -306,7 +318,7 @@ class TestFailedLabeling:
             entry.labeling
         assert second.value is not first.value
         assert str(second.value) == str(first.value)
-        assert entry.export_artifacts()["labeling"] is None
+        assert entry._labeling is None
 
 
 class TestForkedWorkersInherit:

@@ -574,9 +574,6 @@ class TestAnalysisSeeding:
         target.seed_capacity_independent(donor)
         assert target.routes is donor.routes
         assert target.competing is donor.competing
-        # Seeding must not mark the entry disk-synced: under a disk
-        # tier the seeded artifacts still need persisting for this key.
-        assert target._disk_synced is False
 
     def test_seeding_never_overwrites_computed_artifacts(self):
         GLOBAL_ANALYSIS_CACHE.clear()

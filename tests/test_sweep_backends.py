@@ -351,8 +351,6 @@ class TestWorkerContextCrossingBackend:
         configure_crossing_backend("interned")
         ctx = WorkerContext.capture()
         assert ctx.crossing_backend == "interned"
-        # Explicit disk_cache path carries the preference too.
-        assert WorkerContext.capture("/tmp/x").crossing_backend == "interned"
 
     def test_apply_installs_preference(self):
         from repro.core.crossing import configured_crossing_backend
@@ -363,6 +361,23 @@ class TestWorkerContextCrossingBackend:
         # A context with no preference leaves the current one alone.
         WorkerContext().apply()
         assert configured_crossing_backend() == "interned"
+
+    def test_session_leaves_parent_preference_alone(self, fig7):
+        from repro.core.crossing import (
+            configure_crossing_backend,
+            configured_crossing_backend,
+        )
+
+        configure_crossing_backend("interned")
+        session = SweepSession(
+            SweepPlan(jobs=sweep_jobs(fig7, policies=("ordered",)))
+        )
+        configure_crossing_backend(None)
+        rows = list(session.stream())
+        assert [row.outcome for row in rows] == ["completed"]
+        # The captured context is for workers; the parent's own
+        # preference is the caller's to set.
+        assert configured_crossing_backend() is None
 
     def test_pool_workers_inherit_preference(self, fig7):
         from repro.core.crossing import configure_crossing_backend

@@ -596,15 +596,3 @@ class TestFaultPlanUnits:
         assert (tmp_path / "hang-5-1").exists()
         plan.maybe_hang(0)  # unarmed index: no marker at all
         assert not (tmp_path / "hang-0-0").exists()
-
-    def test_install_and_active_plan_round_trip(self, tmp_path):
-        from repro.sweep.fault import FaultPlan, active_plan, install
-
-        assert active_plan() is None
-        plan = FaultPlan(spool=str(tmp_path))
-        install(plan)
-        try:
-            assert active_plan() is plan
-        finally:
-            install(None)
-        assert active_plan() is None

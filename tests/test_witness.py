@@ -253,6 +253,15 @@ class TestStore:
         assert store.find(deadlock_job(capacity=4)) is None
         assert store.find(deadlock_job(capacity=6)) is None
 
+    def test_empty_store_find_builds_no_scope(self, monkeypatch):
+        from repro.witness import store as store_mod
+
+        def no_scope(job):
+            raise AssertionError("an empty store built a scope")
+
+        monkeypatch.setattr(store_mod, "witness_scope", no_scope)
+        assert WitnessStore().find(deadlock_job(capacity=5)) is None
+
     def test_monotone_bound(self):
         store = WitnessStore()
         witness = mined(capacity=3)
