@@ -2,25 +2,24 @@
 
 The Section 8 sizing question — minimal queue capacity per
 (policy, queues) line — costs the exhaustive grid ``lines x n_caps``
-simulations. The planner (:mod:`repro.sweep.planner`) binary-searches
-each static-policy line in ``2 + ceil(log2 n)`` probes over the ``n``
-distinct canonical capacities, and lines that perform the same runs
-share one search. Here both lines run the same jobs (one competing
-message per link, so 1 and 2 queues are the same run) and capacities
-11..63 are one run (the longest message is 11 words), so the planner
-answers with 6 jobs against the grid's 128 — and, being a *search*, it
-must land on exactly the frontier the grid finds.
+simulations. The planner (:mod:`repro.sweep.planner`) decides each
+static-policy line by one crossing-off pass
+(:func:`~repro.core.crossing.least_capacity`) and simulates only its
+frontier point, once for all lines that perform the same run. Here both
+lines run the same jobs (one competing message per link, so 1 and 2
+queues are the same run), so the planner answers with 1 job against
+the grid's 128 — and it must land on exactly the frontier the grid
+finds.
 
 This bench runs both on a burst-exchange workload (two cells exchange a
 k-word burst of writes before any read, so the static frontier sits at
-capacity k — squarely mid-axis, the binary search's worst case) and
-asserts:
+capacity k, mid-axis) and asserts:
 
 * the planner's frontier equals the exhaustive grid's, per line;
 * every planner row is byte-identical to the grid row at the same
   grid index;
 * the planner executed >= 4x fewer jobs (the acceptance floor; the
-  expected ratio here is ~21x).
+  expected ratio here is 128x).
 
 ``REPRO_BENCH_RECORD=1`` records ``frontier_plan_64`` /
 ``frontier_grid_64`` into ``BENCH_core.json`` (events/sec over the jobs
@@ -38,7 +37,7 @@ from repro.sweep import FrontierPlanner, PlanSpec, exhaustive_spec
 
 N_CAPS = 64
 QUEUES = (1, 2)
-BURST = 11  # frontier at cap=11: mid-axis, the bisection's worst case
+BURST = 11  # frontier at cap=11, mid-axis
 
 
 def burst_exchange(k: int) -> ArrayProgram:
@@ -86,7 +85,7 @@ def _check(planned, grid) -> None:
     for row in planned.rows:
         assert row == grid_rows[row.index]
     assert grid.jobs_executed == grid.grid_jobs == len(QUEUES) * N_CAPS
-    # The acceptance floor; expected ~21x (6 jobs for both lines).
+    # The acceptance floor; expected 128x (1 job for both lines).
     assert planned.jobs_executed * 4 <= grid.jobs_executed, (
         planned.jobs_executed,
         grid.jobs_executed,

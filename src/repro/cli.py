@@ -12,9 +12,9 @@ The textual format is that of :mod:`repro.lang.parser`. Examples::
     python -m repro frontier program.sysp --queues 1,2 --capacity 0,1,2,4,8
 
 ``frontier`` answers the Section 8 sizing question directly: the minimal
-queue capacity per (policy, queues) line, binary-searched in O(log n)
-simulations where completion is monotone in capacity (the static
-policy) and fully evaluated where it is not (FCFS).
+queue capacity per (policy, queues) line. Static lines are decided by
+one crossing-off pass and confirmed by a single simulation of the
+frontier point; FCFS and ordered lines are fully evaluated.
 
 Multiprocess sweeps always recover from worker deaths: crashed
 workers are replaced and their jobs retried (``--max-retries``), and
@@ -105,7 +105,8 @@ def cmd_show(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     _apply_crossing_backend(args)
     program = _load(args.file)
-    lookahead = _lookahead_for(program, args.capacity)
+    capacity = _checked(args.capacity, "--capacity", 0)
+    lookahead = _lookahead_for(program, capacity)
     result = cross_off(program, lookahead=lookahead)
     print(render_steps(result))
     if result.deadlock_free:
@@ -124,7 +125,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_label(args: argparse.Namespace) -> int:
     _apply_crossing_backend(args)
     program = _load(args.file)
-    lookahead = _lookahead_for(program, args.capacity)
+    capacity = _checked(args.capacity, "--capacity", 0)
+    lookahead = _lookahead_for(program, capacity)
     labeling = constraint_labeling(program, lookahead=lookahead)
     print(labels_as_str(labeling))
     for label, names in labeling.groups():
@@ -135,8 +137,8 @@ def cmd_label(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     program = _load(args.file)
     config = ArrayConfig(
-        queues_per_link=args.queues,
-        queue_capacity=args.capacity,
+        queues_per_link=_checked(args.queues, "--queues", 1),
+        queue_capacity=_checked(args.capacity, "--capacity", 0),
         allow_extension=args.extension,
     )
     result = simulate(program, config=config, policy=args.policy)
@@ -146,16 +148,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.completed else 1
 
 
-def _int_list(raw: str, flag: str) -> list[int]:
+def _checked(value: int, flag: str, minimum: int) -> int:
+    """``value``, or a :class:`ConfigError` when it is below ``minimum``.
+
+    Checked here so an out-of-range flag prints one ``error:`` line
+    and exits 2, instead of a traceback from deep in the run.
+    """
+    if value < minimum:
+        raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
+    return value
+
+
+def _int_list(raw: str, flag: str, minimum: int) -> list[int]:
     values = []
     for token in raw.split(","):
         token = token.strip()
         if not token:
             continue
         try:
-            values.append(int(token))
+            value = int(token)
         except ValueError:
             raise ConfigError(f"{flag} expects integers, got {token!r}") from None
+        values.append(_checked(value, flag, minimum))
     return values
 
 
@@ -204,8 +218,7 @@ def _interrupted(rows, args, store: WitnessStore | None = None) -> int:
 
 
 def _witness_store(args) -> WitnessStore | None:
-    path = getattr(args, "witness_store", None)
-    return WitnessStore(path) if path else None
+    return WitnessStore(args.witness_store) if args.witness_store else None
 
 
 def _witness_report(store: WitnessStore | None, session) -> None:
@@ -317,8 +330,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _apply_crossing_backend(args)
     program = _load(args.file)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    queues = _int_list(args.queues, "--queues")
-    capacities = _int_list(args.capacity, "--capacity")
+    queues = _int_list(args.queues, "--queues", 1)
+    capacities = _int_list(args.capacity, "--capacity", 0)
     if args.stream:
         return _cmd_sweep_stream(args, program, policies, queues, capacities)
     jobs = sweep_jobs(
@@ -401,17 +414,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_frontier(args: argparse.Namespace) -> int:
     """Minimal-buffering frontier per (policy, queues) line (Section 8).
 
-    Binary-searches the capacity axis where completion is monotone in
-    capacity (the static policy), evaluates the whole line otherwise
-    (FCFS, whose non-monotonicity is a pinned counterexample) — see
+    A static line's frontier is the least axis capacity at or above the
+    program's c* from crossing-off, and only that point is simulated;
+    FCFS and ordered lines are evaluated in full (extra FCFS buffering
+    can introduce a deadlock, a pinned counterexample) — see
     :mod:`repro.sweep.planner`.
     """
     _apply_crossing_backend(args)
     program = _load(args.file)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    queues = _int_list(args.queues, "--queues")
-    capacities = _int_list(args.capacity, "--capacity")
-    store = _witness_store(args)
+    queues = _int_list(args.queues, "--queues", 1)
+    capacities = _int_list(args.capacity, "--capacity", 0)
     spec = PlanSpec(
         program,
         policies=policies,
@@ -419,7 +432,6 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         capacities=capacities,
         backend=_sweep_backend(args),
         workers=args.workers,
-        witness_store=store,
     )
     if args.exhaustive:
         spec = exhaustive_spec(spec)
@@ -438,13 +450,6 @@ def cmd_frontier(args: argparse.Namespace) -> int:
             + (f"cap={cap}" if cap is not None else "none (no capacity on "
                "the axis completes)")
             + f"  [{line.mode}, {line.jobs_executed} probes{shared}]"
-        )
-    if store is not None:
-        store.save()
-        print(
-            f"[witness] seeded {report.witness_seeded_lines} line(s), "
-            f"pruned {report.witness_pruned} probe(s), mined "
-            f"{report.witness_mined} certificate(s) ({len(store)} stored)"
         )
     print(f"executed {report.jobs_executed}/{report.grid_jobs} grid jobs")
     if args.json:
@@ -641,25 +646,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     frontier = sub.add_parser(
         "frontier",
-        help="minimal buffering per (policy, queues) line, searched in "
-             "O(log n) jobs where monotonicity allows",
+        help="minimal buffering per (policy, queues) line, decided by "
+             "crossing-off where the static policy allows",
         description="Find each (policy, queues) line's minimal completing "
-                    "queue capacity on the given axis. Monotone policies "
-                    "(static) are binary-searched — 2 + log2(n) runs, n "
-                    "counting the distinct runs on the axis (capacities "
-                    "at or past the longest message are one run), and "
-                    "lines that perform the same runs (queue counts at or "
-                    "past the widest competing count) share one search; "
-                    "FCFS is evaluated exhaustively because "
-                    "extra buffering can introduce a deadlock there. "
+                    "queue capacity on the given axis. A static line's "
+                    "frontier is the least axis capacity at or above the "
+                    "least capacity crossing-off finds deadlock-free "
+                    "under the simulator's buffering; only that point "
+                    "is simulated, once for all lines that perform the "
+                    "same run (queue counts at or past the widest "
+                    "competing count), and a line with fewer queues than "
+                    "that count is infeasible. FCFS and ordered lines are "
+                    "evaluated exhaustively: extra buffering can "
+                    "introduce an FCFS deadlock. "
                     "Exit status 0 when every line has a frontier, 1 when "
                     "some line never completes.",
     )
     frontier.add_argument("file")
     frontier.add_argument(
         "--policies", default="static",
-        help="comma-separated assignment policies (static is "
-             "binary-searched; ordered and fcfs are fully evaluated)",
+        help="comma-separated assignment policies (static is decided "
+             "by crossing-off; ordered and fcfs are fully evaluated)",
     )
     frontier.add_argument(
         "--queues", default="1", help="comma-separated queues-per-link values"
@@ -671,25 +678,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     frontier.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for each probe round (a round of one "
-             "probe runs in-process unless --backend names a backend)",
+        help="worker processes for the query's simulations (a single "
+             "one runs in-process unless --backend names a backend)",
     )
     frontier.add_argument(
         "--backend", choices=("auto", "serial", "pool"), default="auto",
-        help="execution backend for probe rounds (see 'repro sweep')",
+        help="execution backend for the query's simulations (see "
+             "'repro sweep')",
     )
     frontier.add_argument(
         "--exhaustive", action="store_true",
-        help="disable the binary search and evaluate every grid point "
-             "(the differential baseline; same rows, same frontier)",
+        help="simulate every grid point, static lines included, instead "
+             "of deciding static lines by crossing-off (the differential "
+             "baseline; same frontier)",
     )
     _add_crossing_backend_flag(frontier)
-    frontier.add_argument(
-        "--witness-store", dest="witness_store", metavar="PATH", default=None,
-        help="seed bisection bounds from a deadlock-witness store at "
-             "PATH (capacities a certificate dominates skip the bottom "
-             "probe) and save newly mined certificates back",
-    )
     frontier.add_argument(
         "--json",
         help="write the frontier report (per-line frontier, probes, "

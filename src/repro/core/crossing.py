@@ -1359,3 +1359,55 @@ def simulator_capacities(
         hops = len(router.route(msg.sender, msg.receiver))
         caps[msg.name] = float(hops * queue_capacity + hops - 1)
     return LookaheadConfig(route_capacity=caps)
+
+
+def least_capacity(program: ArrayProgram, router) -> int | None:
+    """The least uniform queue capacity whose verdict is deadlock-free.
+
+    Returns the least ``c`` for which ``cross_off(program,
+    simulator_capacities(program, router, c))`` is deadlock-free, or
+    ``None`` when no ``c`` is: an uncrossed read then blocks every
+    remaining pair (R1), which no buffering lifts.
+
+    One pass finds it. Start at ``c = 0`` and cross pairs until none is
+    executable. If operations remain, take every live message whose two
+    ends are locatable with R2 ignored. Skipping ``k`` writes of a
+    message ``m`` that crosses ``hops_m`` links needs ``k <= hops_m x c
+    + hops_m - 1``, that is ``c >= ceil((k - (hops_m - 1)) / hops_m) =
+    k // hops_m``; a message's need is the largest over the messages it
+    skips. Raise ``c`` to the least need and continue from the same
+    state. This is exact because a locatable end stays locatable until
+    it crosses and a larger budget only admits more pairs: the closure
+    at each capacity is unique and extends the one below it, and no
+    capacity below the least need admits a new pair.
+    """
+    state = CrossingState(
+        program, simulator_capacities(program, router, 0), engine="interned"
+    )
+    state._ensure_indexes()
+    state._ensure_incident()
+    # The budget at c = 0 is hops - 1 per message.
+    hops = [int(budget) + 1 for budget in state._cap]
+    dirty = state._dirty
+    capacity = 0
+    while True:
+        while dirty:
+            # Pairs executable together stay executable as each crosses.
+            batch = [(mid, state._compute_entry(mid)) for mid in dirty]
+            dirty.clear()
+            for mid, entry in batch:
+                if entry is not None:
+                    state._apply_cross(mid, entry[0], entry[1], (), ())
+        if state.done:
+            return capacity
+        state._cap = [math.inf] * len(hops)
+        needs = [
+            max(k // hops[m] for m, k in entry[2] + entry[3])
+            for entry in map(state._compute_entry, range(len(hops)))
+            if entry is not None
+        ]
+        if not needs:
+            return None
+        capacity = min(needs)
+        state._cap = [float(h * capacity + h - 1) for h in hops]
+        dirty.update(range(len(hops)))

@@ -293,27 +293,6 @@ class AnalysisEntry:
                     self._ordered_groups = groups
         return self._ordered_groups
 
-    def seed_capacity_independent(self, donor: "AnalysisEntry") -> None:
-        """Copy routes/competing from ``donor``, an entry for the same
-        program x topology x router under a *different* queue capacity.
-
-        Those two artifacts never depend on capacity, so a capacity
-        sweep (notably the frontier planner,
-        :mod:`repro.sweep.planner`) can seed each new capacity's entry
-        from the first one analyzed and pay only for the
-        capacity-*dependent* work (lookahead capacities, labeling).
-        Only artifacts the donor has actually computed are copied, and
-        an already-populated field is never overwritten.
-        """
-        with donor._lock:
-            routes = donor._routes
-            competing = donor._competing
-        with self._lock:
-            if routes is not None and self._routes is None:
-                self._routes = routes
-            if competing is not None and self._competing is None:
-                self._competing = competing
-
 
 class AnalysisCache:
     """Bounded, thread-safe LRU of :class:`AnalysisEntry` objects."""

@@ -138,10 +138,10 @@ the serial backend and *inside the workers* on pool
 (the ``witness`` field of the backend contract), so cold multiprocess
 sweeps grow the store too. Skips and newly mined certificates are
 counted on the session (``witness_pruned`` / ``witness_mined``; both
-surface in ``repro sweep --json``), compose with
-``--checkpoint``/``--resume``, and
-seed the frontier planner's bisection bounds
-(:meth:`~repro.witness.WitnessStore.monotone_bound`).
+surface in ``repro sweep --json``) and compose with
+``--checkpoint``/``--resume``. A frontier query without
+``exhaustive`` gives the store no work: its static frontier rows
+complete, and FCFS and ordered rows are never pruned or mined.
 
 Repeated runs
 -------------
@@ -165,19 +165,19 @@ buffering at which each (policy, queues) line completes. The planner
 (:mod:`repro.sweep.planner`) answers it without exhausting the capacity
 axis. A :class:`~repro.sweep.planner.PlanSpec` names the program, the
 grid axes and the execution knobs;
-:class:`~repro.sweep.planner.FrontierPlanner` binary-searches each line
-whose policy is proven monotone in capacity (static — 2 + log2(n)
-probes instead of n) and falls back to full evaluation for the rest
-(FCFS, where extra buffering can *introduce* deadlock — a pinned
-counterexample). Every probe is an ordinary
-:class:`~repro.sweep.plan.SweepPlan` job whose
-:class:`~repro.sweep.summary.RunSummary` row carries its exhaustive-grid
-index, so reducers and backends compose unchanged and a planner row is
-byte-identical to the grid's row at the same coordinates. Probe points
-share capacity-independent analysis artifacts (routes,
-competing-message sets) through the analysis cache, so only the
-capacity-dependent work is repaid per probe. CLI: ``repro frontier``
-(``--exhaustive`` forces the full evaluation baseline).
+:class:`~repro.sweep.planner.FrontierPlanner` decides each static line
+at compile time — crossing-off under the simulator's buffering gives
+the least capacity c* at which the program completes
+(:func:`~repro.core.crossing.least_capacity`) — and simulates only its
+frontier point, raising if that run does not complete. FCFS (where
+extra buffering can *introduce* deadlock — a pinned counterexample) and
+ordered lines are evaluated in full. A query is one
+:class:`~repro.sweep.plan.SweepPlan` whose
+:class:`~repro.sweep.summary.RunSummary` rows carry their
+exhaustive-grid indices, so reducers and backends compose unchanged and
+a planner row is byte-identical to the grid's row at the same
+coordinates. CLI: ``repro frontier`` (``--exhaustive`` forces the full
+evaluation baseline).
 """
 
 from repro.sweep.backends import (

@@ -27,9 +27,9 @@ A certificate licenses skipping future jobs on two levels:
   monotone in capacity (hypothesis-pinned in
   ``tests/test_properties.py``), so any capacity ``<=`` the witnessed
   one also deadlocks. That is *outcome* knowledge, not trace knowledge
-  — time/events may differ — so it never synthesizes rows; the frontier
-  planner (:mod:`repro.sweep.planner`) uses it to seed bisection
-  bounds.
+  — time/events may differ — so it never synthesizes rows; only
+  :meth:`DeadlockWitness.subsumes` weighs it, keeping the certificate
+  with the higher bound.
 
 FCFS is exempt from both by construction — the pinned PR 2
 counterexample shows extra FCFS buffering can *introduce* deadlock, so
@@ -153,8 +153,8 @@ class DeadlockWitness:
         """Whether this certificate makes ``other`` redundant.
 
         True when every job ``other`` covers is covered here too *and*
-        this witness's dominance bound (its capacity, used by the
-        planner's bisection seeding) is at least as strong.
+        this witness's dominance bound (its capacity) is at least as
+        strong.
         """
         if self.scope != other.scope:
             return False

@@ -3,15 +3,10 @@
 A :class:`WitnessStore` holds :class:`~repro.witness.certificate.
 DeadlockWitness` certificates indexed by *scope* (the capacity-neutral
 job identity — program fingerprint, policy, queue count, registers,
-limits) and answers two queries:
-
-* :meth:`find` — the certificate, if any, whose capacity band covers a
-  job row-exactly (see :meth:`DeadlockWitness.covers_capacity`); the
-  sweep session emits the known deadlock row without simulating.
-* :meth:`monotone_bound` — the highest capacity any certificate in a
-  scope witnessed; for monotone policies every capacity at or below it
-  also deadlocks (outcome-only), which seeds the frontier planner's
-  bisection bounds.
+limits) and answers one query, :meth:`find`: the certificate, if any,
+whose capacity band covers a job row-exactly (see
+:meth:`DeadlockWitness.covers_capacity`); the sweep session emits the
+known deadlock row without simulating.
 
 Certificates are added through :meth:`add`, which applies subsumption
 in both directions: a new certificate already covered by a stored one
@@ -217,18 +212,6 @@ class WitnessStore:
                 self.hits += 1
                 return witness
         return None
-
-    def monotone_bound(self, scope: str) -> int | None:
-        """The highest capacity witnessed deadlocked in ``scope``.
-
-        For monotone policies, every capacity at or below this bound
-        also deadlocks — *outcome* knowledge only (rows may differ), so
-        it seeds planner bisection bounds but never synthesizes rows.
-        """
-        group = self._by_scope.get(scope)
-        if not group:
-            return None
-        return max(w.capacity for w in group)
 
     def stats(self) -> dict:
         """Observability counters (load rejections are never silent)."""

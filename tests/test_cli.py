@@ -368,13 +368,13 @@ class TestFrontier:
         assert code == 0
         assert "frontier static q=1: cap=2" in out
         assert "frontier static q=2: cap=2" in out
-        assert "[bisect" in out
+        assert "[crossing-off" in out
         assert "grid jobs" in out
 
     def test_probe_rows_use_sweep_labels(self, burst_file, capsys):
         main(["frontier", burst_file, "--capacity", "0,1,2"])
         out = capsys.readouterr().out
-        assert "static q=1 cap=2" in out  # top probe, grid-format label
+        assert "static q=1 cap=2" in out  # frontier row, grid-format label
 
     def test_shared_lines_name_the_line_that_searched(self, burst_file, capsys):
         code = main([
@@ -383,12 +383,12 @@ class TestFrontier:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "frontier static q=1: cap=2  [bisect, 3 probes]" in out
+        assert "frontier static q=1: cap=2  [crossing-off, 1 probes]" in out
         assert (
-            "frontier static q=2: cap=2  [bisect, 3 probes, shared with q=1]"
+            "frontier static q=2: cap=2  [crossing-off, 1 probes, shared with q=1]"
             in out
         )
-        assert "executed 3/12 grid jobs" in out
+        assert "executed 1/12 grid jobs" in out
 
     def test_no_frontier_exit_one(self, burst_file, capsys):
         code = main(["frontier", burst_file, "--capacity", "0,1"])
@@ -419,7 +419,7 @@ class TestFrontier:
         assert payload["frontier"] == {"static q=1": 2, "static q=2": 2}
         assert payload["grid_jobs"] == 16
         assert payload["jobs_executed"] < payload["grid_jobs"]
-        assert payload["lines"][0]["mode"] == "bisect"
+        assert payload["lines"][0]["mode"] == "crossing-off"
 
     def test_fcfs_line_reported_exhaustive(self, fig7_file, capsys):
         code = main([
@@ -441,6 +441,44 @@ class TestFrontier:
         ])
         assert code == 0
         assert "frontier static q=1: cap=2" in capsys.readouterr().out
+
+    def test_witness_store_flag_is_gone(self, burst_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "frontier", burst_file, "--witness-store",
+                str(tmp_path / "w.json"),
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOutOfRangeNumbers:
+    """Out-of-range numbers are one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--queues", "0"],
+            ["run", "--capacity=-1"],
+            ["sweep", "--queues", "1,0"],
+            ["sweep", "--capacity=0,-1"],
+            ["sweep", "--stream", "--queues", "0"],
+            ["sweep", "--stream", "--capacity=-1"],
+            ["frontier", "--queues", "0"],
+            ["frontier", "--capacity=-1,0"],
+            ["frontier", "--workers", "0"],
+            ["check", "--capacity=-1"],
+            ["label", "--capacity=-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_two_with_one_error_line(self, fig7_file, capsys, argv):
+        assert main([argv[0], fig7_file] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 class TestCrossingBackendFlag:
@@ -600,17 +638,3 @@ class TestWitnessCli:
         )
         payload = json.loads(out_path.read_text())
         assert isinstance(payload, list) and len(payload) == 16
-
-    def test_frontier_with_store_reports_seeding(
-        self, crossread_file, tmp_path, capsys
-    ):
-        store = str(tmp_path / "w.json")
-        main(["sweep", crossread_file, "--witness-store", store] + self.GRID)
-        capsys.readouterr()
-        code = main([
-            "frontier", crossread_file, "--capacity", "0,1,2,4",
-            "--witness-store", store,
-        ])
-        out = capsys.readouterr().out
-        assert code == 1  # nothing on this axis completes
-        assert "[witness] seeded 1 line(s)" in out

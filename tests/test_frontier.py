@@ -1,55 +1,52 @@
-"""The frontier planner: bisection == exhaustive grid, fallback honest.
+"""The frontier planner: crossing-off == exhaustive grid, fallback honest.
 
-The planner's whole claim is that it *searches* the same answer the
+The planner's whole claim is that it *decides* the same answer the
 exhaustive provisioning grid *computes*: per (policy, queues) line, the
-minimal capacity that completes. These tests pin that claim three ways:
+minimal capacity that completes. These tests pin that claim four ways:
 
 * a differential corpus (closed-form burst programs + generated
   workloads) where planner and exhaustive-twin reports must agree on
   the frontier and on every shared row, byte for byte;
 * a hypothesis property quantifying the same agreement over the random
-  program family under the static (monotone) policy;
-* the FCFS fallback, kept honest by the pinned PR 2 non-monotonicity
+  program family under the static policy;
+* the FCFS fallback, kept honest by the pinned non-monotonicity
   counterexample (``test_properties.test_fcfs_buffering_can_hurt_completion``):
-  on that program a bisection would *miss* the frontier that full
-  evaluation finds.
+  on that program any reasoning from capacity monotonicity would *miss*
+  the frontier that full evaluation finds;
+* the completion check: a c* that lies makes the planner raise instead
+  of answering.
 
 The corpus includes saturating axes — queue counts at and past the
 widest competing count, capacities past the longest message — where
-lines share one search and capacities collapse into one point, and cost
-pins that catch a planner which stops sharing.
+lines share one frontier row, and cost pins that catch a planner which
+stops sharing or simulates more than the frontier point.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import ArrayConfig
-from repro.arch.routing import default_router
-from repro.arch.topology import ExplicitLinear
+from repro.core import crossing
 from repro.core.message import Message
 from repro.core.ops import R, W
 from repro.core.program import ArrayProgram
-from repro.errors import ConfigError
-from repro.perf.analysis_cache import GLOBAL_ANALYSIS_CACHE
+from repro.errors import ConfigError, SimulationError
 from repro.sweep import (
     MONOTONE_POLICIES,
     CompletedCount,
     FrontierPlanner,
     PlanSpec,
-    SweepPlan,
-    SweepSession,
     exhaustive_spec,
     find_frontier,
-    sweep_jobs,
     sweep_labels,
 )
 from repro.sweep.backends.pool import PoolBackend
 from repro.sweep.jobs import program_shape
-from repro.sweep.planner import MODE_BISECT, MODE_EXHAUSTIVE, probe_label
-from repro.witness import WitnessStore
+from repro.sweep.planner import MODE_CROSSING_OFF, MODE_EXHAUSTIVE, probe_label
 from repro.workloads import WorkloadSpec, hoist_writes, random_program
 
 #: The pinned FCFS non-monotonicity counterexample of
@@ -184,9 +181,9 @@ class TestDifferentialCorpus:
             capacities=tuple(range(64)),
         )
         planned, grid = assert_differential(spec)
-        # 2 endpoint probes + ceil(log2 63) bisections = 8 jobs vs 64.
-        assert planned.jobs_executed <= 8
-        assert planned.jobs_executed * 4 <= grid.jobs_executed
+        # The frontier point alone, against the grid's 64.
+        assert planned.jobs_executed == 1
+        assert grid.jobs_executed == 64
 
 
 class TestStaticPropertyAgreement:
@@ -247,9 +244,8 @@ class TestSharedSearch:
     """Lines and capacities with equal canonical keys share one run."""
 
     def test_burst_long_axis_costs_one_search_over_distinct_points(self):
-        # Widest competing count 1 and longest message 11: q=2 runs
-        # what q=1 runs, and caps 11..63 are one point. 2 endpoint
-        # probes + 4 bisections over 12 points (16 jobs unshared).
+        # Widest competing count 1: q=2 runs what q=1 runs, so both
+        # lines share the one frontier row at cap=11 (128 grid jobs).
         report = find_frontier(
             burst_exchange(11),
             policies=("static",),
@@ -257,8 +253,9 @@ class TestSharedSearch:
             capacities=tuple(range(64)),
         )
         assert report.frontier() == {"static q=1": 11, "static q=2": 11}
-        assert report.jobs_executed <= 6
+        assert report.jobs_executed == 1
         assert [line.shared_with for line in report.lines] == [None, 1]
+        assert all(line.mode == MODE_CROSSING_OFF for line in report.lines)
 
     def test_equal_key_group_costs_its_first_line_alone(self):
         for prog in (burst_exchange(3), generated(7), generated(23)):
@@ -352,23 +349,6 @@ class TestSharedSearch:
         lines = report.as_dict()["lines"]
         assert [line["shared_with"] for line in lines] == [None, 1]
 
-    def test_seeded_search_counts_every_line_it_answers(self):
-        store = WitnessStore()
-        jobs = sweep_jobs(
-            burst_exchange(2), policies=("static",), queues=(1,), capacities=(0, 1)
-        )
-        list(SweepSession(SweepPlan(jobs=jobs, witness_store=store)).stream())
-        report = find_frontier(
-            burst_exchange(2),
-            queues=(1, 2, 3),
-            capacities=(0, 1, 2, 3),
-            witness_store=store,
-        )
-        assert report.frontier() == {f"static q={q}": 2 for q in (1, 2, 3)}
-        assert report.witness_seeded_lines == 3
-        # Caps 0 and 1 are witnessed deadlocked: only the top point runs.
-        assert report.jobs_executed == 1
-
 
 class TestSingleJobRounds:
     """A round of one probe runs in-process whatever ``workers`` says."""
@@ -421,8 +401,8 @@ class TestFcfsFallback:
         assert line.jobs_executed == 3  # the whole axis, no bisection
         # The counterexample's signature: the *minimum* of the axis
         # completes while a larger capacity deadlocks — the exact shape
-        # a bisection (which trusts the top probe) would answer "no
-        # frontier" on. Full evaluation finds cap=0.
+        # on which reasoning from monotonicity (trusting the top of the
+        # axis) would answer "no frontier". Full evaluation finds cap=0.
         assert line.frontier_capacity == 0
         outcomes = dict(line.probes)
         assert outcomes[0] == "completed"
@@ -431,23 +411,6 @@ class TestFcfsFallback:
     def test_fcfs_is_not_in_monotone_policies(self):
         assert "fcfs" not in MONOTONE_POLICIES
         assert "static" in MONOTONE_POLICIES
-
-    def test_forcing_bisection_on_fcfs_would_lie(self):
-        """The guard this fallback provides, demonstrated: bisecting the
-        non-monotone line misses the frontier full evaluation finds."""
-        prog = random_program(FCFS_COUNTEREXAMPLE)
-        lying = find_frontier(
-            prog,
-            policies=("fcfs",),
-            queues=(2,),
-            capacities=(0, 1, 2),
-            monotone_policies=frozenset({"fcfs"}),
-        )
-        honest = find_frontier(
-            prog, policies=("fcfs",), queues=(2,), capacities=(0, 1, 2)
-        )
-        assert honest.frontier() == {"fcfs q=2": 0}
-        assert lying.frontier() != honest.frontier()
 
 
 class TestPlannerMechanics:
@@ -461,10 +424,20 @@ class TestPlannerMechanics:
             FrontierPlanner(PlanSpec(prog, capacities=()))
         with pytest.raises(ConfigError):
             FrontierPlanner(PlanSpec(prog, capacities=(0, 1, 1)))
+        for bad in (
+            dict(queues=(1, 0)),
+            dict(capacities=(-1, 0)),
+            dict(workers=0),
+            dict(chunk_size=0),
+        ):
+            with pytest.raises(ConfigError):
+                FrontierPlanner(PlanSpec(prog, **bad))
+        with pytest.raises(TypeError):  # ``exhaustive`` is the one knob
+            PlanSpec(prog, monotone_policies=frozenset())
 
-    def test_no_frontier_costs_one_probe_per_bisect_line(self):
+    def test_no_frontier_and_infeasible_lines_run_no_job(self):
         # burst 5 never completes below capacity 5: on an axis capped at
-        # 3 the top probe fails and monotonicity ends the line there.
+        # 3 crossing-off already says so, and nothing is simulated.
         report = find_frontier(
             burst_exchange(5),
             policies=("static",),
@@ -473,8 +446,35 @@ class TestPlannerMechanics:
         )
         (line,) = report.lines
         assert line.frontier_capacity is None
-        assert line.jobs_executed == 1
-        assert line.probes == ((3, "deadlock"),)
+        assert line.mode == MODE_CROSSING_OFF
+        assert line.probes == ()
+        assert report.jobs_executed == 0
+        # Fewer queues than the widest competing count: the static
+        # set-up would raise at every capacity.
+        prog = generated(7)
+        widest = program_shape(prog).widest
+        report = find_frontier(
+            prog, queues=(widest - 1,), capacities=SATURATING_CAPACITIES
+        )
+        assert report.frontier() == {f"static q={widest - 1}": None}
+        assert report.jobs_executed == 0
+        # Each cell reads before it writes: R1 blocks every capacity.
+        msgs = [Message("M0", "A", "B", 1), Message("M1", "B", "A", 1)]
+        cross_read = ArrayProgram(["A", "B"], msgs, {
+            "A": [R("M1", into="x"), W("M0", constant=1.0)],
+            "B": [R("M0", into="y"), W("M1", constant=2.0)],
+        })
+        report = find_frontier(cross_read, queues=(1, 2), capacities=(0, 64))
+        assert report.frontier() == {"static q=1": None, "static q=2": None}
+        assert report.jobs_executed == 0
+        grid = FrontierPlanner(
+            exhaustive_spec(
+                PlanSpec(
+                    prog, queues=(widest - 1,), capacities=SATURATING_CAPACITIES
+                )
+            )
+        ).run()
+        assert {row.outcome for row in grid.rows} == {"infeasible"}
 
     def test_single_point_axis(self):
         report = find_frontier(
@@ -543,7 +543,7 @@ class TestPlannerMechanics:
     def test_infeasible_corners_are_data(self):
         # One queue per link is too few for a static assignment with
         # two competing messages in some generated programs; the planner
-        # must treat the ConfigError row as "not completed", not crash.
+        # must answer such a line ("no frontier"), not crash.
         prog = random_program(
             WorkloadSpec(
                 cells=4, messages=8, max_length=1, max_span=2, burst=2, seed=5
@@ -558,49 +558,55 @@ class TestPlannerMechanics:
         assert len(report.lines) == 1  # reached a verdict without raising
 
 
-class TestAnalysisSeeding:
-    def test_capacity_independent_artifacts_are_shared(self):
-        GLOBAL_ANALYSIS_CACHE.clear()
-        prog = burst_exchange(3)
-        topo = ExplicitLinear(tuple(prog.cells))
-        router = default_router(topo)
-        donor = GLOBAL_ANALYSIS_CACHE.lookup(
-            prog, topo, router, ArrayConfig(queue_capacity=0)
-        )
-        _ = donor.routes, donor.competing  # force computation
-        target = GLOBAL_ANALYSIS_CACHE.lookup(
-            prog, topo, router, ArrayConfig(queue_capacity=7)
-        )
-        target.seed_capacity_independent(donor)
-        assert target.routes is donor.routes
-        assert target.competing is donor.competing
+class TestCompletionCheck:
+    """A frontier row that does not complete is an error, not an answer."""
 
-    def test_seeding_never_overwrites_computed_artifacts(self):
-        GLOBAL_ANALYSIS_CACHE.clear()
-        prog = burst_exchange(2)
-        topo = ExplicitLinear(tuple(prog.cells))
-        router = default_router(topo)
-        donor = GLOBAL_ANALYSIS_CACHE.lookup(
-            prog, topo, router, ArrayConfig(queue_capacity=0)
-        )
-        _ = donor.routes
-        target = GLOBAL_ANALYSIS_CACHE.lookup(
-            prog, topo, router, ArrayConfig(queue_capacity=5)
-        )
-        own_routes = target.routes  # computed before seeding
-        target.seed_capacity_independent(donor)
-        assert target.routes is own_routes
+    def test_lying_least_capacity_raises(self, monkeypatch):
+        honest = crossing.least_capacity
 
-    def test_planner_reuses_analysis_across_probes(self):
-        GLOBAL_ANALYSIS_CACHE.clear()
+        def one_too_low(program, router):
+            return honest(program, router) - 1
+
+        monkeypatch.setattr(crossing, "least_capacity", one_too_low)
+        planner = FrontierPlanner(
+            PlanSpec(burst_exchange(3), queues=(1, 2), capacities=tuple(range(8)))
+        )
+        with pytest.raises(SimulationError, match=r"static q=1: .*cap=2.*deadlock"):
+            planner.run()
+
+    def test_infeasible_frontier_row_names_its_error(self, monkeypatch):
+        from repro.sweep import planner as planner_mod
+
+        prog = generated(7)
+        widest = program_shape(prog).widest
+        assert widest >= 2
+        # A shape that hides the competing messages: the planner then
+        # simulates a static line that has too few queues.
+        narrow = dataclasses.replace(program_shape(prog), widest=1)
+        monkeypatch.setattr(planner_mod, "program_shape", lambda _p: narrow)
+        planner = FrontierPlanner(
+            PlanSpec(prog, queues=(1,), capacities=SATURATING_CAPACITIES)
+        )
+        with pytest.raises(SimulationError, match=r"infeasible \(ConfigError: "):
+            planner.run()
+
+    def test_one_session_per_query(self, monkeypatch):
+        from repro.sweep import planner as planner_mod
+
+        sessions = []
+        real = planner_mod.SweepSession
+
+        def counting(plan):
+            sessions.append(plan)
+            return real(plan)
+
+        monkeypatch.setattr(planner_mod, "SweepSession", counting)
         find_frontier(
-            burst_exchange(4),
-            policies=("static",),
-            queues=(1,),
-            capacities=tuple(range(16)),
+            burst_exchange(3),
+            policies=("static", "fcfs"),
+            queues=(1, 2),
+            capacities=(0, 1, 2, 3, 4),
         )
-        stats = GLOBAL_ANALYSIS_CACHE.stats()
-        # One probed capacity == at most one cache miss; the planner's
-        # warming plus the simulator's lookup hit the same entries.
-        assert 0 < stats["size"] <= 6  # 2 + log2(16) probes
-        assert stats["hits"] >= stats["size"]
+        assert len(sessions) == 1
+        find_frontier(burst_exchange(3), queues=(1,), capacities=(0, 1))
+        assert len(sessions) == 1  # no frontier on the axis: no session

@@ -13,7 +13,8 @@ and hammered over the random-program family:
 * the two halves agree exactly: with a queue per competing message, the
   crossing-off verdict under the simulator's own buffering
   (``simulator_capacities``) is deadlock-free exactly when the static
-  run completes;
+  run completes, and one crossing-off pass (``least_capacity``) finds
+  the least capacity whose verdict is;
 * parser/printer round-trips preserve transfer sequences.
 """
 
@@ -36,7 +37,11 @@ from repro import (
 )
 from repro.arch.routing import default_router
 from repro.arch.topology import ExplicitLinear
-from repro.core.crossing import LookaheadConfig, simulator_capacities
+from repro.core.crossing import (
+    LookaheadConfig,
+    least_capacity,
+    simulator_capacities,
+)
 from repro.core.requirements import dynamic_queue_demand, static_queue_demand
 from repro.lang import parse_program, print_program
 from repro.workloads import (
@@ -191,26 +196,37 @@ def test_buffering_never_hurts_static_completion(spec, capacity):
         assert result.completed
 
 
-@given(
-    st.builds(
-        WorkloadSpec,
-        cells=st.integers(min_value=2, max_value=9),
-        messages=st.integers(min_value=1, max_value=12),
-        max_length=st.integers(min_value=1, max_value=4),
-        max_span=st.integers(min_value=1, max_value=4),
-        burst=st.integers(min_value=1, max_value=3),
-        seed=st.integers(min_value=0, max_value=10_000),
-    ),
-    st.sampled_from(("free", "hoisted", "read-cycle")),
-    st.integers(min_value=0, max_value=4),
+#: The two-way property's program family: spans up to 4 links, so
+#: forwarders hold words, with hoisted writes and read cycles.
+routed_specs = st.builds(
+    WorkloadSpec,
+    cells=st.integers(min_value=2, max_value=9),
+    messages=st.integers(min_value=1, max_value=12),
+    max_length=st.integers(min_value=1, max_value=4),
+    max_span=st.integers(min_value=1, max_value=4),
+    burst=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
 )
-# A point where route_capacities gives a false "deadlock": the run
-# completes on the one word a forwarder's register holds.
-@example(
-    WorkloadSpec(cells=4, messages=4, max_length=2, max_span=2, burst=2, seed=8),
-    "hoisted",
-    0,
+variants = st.sampled_from(("free", "hoisted", "read-cycle"))
+
+#: A point where route_capacities gives a false "deadlock": the run
+#: completes on the one word a forwarder's register holds.
+REGISTER_WORD_SPEC = WorkloadSpec(
+    cells=4, messages=4, max_length=2, max_span=2, burst=2, seed=8
 )
+
+
+def variant_program(spec: WorkloadSpec, variant: str):
+    prog = random_program(spec)
+    if variant == "hoisted":
+        prog = hoist_writes(prog, swaps=prog.total_words, seed=spec.seed)
+    elif variant == "read-cycle":
+        prog = inject_read_cycle(prog, seed=spec.seed)
+    return prog
+
+
+@given(routed_specs, variants, st.integers(min_value=0, max_value=4))
+@example(REGISTER_WORD_SPEC, "hoisted", 0)
 @settings(
     max_examples=200, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
@@ -225,11 +241,7 @@ def test_simulator_capacities_verdict_matches_static_runs(spec, variant, capacit
     the run behaves. (``route_capacities`` leaves the registers out and
     can call a completing run deadlocked.)
     """
-    prog = random_program(spec)
-    if variant == "hoisted":
-        prog = hoist_writes(prog, swaps=prog.total_words, seed=spec.seed)
-    elif variant == "read-cycle":
-        prog = inject_read_cycle(prog, seed=spec.seed)
+    prog = variant_program(spec, variant)
     router = default_router(ExplicitLinear(tuple(prog.cells)))
     queues = max(static_queue_demand(prog, router).values(), default=1)
     verdict = cross_off(
@@ -241,6 +253,34 @@ def test_simulator_capacities_verdict_matches_static_runs(spec, variant, capacit
         policy="static",
     )
     assert verdict == result.completed
+
+
+@given(routed_specs, variants)
+@example(REGISTER_WORD_SPEC, "hoisted")
+@settings(
+    max_examples=200, suppress_health_check=[HealthCheck.too_slow], deadline=None
+)
+def test_least_capacity_is_the_least_free_verdict(spec, variant):
+    """One crossing-off pass finds what a scan of verdicts finds.
+
+    At a capacity of the longest message every R2 budget covers every
+    skip, so a capacity that frees the program frees it by then, and
+    scanning one past it decides c*. The free capacities also form a
+    suffix of the scan: the verdict is monotone in capacity.
+    """
+    prog = variant_program(spec, variant)
+    router = default_router(ExplicitLinear(tuple(prog.cells)))
+    scan = range(max(prog.intern.lengths, default=0) + 2)
+    free = [
+        c
+        for c in scan
+        if cross_off(
+            prog, lookahead=simulator_capacities(prog, router, c)
+        ).deadlock_free
+    ]
+    if free:
+        assert free == list(range(free[0], scan.stop))
+    assert least_capacity(prog, router) == (free[0] if free else None)
 
 
 def test_fcfs_buffering_can_hurt_completion():

@@ -262,13 +262,6 @@ class TestStore:
         monkeypatch.setattr(store_mod, "witness_scope", no_scope)
         assert WitnessStore().find(deadlock_job(capacity=5)) is None
 
-    def test_monotone_bound(self):
-        store = WitnessStore()
-        witness = mined(capacity=3)
-        store.add(witness)
-        assert store.monotone_bound(witness.scope) == 3
-        assert store.monotone_bound("ws1|unknown") is None
-
     def test_persistence_roundtrip(self, tmp_path):
         path = tmp_path / "w.json"
         store = WitnessStore(path)
