@@ -3,8 +3,8 @@
 PR 1 made the run-time simulator fast; the compile-time crossing-off
 procedure then dominated cold-cache ensemble runs (~85% of an uncached
 buffered fir16x32 run was analysis). The incremental crossing engine —
-per-(cell, kind, message) position indexes, prefix write-counts for the
-R2 checks, and a dirty-message worklist — targets exactly that.
+one readiness-scan drive loop per stepping mode, rescanning only the
+cells a crossing touched — targets exactly that.
 
 Three claims, recorded into ``BENCH_core.json``:
 

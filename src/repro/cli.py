@@ -332,6 +332,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     queues = _int_list(args.queues, "--queues", 1)
     capacities = _int_list(args.capacity, "--capacity", 0)
+    _checked(args.repeat, "--repeat", 1)
+    # An empty grid would print "0/0 runs completed" and exit 0, which
+    # claims every run completed.
+    for flag, values in (
+        ("--policies", policies),
+        ("--queues", queues),
+        ("--capacity", capacities),
+    ):
+        if not values:
+            raise ConfigError(f"{flag} needs at least one value")
     if args.stream:
         return _cmd_sweep_stream(args, program, policies, queues, capacities)
     jobs = sweep_jobs(

@@ -24,53 +24,33 @@ Implementation
 
 The procedure is an *incremental* engine rather than a per-step simulation
 of the text, and it works entirely on **dense interned ids** rather than
-name strings. Four ingredients make it fast on 1k-10k-cell programs:
+name strings. Cells and messages are mapped to dense ints by the
+program's :class:`~repro.core.program.InternTable` (cell ids in program
+order, message ids in *sorted-name* order, so id comparisons order
+exactly like name comparisons), and the state is plain lists indexed by
+those ids: per cell the crossed bitmap, the front pointer and the
+last-crossed message; per message (each has exactly one sender and one
+receiver cell) the remaining-operation count, the peak skipped-write
+count and the R2 bound. Names appear only at the API boundary:
+:class:`PairCrossing`, ``uncrossed``, ``max_skipped`` and every public
+query translate ids back through the intern table. Nothing outside this
+module sees an id.
 
-* **interning** — cells and messages are mapped to dense ints by the
-  program's :class:`~repro.core.program.InternTable` (cell ids in program
-  order, message ids in *sorted-name* order, so id comparisons order
-  exactly like name comparisons). Every per-(cell, kind, message)
-  dict-of-dicts of the previous engine is flattened into plain lists
-  indexed by those ids:
-
-  - per *message* id (each message has exactly one sender and one
-    receiver cell): sorted write/read positions (``_wpos``/``_rpos``)
-    and monotone crossed-prefix counters (``_wcrossed``/``_rcrossed``);
-  - per *cell* id: the crossed bitmap, the front pointer, the cell's
-    read positions plus a crossed-reads counter (reads cross in per-cell
-    program order thanks to R1), the ids of messages written in the cell
-    (the R2 scan list), and the incident-message list driving dirty
-    marking.
-
-  Names appear only at the API boundary: :class:`PairCrossing`,
-  ``uncrossed``, ``max_skipped`` and every public query translate ids
-  back through the intern table. Nothing outside this module sees an id.
-* **position indexes** — locating "the next uncrossed ``W(X)`` in this
-  cell" is an O(1) probe, because operations of one (cell, kind, message)
-  key are always crossed in program order (``executable_pair`` only ever
-  locates the *first* uncrossed match), so a monotone crossed counter
-  identifies the next candidate.
-* **prefix write-counts** — an R2 check needs the number of uncrossed
-  writes per message between a cell's front and the candidate position.
-  With crossed operations forming a prefix of each message's write index,
-  that count is ``bisect(positions, pos) - crossed``; the skipped region
-  is never rescanned.
-* **a dirty-message worklist** — a message's executable pair depends only
-  on the state of its two endpoint cells, so its cached candidate is
-  invalidated only when one of those cells changes. The general
-  observer/pick loop is driven by this worklist; the sequential fast
-  loop below replaces it with a readiness-scan drain (next section).
+Each stepping mode has one drive loop, and both locate pairs the same
+way: a *nomination scan* walks a cell's lookahead window ``[front, first
+uncrossed read]`` once, and the first uncrossed operation of each (kind,
+message) met before the R2 cutoff is that pair end's candidate, with the
+running per-message count of uncrossed writes as its skip snapshot.
 
 Sequential readiness drain
 --------------------------
 
-The sequential fast loop (which also hosts observer callbacks, so the
-Section 6 labeling drive rides it) never re-derives candidates from a
-dirty set. It keeps per-message-end readiness registers exactly like
-the parallel stepper's — a locatable end's position and skipped-write
-snapshot, refreshed by nomination scans — plus a min-heap of ids whose
-two ends are both ready. Two properties make the heap exact without
-lazy deletion:
+The sequential loop (which also hosts observer callbacks, so the
+Section 6 labeling drive rides it) keeps per-message-end readiness
+registers — a locatable end's position and skipped-write snapshot,
+refreshed by nomination scans — plus a min-heap of ids whose two ends
+are both ready. Two properties make the heap exact without lazy
+deletion:
 
 * a locatable end stays locatable until its own operation crosses
   (crossings only shrink skip regions and advance the
@@ -108,8 +88,8 @@ environment variable (``interned``, ``columnar`` or ``auto``; default
 has at least ``COLUMNAR_AUTO_MIN_OPS`` transfer ops (conversion must
 amortize); without numpy it silently falls back to the interned engine,
 while an *explicit* ``columnar`` raises
-:class:`~repro.errors.ConfigError`. Observer/pick callbacks always pin
-the interned engine (they need the live incremental state). The
+:class:`~repro.errors.ConfigError`. Observer callbacks always pin the
+interned engine (they read the live state between crossings). The
 bit-identity contract is enforced by the same differential harness that
 gates the interned fast loops: identical ``steps``/``crossings``/
 ``uncrossed``/``max_skipped`` on every corpus, both modes, every
@@ -119,9 +99,9 @@ Bucketed parallel step flush
 ----------------------------
 
 Maximal-parallel stepping (cross every pair executable at step start) is
-driven by a *bucketed* executable structure instead of the dirty
-worklist, so a step costs O(pairs crossed + cells dirtied) rather than
-re-deriving and re-sorting candidates from the whole dirty set:
+driven by a *bucketed* executable structure, so a step costs O(pairs
+crossed + cells dirtied) rather than re-deriving and re-sorting the
+candidates of every message:
 
 * per message end there is a **readiness bit** (``_ready_w`` for the
   sender end, ``_ready_r`` for the receiver end): the end's next
@@ -133,7 +113,7 @@ re-deriving and re-sorting candidates from the whole dirty set:
   executable before was crossed by the previous step — so sorting it
   costs O(newly executable · log), never O(all executable), and the
   drain yields the batch in ascending id == ascending name order, the
-  same order :meth:`CrossingState.executable_pairs` documents;
+  order in which the reference oracle crosses a step's pairs;
 * each batch member's entry (positions + skipped-write tuples) was
   recorded by the latest nomination scan of its endpoint cells; neither
   cell changed since (changed cells are always rescanned), so the
@@ -149,10 +129,12 @@ readiness depends only on its own cell's state; crossings only shrink
 skip regions and advance the first-uncrossed-read bound, so a ready end
 stays ready until its own operation is crossed (the apply clears both
 bits of the crossed message, and the post-step rescans of its two cells
-re-nominate whatever is locatable next). The general
-observer/pick loop keeps the dirty worklist; its step-start snapshots
-merge a sorted previous snapshot with a min-heap of newly executable
-ids in O(previous + changed) instead of re-sorting.
+re-nominate whatever is locatable next).
+
+The same invariants make the loop resumable, which is how
+:func:`least_capacity` answers Section 8's sizing question: run to the
+closure at one capacity, raise the R2 budgets, and run again on the
+same state.
 
 The original scan-based implementation is preserved as a reference oracle
 in ``tests/reference_crossing.py``; property tests assert bit-identical
@@ -163,10 +145,9 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple, Protocol
+from typing import Iterator, Mapping, NamedTuple, Protocol
 
 from repro.core.ops import Op
 from repro.core.program import ArrayProgram
@@ -343,11 +324,11 @@ class _LastCrossedView(Mapping):
 class CrossingState:
     """Mutable state of the procedure over one program.
 
-    Exposes the queries the Section 6 labeling scheme needs while it drives
-    a sequential crossing-off run. Pairs passed to :meth:`cross` must come
-    from :meth:`executable_pair`/:meth:`executable_pairs` of this state —
-    the incremental indexes rely on operations being crossed first-uncrossed
-    first, and :meth:`cross` rejects anything else.
+    The two drive loops (:func:`_run_parallel_fast` and
+    :func:`_run_sequential_fast`) mutate it. The sequential loop keeps
+    the public views below current after every crossing, so an observer
+    — the Section 6 labeling scheme — can read them while it drives a
+    run.
 
     Internally everything is indexed by the program's interned cell and
     message ids (see the module docstring for the layout); the public
@@ -368,19 +349,7 @@ class CrossingState:
         "_remaining",
         "_last_crossed",
         "_max_skipped",
-        "_wpos",
-        "_wcrossed",
-        "_rpos",
-        "_rcrossed",
-        "_cell_reads",
-        "_cell_reads_crossed",
-        "_cell_write_mids",
         "_cap",
-        "_executable",
-        "_exec_order",
-        "_exec_added",
-        "_dirty",
-        "_incident",
     )
 
     def __init__(
@@ -392,15 +361,14 @@ class CrossingState:
         self.program = program
         self.lookahead = lookahead
         # The resolved kernel preference for drivers over this state
-        # (cross_off consults the same resolution). The incremental
-        # query API below is always the interned implementation; the
-        # columnar kernels live in repro.core.crossing_np and are
-        # dispatched at the cross_off boundary.
+        # (cross_off consults the same resolution). The state itself is
+        # always the interned implementation; the columnar kernels live
+        # in repro.core.crossing_np and are dispatched at the cross_off
+        # boundary.
         self.engine = resolve_backend(program, engine)
         intern = program.intern
         self.intern = intern
         ncells = len(intern.cell_names)
-        nmsgs = len(intern.message_names)
         self._senders = intern.senders
         self._receivers = intern.receivers
         enc = intern.encoded_transfers
@@ -410,90 +378,13 @@ class CrossingState:
         self._remaining: list[int] = [2 * length for length in intern.lengths]
         self.total_remaining = sum(self._remaining)
         self._last_crossed: list[int] = [-1] * ncells
-        self._max_skipped: list[int] = [0] * nmsgs
-        # --- incremental indexes (see _ensure_indexes; the bucketed
-        # parallel loop derives everything from `enc` and the crossed
-        # bitmaps, so the position indexes are built on first use by the
-        # worklist paths) ---
-        self._wcrossed: list[int] = [0] * nmsgs
-        self._rcrossed: list[int] = [0] * nmsgs
-        self._cell_reads_crossed: list[int] = [0] * ncells
-        self._wpos: list[list[int]] | None = None
-        self._rpos: list[list[int]] | None = None
-        self._cell_reads: list[list[int]] | None = None
-        self._cell_write_mids: list[list[int]] | None = None
+        self._max_skipped: list[int] = [0] * len(intern.message_names)
         # R2 bounds resolved to a per-id list once; None without lookahead.
         self._cap: list[float] | None = (
             None
             if lookahead is None
             else [lookahead.capacity(name) for name in intern.message_names]
         )
-        # Candidate worklist: each message's executable pair is cached in
-        # `_executable` as a lightweight (sender_pos, receiver_pos,
-        # skipped_sender, skipped_receiver) id-tuple (absence = no pair)
-        # and recomputed only for ids in `_dirty` — a message is dirtied
-        # exactly when one of its endpoint cells changes.
-        self._executable: dict[int, tuple] = {}
-        self._dirty: set[int] = set(range(nmsgs))
-        # Step-start snapshot state for executable_pairs(): the previous
-        # snapshot (id-sorted, lazily pruned) plus a min-heap of ids that
-        # (re)entered `_executable` since — merging the two is
-        # O(previous + changed), never a re-sort of the whole set.
-        self._exec_order: list[int] = []
-        self._exec_added: list[int] = []
-        # Incident lists (dirty marking for the worklist paths) are built
-        # on first use — the bucketed parallel loop never needs them —
-        # and pruned as messages finish, so dirty marking only ever walks
-        # live messages.
-        self._incident: list[list[int]] | None = None
-
-    def _ensure_indexes(self) -> None:
-        """Build the per-message position indexes on first use.
-
-        The per-(message, kind) sorted position lists, each cell's read
-        positions and its R2 scan list are what :meth:`_locate_end` and
-        the worklist machinery probe; they are derived purely from the
-        immutable encoded transfer sequences, so building them at any
-        point of a run is safe (the monotone crossed counters live
-        separately and are maintained from construction).
-        """
-        if self._wpos is not None:
-            return
-        nmsgs = len(self.intern.message_names)
-        wpos: list[list[int]] = [[] for _ in range(nmsgs)]
-        rpos: list[list[int]] = [[] for _ in range(nmsgs)]
-        cell_reads: list[list[int]] = []
-        cell_write_mids: list[list[int]] = []
-        for seq in self._enc:
-            reads_here: list[int] = []
-            wmids: list[int] = []
-            for pos, (is_write, mid) in enumerate(seq):
-                if is_write:
-                    positions = wpos[mid]
-                    if not positions:
-                        wmids.append(mid)
-                    positions.append(pos)
-                else:
-                    rpos[mid].append(pos)
-                    reads_here.append(pos)
-            cell_reads.append(reads_here)
-            cell_write_mids.append(wmids)
-        self._wpos = wpos
-        self._rpos = rpos
-        self._cell_reads = cell_reads
-        self._cell_write_mids = cell_write_mids
-
-    def _ensure_incident(self) -> list[list[int]]:
-        """Build the per-cell incident-message lists on first use."""
-        incident = self._incident
-        if incident is None:
-            incident = [[] for _ in range(len(self.intern.cell_names))]
-            for mid in range(len(self.intern.message_names)):
-                if self._remaining[mid] > 0:
-                    incident[self._senders[mid]].append(mid)
-                    incident[self._receivers[mid]].append(mid)
-            self._incident = incident
-        return incident
 
     # ------------------------------------------------------------------
     # Queries
@@ -551,283 +442,6 @@ class CrossingState:
         out.discard(exclude or "")
         return out
 
-    def _locate_end(
-        self, cid: int, positions: list[int], key_crossed: int
-    ) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-        """Find the next uncrossed op of one pair end in cell ``cid``.
-
-        ``positions``/``key_crossed`` are the message's write index (sender
-        end) or read index (receiver end). Without lookahead only the
-        front operation qualifies. With lookahead the candidate may sit
-        deeper, subject to no uncrossed read before it (R1) and
-        per-message skipped-write budgets (R2), both answered from the
-        indexes without scanning the skipped region. Returns ``(pos,
-        skipped)`` with ``skipped`` as an id-sorted tuple (which is also
-        name-sorted: message ids follow sorted-name order).
-        """
-        if key_crossed >= len(positions):
-            return None
-        pos = positions[key_crossed]
-        if pos == self._fronts[cid]:
-            # Everything before the front is crossed: nothing was skipped.
-            return (pos, ())
-        cap = self._cap
-        if cap is None:
-            return None
-        # R1: an uncrossed read before `pos` blocks the skip.
-        reads = self._cell_reads[cid]
-        reads_crossed = self._cell_reads_crossed[cid]
-        if reads_crossed < len(reads) and reads[reads_crossed] < pos:
-            return None
-        # R2: uncrossed writes per message in [front, pos) from the prefix
-        # counts — crossed writes form a prefix of each message's index.
-        skipped: list[tuple[int, int]] = []
-        wpos = self._wpos
-        wcrossed = self._wcrossed
-        for mid in self._cell_write_mids[cid]:
-            count = bisect_left(wpos[mid], pos) - wcrossed[mid]
-            if count > 0:
-                if count > cap[mid]:
-                    return None  # R2: buffering along the route exhausted
-                skipped.append((mid, count))
-        skipped.sort()
-        return (pos, tuple(skipped))
-
-    def _compute_entry(self, mid: int) -> tuple | None:
-        """Locate both ends of message ``mid``'s executable pair, if any."""
-        if self._remaining[mid] == 0:
-            return None
-        write = self._locate_end(
-            self._senders[mid], self._wpos[mid], self._wcrossed[mid]
-        )
-        if write is None:
-            return None
-        read = self._locate_end(
-            self._receivers[mid], self._rpos[mid], self._rcrossed[mid]
-        )
-        if read is None:
-            return None
-        return (write[0], read[0], write[1], read[1])
-
-    def _flush_dirty(self) -> None:
-        """Re-locate every dirtied message, updating the executable set.
-
-        Ids that (re)enter the executable set are also pushed into
-        ``_exec_added`` — the "newly executable" bucket the next
-        :meth:`executable_pairs` snapshot merges with the previous one.
-        """
-        dirty = self._dirty
-        if not dirty:
-            return
-        self._ensure_indexes()
-        executable = self._executable
-        compute = self._compute_entry
-        added = self._exec_added
-        for mid in dirty:
-            entry = compute(mid)
-            if entry is None:
-                executable.pop(mid, None)
-            else:
-                if mid not in executable:
-                    heappush(added, mid)
-                executable[mid] = entry
-        dirty.clear()
-
-    def _as_pair(self, mid: int, entry: tuple, step: int = 0) -> PairCrossing:
-        intern = self.intern
-        names = intern.message_names
-        cells = intern.cell_names
-        sender_pos, receiver_pos, skipped_sender, skipped_receiver = entry
-        if skipped_sender:
-            skipped_sender = tuple((names[m], c) for m, c in skipped_sender)
-        if skipped_receiver:
-            skipped_receiver = tuple(
-                (names[m], c) for m, c in skipped_receiver
-            )
-        return PairCrossing(
-            step,
-            names[mid],
-            cells[self._senders[mid]],
-            sender_pos,
-            cells[self._receivers[mid]],
-            receiver_pos,
-            skipped_sender,
-            skipped_receiver,
-        )
-
-    def executable_pair(self, message: str) -> PairCrossing | None:
-        """The executable pair for ``message``, if one exists right now."""
-        mid = self.intern.message_ids[message]
-        if mid in self._dirty:
-            self._dirty.discard(mid)
-            self._ensure_indexes()
-            entry = self._compute_entry(mid)
-            if entry is None:
-                self._executable.pop(mid, None)
-            else:
-                if mid not in self._executable:
-                    heappush(self._exec_added, mid)
-                self._executable[mid] = entry
-        cached = self._executable.get(mid)
-        if cached is None:
-            return None
-        return self._as_pair(mid, cached)
-
-    def executable_pairs(self) -> list[PairCrossing]:
-        """All currently executable pairs, ordered by message name.
-
-        The id order (== name order, by intern construction) comes from
-        merging the previous snapshot with the newly-executable bucket —
-        O(previous + changed) per call — rather than sorting the whole
-        executable set; stale ids and duplicates drop out during the
-        merge, and the merged list becomes the next snapshot.
-        """
-        self._flush_dirty()
-        executable = self._executable
-        order = self._exec_order
-        added = self._exec_added
-        merged: list[int] = []
-        i = 0
-        size = len(order)
-        prev = -1
-        while added or i < size:
-            if added and (i >= size or added[0] <= order[i]):
-                mid = heappop(added)
-            else:
-                mid = order[i]
-                i += 1
-            if mid != prev and mid in executable:
-                merged.append(mid)
-                prev = mid
-        self._exec_order = merged
-        return [self._as_pair(mid, executable[mid]) for mid in merged]
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-
-    def _apply_cross(
-        self, mid: int, sender_pos: int, receiver_pos: int,
-        skipped_sender: tuple, skipped_receiver: tuple,
-    ) -> None:
-        """Mutation core shared by :meth:`cross` and the fast loop.
-
-        ``skipped_*`` tuples carry interned ids, not names.
-        """
-        dirty = self._dirty
-        fronts = self._fronts
-        senders = self._senders
-        receivers = self._receivers
-        sender = senders[mid]
-        receiver = receivers[mid]
-        for cid, pos, is_write in (
-            (sender, sender_pos, True),
-            (receiver, receiver_pos, False),
-        ):
-            if is_write:
-                self._wcrossed[mid] += 1
-            else:
-                self._rcrossed[mid] += 1
-                self._cell_reads_crossed[cid] += 1
-            crossed_list = self._crossed[cid]
-            crossed_list[pos] = True
-            self._last_crossed[cid] = mid
-            # The front moves iff the crossed op *was* the front.
-            if pos == fronts[cid]:
-                size = len(crossed_list)
-                front = pos + 1
-                while front < size and crossed_list[front]:
-                    front += 1
-                fronts[cid] = front
-                # The front moved: every incident message's eligibility
-                # (front fast path, skip region) may have changed.
-                dirty.update(self._incident[cid])
-            else:
-                # Front unchanged: a message's candidate in this cell is
-                # affected only if the crossed position lies *before* its
-                # first uncrossed op here — R1/R2 look solely at the
-                # region up to the candidate, and the first-uncrossed
-                # pointers of other messages did not move. Each incident
-                # message keys exactly one index in this cell: its write
-                # index if this cell is its sender, its read index if its
-                # receiver (sender == receiver is impossible).
-                wpos = self._wpos
-                wcrossed = self._wcrossed
-                rpos = self._rpos
-                rcrossed = self._rcrossed
-                for m in self._incident[cid]:
-                    if m in dirty:
-                        continue
-                    if senders[m] == cid:
-                        positions = wpos[m]
-                        k = wcrossed[m]
-                    else:
-                        positions = rpos[m]
-                        k = rcrossed[m]
-                    if k < len(positions) and pos < positions[k]:
-                        dirty.add(m)
-        # The crossed message's own candidate always changes (and must be
-        # dropped once its remaining count reaches zero) — the positional
-        # probes above miss it when its final operation in a cell crossed.
-        dirty.add(mid)
-        remaining = self._remaining
-        remaining[mid] -= 2
-        if remaining[mid] == 0:
-            # Finished: stop dirty marking from ever touching it again.
-            self._incident[sender].remove(mid)
-            self._incident[receiver].remove(mid)
-        self.total_remaining -= 2
-        if skipped_sender or skipped_receiver:
-            max_skipped = self._max_skipped
-            for m, count in skipped_sender + skipped_receiver:
-                if count > max_skipped[m]:
-                    max_skipped[m] = count
-
-    def cross(self, pair: PairCrossing, step: int) -> PairCrossing:
-        """Cross off ``pair``'s two operations, returning it stamped with
-        the step number."""
-        self._ensure_indexes()
-        intern = self.intern
-        message_ids = intern.message_ids
-        mid = message_ids.get(pair.message)
-        valid = (
-            mid is not None
-            and pair.sender == intern.cell_names[self._senders[mid]]
-            and pair.receiver == intern.cell_names[self._receivers[mid]]
-        )
-        if valid:
-            for positions, key_crossed, pos in (
-                (self._wpos[mid], self._wcrossed[mid], pair.sender_pos),
-                (self._rpos[mid], self._rcrossed[mid], pair.receiver_pos),
-            ):
-                if key_crossed >= len(positions) or positions[key_crossed] != pos:
-                    valid = False
-                    break
-        if not valid:
-            raise ValueError(
-                f"pair {pair} does not cross the first uncrossed "
-                f"operation on {pair.message!r} of its endpoint cells; "
-                f"only pairs returned by executable_pair(s) can be crossed"
-            )
-        self._ensure_incident()
-        self._apply_cross(
-            mid,
-            pair.sender_pos,
-            pair.receiver_pos,
-            tuple((message_ids[name], c) for name, c in pair.skipped_sender),
-            tuple((message_ids[name], c) for name, c in pair.skipped_receiver),
-        )
-        return PairCrossing(
-            step=step,
-            message=pair.message,
-            sender=pair.sender,
-            sender_pos=pair.sender_pos,
-            receiver=pair.receiver,
-            receiver_pos=pair.receiver_pos,
-            skipped_sender=pair.skipped_sender,
-            skipped_receiver=pair.skipped_receiver,
-        )
-
 
 class PairObserver(Protocol):
     """Hook invoked just before each pair is crossed off (labeling uses it)."""
@@ -846,8 +460,8 @@ def _run_parallel_fast(
     flush" in the module docstring with everything in locals — this
     function and the scan closure below are the hottest loops of the
     whole compile-time analysis at 10k cells. Output is bit-identical
-    to driving :meth:`CrossingState.executable_pairs` +
-    :meth:`CrossingState.cross` step by step:
+    to recomputing every executable pair at each step start, as the
+    reference oracle does:
 
     * the bucket holds exactly the messages that became executable since
       the previous step (deduplicated by ``in_bucket``); sorting it
@@ -862,6 +476,13 @@ def _run_parallel_fast(
       first-uncrossed-read bounds, so a located end stays located until
       its own operation crosses — readiness bits survive across steps
       and only the cells a batch touched are rescanned.
+
+    The loop can resume a stalled state: its first scan starts at each
+    cell's front and skips crossed positions, so a run on a state that
+    an earlier run left stalled, with larger R2 budgets in ``_cap``,
+    ends with the same crossed bitmaps and remaining counts as a fresh
+    run at those budgets. (``steps`` and ``max_skipped`` record the
+    route taken, so they differ.)
     """
     intern = state.intern
     names = intern.message_names
@@ -975,9 +596,9 @@ def _run_parallel_fast(
             skip_s = w_cand_skip[mid]
             skip_r = r_cand_skip[mid]
             # --- apply: crossed bits + readiness only; front movement
-            # and the worklist-path counters are left to the rescans
-            # (this runner owns its state — the result reads nothing
-            # but the crossed bitmaps, remaining counts, max_skipped).
+            # is left to the rescans (no observer runs in this mode —
+            # the result reads nothing but the crossed bitmaps,
+            # remaining counts and max_skipped).
             ready_w[mid] = 0
             ready_r[mid] = 0
             remaining[mid] -= 2
@@ -1038,14 +659,12 @@ def _run_sequential_fast(
     end's skipped-write snapshot; successor-skip jump lists (position
     uncrossed iff it maps to itself) keep scans on uncrossed ops only.
 
-    Observer callbacks run here too (the labeling drive): each gets the
-    unstamped pair before mutation, exactly like the general loop, and
-    may read the documented state views (``future_messages``,
-    ``last_crossed_message``, ``fronts``, ``uncrossed_ops``,
-    ``max_skipped``, ``remaining_per_message``) — all maintained per
-    crossing. The worklist caches (``executable_pair(s)``) are *not*
-    refreshed on this path; observers needing those run through the
-    general ``pick`` loop.
+    Observer callbacks run here (the labeling drive): each gets the
+    unstamped pair (step 0) before mutation, as the reference oracle
+    hands it, and may read the documented state views
+    (``future_messages``, ``last_crossed_message``, ``fronts``,
+    ``uncrossed_ops``, ``max_skipped``, ``remaining_per_message``) —
+    all maintained per crossing.
     """
     intern = state.intern
     names = intern.message_names
@@ -1059,9 +678,6 @@ def _run_sequential_fast(
     crossed_all = state._crossed
     fronts = state._fronts
     last_crossed = state._last_crossed
-    wcrossed = state._wcrossed
-    rcrossed = state._rcrossed
-    cell_reads_crossed = state._cell_reads_crossed
     remaining = state._remaining
     max_skipped = state._max_skipped
     ready_w = bytearray(nmsgs)
@@ -1174,13 +790,10 @@ def _run_sequential_fast(
             step_no, names[mid], cells[s], sp, cells[r], rp, skip_s, skip_r
         )
         if observer is not None:
-            # The general loop hands observers the unstamped pair (the
-            # step number is assigned by the crossing), before mutation.
+            # Observers get the unstamped pair (the step number is
+            # assigned by the crossing), before mutation.
             observer(state, stamped._replace(step=0))
         # --- apply ----------------------------------------------------
-        wcrossed[mid] += 1
-        rcrossed[mid] += 1
-        cell_reads_crossed[r] += 1
         remaining[mid] -= 2
         total_remaining -= 2
         last_crossed[s] = mid
@@ -1220,7 +833,6 @@ def cross_off(
     lookahead: LookaheadConfig | None = None,
     mode: str = "parallel",
     observer: PairObserver | None = None,
-    pick: Callable[[list[PairCrossing]], PairCrossing] | None = None,
     backend: str | None = None,
 ) -> CrossingResult:
     """Run the crossing-off procedure on ``program``.
@@ -1230,29 +842,36 @@ def cross_off(
         lookahead: enable Section 8.1 lookahead with the given R2 bounds;
             ``None`` reproduces the strict Section 3 procedure.
         mode: ``"parallel"`` crosses all pairs executable at step start
-            (Fig. 4's stepping); ``"sequential"`` crosses one pair per step.
+            (Fig. 4's stepping); ``"sequential"`` crosses one pair per
+            step, always the lowest executable message name (which
+            reproduces the paper's choice of A as the first pair in the
+            Fig. 7 walkthrough).
         observer: called with the live state before each pair is crossed —
-            the Section 6 labeling scheme plugs in here.
-        pick: sequential-mode tie-breaker among executable pairs; defaults
-            to lowest message name (which reproduces the paper's choice of
-            A as the first pair in the Fig. 7 walkthrough).
+            the Section 6 labeling scheme plugs in here. Sequential mode
+            only.
         backend: kernel selection — ``"interned"``, ``"columnar"`` or
             ``"auto"`` (see "Columnar backend" in the module docstring);
             ``None`` defers to :func:`configure_crossing_backend` /
             ``REPRO_CROSSING_BACKEND``. Output never depends on the
-            backend; observer/pick callbacks pin the interned engine.
+            backend; an observer pins the interned engine.
 
     Returns:
         A :class:`CrossingResult`; ``deadlock_free`` is True iff every
         operation was crossed off.
+
+    Raises:
+        ValueError: on an unknown ``mode``, or an observer with
+            ``mode="parallel"``.
     """
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"unknown mode {mode!r}")
-    if observer is None and pick is None:
+    if observer is None:
         if resolve_backend(program, backend) == "columnar":
             from repro.core import crossing_np
 
             return crossing_np.columnar_cross_off(program, lookahead, mode)
+    elif mode == "parallel":
+        raise ValueError("an observer needs mode='sequential'")
     elif backend is not None and backend not in _BACKEND_NAMES:
         raise ConfigError(
             f"unknown crossing backend {backend!r}; "
@@ -1261,27 +880,10 @@ def cross_off(
     state = CrossingState(program, lookahead, engine="interned")
     steps: list[list[PairCrossing]] = []
     crossings: list[PairCrossing] = []
-    if pick is None and mode == "sequential":
+    if mode == "sequential":
         _run_sequential_fast(state, steps, crossings, observer)
-    elif pick is None and observer is None:
-        _run_parallel_fast(state, steps, crossings)
     else:
-        while not state.done:
-            pairs = state.executable_pairs()
-            if not pairs:
-                break
-            step_no = len(steps) + 1
-            if mode == "sequential":
-                chosen_pair = pick(pairs) if pick is not None else pairs[0]
-                pairs = [chosen_pair]
-            this_step = []
-            for pair in pairs:
-                if observer is not None:
-                    observer(state, pair)
-                stamped = state.cross(pair, step_no)
-                this_step.append(stamped)
-                crossings.append(stamped)
-            steps.append(this_step)
+        _run_parallel_fast(state, steps, crossings)
     uncrossed: dict[str, list[Op]] = {}
     for cell in program.cells:
         remaining_ops = state.uncrossed_ops(cell)
@@ -1369,13 +971,13 @@ def least_capacity(program: ArrayProgram, router) -> int | None:
     ``None`` when no ``c`` is: an uncrossed read then blocks every
     remaining pair (R1), which no buffering lifts.
 
-    One pass finds it. Start at ``c = 0`` and cross pairs until none is
-    executable. If operations remain, take every live message whose two
+    One pass finds it. Start at ``c = 0`` and run the parallel loop to
+    its closure. If operations remain, take every live message whose two
     ends are locatable with R2 ignored. Skipping ``k`` writes of a
     message ``m`` that crosses ``hops_m`` links needs ``k <= hops_m x c
     + hops_m - 1``, that is ``c >= ceil((k - (hops_m - 1)) / hops_m) =
     k // hops_m``; a message's need is the largest over the messages it
-    skips. Raise ``c`` to the least need and continue from the same
+    skips. Raise ``c`` to the least need and resume the loop on the same
     state. This is exact because a locatable end stays locatable until
     it crosses and a larger budget only admits more pairs: the closure
     at each capacity is unique and extends the one below it, and no
@@ -1384,30 +986,52 @@ def least_capacity(program: ArrayProgram, router) -> int | None:
     state = CrossingState(
         program, simulator_capacities(program, router, 0), engine="interned"
     )
-    state._ensure_indexes()
-    state._ensure_incident()
     # The budget at c = 0 is hops - 1 per message.
     hops = [int(budget) + 1 for budget in state._cap]
-    dirty = state._dirty
     capacity = 0
     while True:
-        while dirty:
-            # Pairs executable together stay executable as each crosses.
-            batch = [(mid, state._compute_entry(mid)) for mid in dirty]
-            dirty.clear()
-            for mid, entry in batch:
-                if entry is not None:
-                    state._apply_cross(mid, entry[0], entry[1], (), ())
+        _run_parallel_fast(state, [], [])
         if state.done:
             return capacity
-        state._cap = [math.inf] * len(hops)
-        needs = [
-            max(k // hops[m] for m, k in entry[2] + entry[3])
-            for entry in map(state._compute_entry, range(len(hops)))
-            if entry is not None
-        ]
-        if not needs:
+        capacity = _least_need(state, hops)
+        if capacity is None:
             return None
-        capacity = min(needs)
         state._cap = [float(h * capacity + h - 1) for h in hops]
-        dirty.update(range(len(hops)))
+
+
+def _least_need(state: CrossingState, hops: list[int]) -> int | None:
+    """The least capacity at which the stalled ``state`` has a pair to cross.
+
+    Walks each cell once from its front over uncrossed operations, with
+    R2 ignored. The locatable ends are the first uncrossed write of each
+    message before the cell's first uncrossed read (R1), and that read.
+    An end needs the largest ``k // hops_m`` over the ``k`` uncrossed
+    writes of each message ``m`` before it, and a pair needs the larger
+    of its two ends. Returns the least need over messages with both ends
+    located, or ``None`` when no message has both.
+    """
+    w_need = [-1] * len(hops)
+    r_need = [-1] * len(hops)
+    fronts = state._fronts
+    crossed_all = state._crossed
+    for cid, enc in enumerate(state._enc):
+        crossed = crossed_all[cid]
+        counts: dict[int, int] = {}
+        need = 0
+        for pos in range(fronts[cid], len(enc)):
+            if crossed[pos]:
+                continue
+            is_write, mid = enc[pos]
+            if not is_write:
+                r_need[mid] = need
+                break
+            k = counts.get(mid, 0) + 1
+            if k == 1:
+                w_need[mid] = need
+            counts[mid] = k
+            if k // hops[mid] > need:
+                need = k // hops[mid]
+    return min(
+        (max(w, r) for w, r in zip(w_need, r_need) if w >= 0 and r >= 0),
+        default=None,
+    )

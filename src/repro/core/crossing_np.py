@@ -19,8 +19,8 @@ every analysis over the same program shares the arrays zero-copy):
   ``~mid``: one ``x < 0`` test replaces tuple unpacking) — shared with
   the interned engine via ``InternTable.signed_transfers``;
 * per-message **sorted write/read position arrays** (``wpos_flat`` /
-  ``rpos_flat`` with offset vectors) — the columnar form of the interned
-  engine's ``_wpos``/``_rpos`` list-of-lists;
+  ``rpos_flat`` with offset vectors), which locate a message's next
+  write or read without a scan;
 * per-cell **read-position arrays** (the R1 bound: the first uncrossed
   read ends every lookahead window) and **sorted write-mid lists** (the
   R2 scan set);

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.core.crossing import (
     CrossingState,
@@ -108,17 +108,17 @@ def trivial_labeling(program: ArrayProgram) -> Labeling:
 def label_messages(
     program: ArrayProgram,
     lookahead: LookaheadConfig | None = None,
-    pick: Callable[[list[PairCrossing]], PairCrossing] | None = None,
 ) -> Labeling:
     """Run the Section 6 labeling scheme on a deadlock-free program.
+
+    When several pairs are executable the lowest message name crosses
+    first. The paper leaves the choice open ("how to pick an optimal one
+    ... is an issue"); this one matches its Fig. 7 example.
 
     Args:
         program: the program to label.
         lookahead: lookahead parameters, if the Section 8 relaxation is in
             effect; skipped-write messages then share labels (step 1d).
-        pick: tie-break among multiple executable pairs. The paper leaves
-            the choice open ("how to pick an optimal one ... is an issue");
-            the default (lowest message name) matches its Fig. 7 example.
 
     Raises:
         DeadlockedProgramError: if the crossing-off procedure cannot
@@ -146,7 +146,7 @@ def label_messages(
                 assign(skipped, labels[name])
 
     result = cross_off(
-        program, lookahead=lookahead, mode="sequential", observer=observer, pick=pick
+        program, lookahead=lookahead, mode="sequential", observer=observer
     )
     if not result.deadlock_free:
         raise DeadlockedProgramError(

@@ -145,7 +145,7 @@ class _Agent:
         self.wait_grant: tuple[MessageFlow, int] | None = None
         self.wait_space = False
         # Reusable bound-method waiters: one allocation per agent, not one
-        # per wait/poke.
+        # per wait/poke. Each subclass defines ``_run``, its one-event step.
         self.poke: Callback = self._poke
         self._run_cb: Callback = self._run
 
@@ -159,14 +159,6 @@ class _Agent:
             engine._fifo.append(self._run_cb)
         else:
             engine.after(0, self._run_cb)
-
-    def _run(self) -> None:
-        self._scheduled = False
-        if not self.done:
-            self.step()
-
-    def step(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
 
     def wait_reason(self) -> str | None:
         """Human-readable description of the current wait, or ``None``.
@@ -314,8 +306,8 @@ class CellAgent(_Agent):
         self._write_complete_cb = None
 
     def _run(self) -> None:
-        # Specialised hot path: fold the base-class _run and step together
-        # (one event = one call).
+        # The hot path: the engine schedules this method directly, so one
+        # event is one call.
         self._scheduled = False
         if self.done or self._write_parked:
             return
@@ -330,11 +322,6 @@ class CellAgent(_Agent):
             self._write(op, flow)
         else:
             self._read(op, flow)
-
-    def step(self) -> None:
-        """One program step (engine events call ``_run`` directly)."""
-        self._scheduled = True
-        self._run()
 
     def _transfer_overhead(self) -> int:
         """Extra cycles per R/W under the memory-to-memory model.
@@ -497,11 +484,6 @@ class ForwarderAgent(_Agent):
             self._try_pop()
         else:
             self._try_push()
-
-    def step(self) -> None:
-        """One forwarding step (engine events call ``_run`` directly)."""
-        self._scheduled = True
-        self._run()
 
     def _try_pop(self) -> None:
         flow = self.flow

@@ -2,8 +2,8 @@
 
 This is the seed implementation of :mod:`repro.core.crossing` preserved
 verbatim (modulo class names). The production engine is incremental —
-per-(cell, message, kind) position indexes, a dirty-message worklist and
-prefix write-counts for the R2 checks — and must produce bit-identical
+one readiness-scan drive loop per stepping mode, which rescans only the
+cells a crossing touched — and must produce bit-identical
 ``steps``/``crossings``/``max_skipped`` output to this oracle in both
 stepping modes. The property tests in ``test_crossing_equivalence.py``
 run the two side by side over random programs.

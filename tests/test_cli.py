@@ -464,6 +464,14 @@ class TestOutOfRangeNumbers:
             ["sweep", "--capacity=0,-1"],
             ["sweep", "--stream", "--queues", "0"],
             ["sweep", "--stream", "--capacity=-1"],
+            ["sweep", "--queues", "1,2", "--repeat", "0"],
+            ["sweep", "--stream", "--queues", "1,2", "--repeat", "0"],
+            ["sweep", "--repeat=-2"],
+            ["sweep", "--stream", "--repeat=-2"],
+            ["sweep", "--queues", ","],
+            ["sweep", "--capacity", ","],
+            ["sweep", "--policies", ","],
+            ["sweep", "--stream", "--policies", ","],
             ["frontier", "--queues", "0"],
             ["frontier", "--capacity=-1,0"],
             ["frontier", "--workers", "0"],

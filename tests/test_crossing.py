@@ -191,12 +191,11 @@ class TestObserver:
         )
         assert seen == ["A", "B", "C", "D"]
 
-    def test_pick_overrides_choice(self, fig7):
-        result = cross_off(
-            fig7,
-            mode="sequential",
-            pick=lambda pairs: pairs[-1],
-        )
-        # C sorts after A, so picking the last pair starts with C.
-        assert result.crossings[0].message == "C"
-        assert result.deadlock_free
+    def test_parallel_mode_rejects_an_observer(self, fig6):
+        # Only the sequential loop keeps the views an observer reads.
+        with pytest.raises(ValueError, match="sequential"):
+            cross_off(fig6, observer=lambda state, pair: None)
+
+    def test_no_pick_parameter(self, fig7):
+        with pytest.raises(TypeError):
+            cross_off(fig7, mode="sequential", pick=lambda pairs: pairs[-1])

@@ -1,10 +1,11 @@
 """A/B equivalence: interned crossing engine vs the reference oracle.
 
 The production engine in :mod:`repro.core.crossing` is an incremental
-worklist algorithm over dense interned ids; ``tests/reference_crossing.py``
-preserves the seed's name-keyed, op-by-op scanning implementation. These
-properties pin the two to bit-identical output — ``steps``, ``crossings``
-(full :class:`PairCrossing` equality, including skipped-write tuples),
+readiness-scan algorithm over dense interned ids, one drive loop per
+stepping mode; ``tests/reference_crossing.py`` preserves the seed's
+name-keyed, op-by-op scanning implementation. These properties pin the
+two to bit-identical output — ``steps``, ``crossings`` (full
+:class:`PairCrossing` equality, including skipped-write tuples),
 ``max_skipped``, ``uncrossed`` and the classification — across random
 programs, deadlocked mutations, lookahead budgets and both stepping
 modes, at three scales:
@@ -29,7 +30,7 @@ horizon.
 Parallel mode gets its own hammer on top of the mode-sampling
 properties: the bucketed step engine (readiness bits + nomination scans
 + per-step newly-executable bucket, see ``crossing.py``'s module
-docstring) replaces the dirty worklist wholesale in that mode, so
+docstring) shares no code with the sequential drain, so
 ``test_large_parallel*`` pin ``mode="parallel"`` over the wide
 `large_specs` family and every lookahead budget,
 ``test_parallel_step_batches_name_ordered`` asserts the step-batch
@@ -83,8 +84,9 @@ specs = st.builds(
 )
 
 # Wide arrays with many messages per cell: many-digit message names
-# ("M10" < "M2" lexicographically) and long incident lists, the shapes
-# that stress the interned indexes rather than the pair logic.
+# ("M10" < "M2" lexicographically) and long lookahead windows, the
+# shapes that stress the interned ids and scans rather than the pair
+# logic.
 large_specs = st.builds(
     WorkloadSpec,
     cells=st.integers(min_value=2, max_value=40),
@@ -298,7 +300,7 @@ def test_seed_corpus_identical(spec, mode, capacity):
 @given(specs)
 @RELAXED
 def test_sequential_observer_path_identical(spec):
-    """The observer/pick general loop matches the oracle pair for pair."""
+    """Observers on the sequential loop see the oracle's pairs, in order."""
     program = random_program(spec)
     seen_ref: list[str] = []
     seen_inc: list[str] = []
@@ -313,18 +315,6 @@ def test_sequential_observer_path_identical(spec):
         observer=lambda state, pair: seen_inc.append(str(pair)),
     )
     assert seen_inc == seen_ref
-
-
-@given(specs)
-@RELAXED
-def test_pick_path_identical(spec):
-    """A non-default tie-breaker drives the same general loop in both."""
-    program = random_program(spec)
-    pick = lambda pairs: pairs[-1]
-    expected = reference_cross_off(program, mode="sequential", pick=pick)
-    got = cross_off(program, mode="sequential", pick=pick)
-    assert got.crossings == expected.crossings
-    assert got.deadlock_free == expected.deadlock_free
 
 
 class TestPaperFigures:
@@ -370,7 +360,7 @@ class TestPinnedShapes:
         assert result.deadlock_free
 
     def test_single_message_program(self):
-        """One message, two cells — the smallest worklist possible."""
+        """One message, two cells — the smallest program possible."""
         cells = ("C1", "C2")
         messages = [Message("ONLY", "C1", "C2", 3)]
         programs = {"C1": [W("ONLY")] * 3, "C2": [R("ONLY")] * 3}

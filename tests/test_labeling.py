@@ -54,6 +54,11 @@ class TestPaperSchemeOnFigures:
         for prog in (fig2, fig6, fig7, fig8, fig9):
             assert is_consistent(prog, label_messages(prog))
 
+    def test_no_pick_parameter(self, fig7):
+        # The tie-break is fixed: the lowest message name crosses first.
+        with pytest.raises(TypeError):
+            label_messages(fig7, pick=lambda pairs: pairs[-1])
+
 
 class TestPaperSchemeFractionCase:
     def test_step_1b_places_between_labels(self):

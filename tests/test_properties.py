@@ -14,7 +14,8 @@ and hammered over the random-program family:
   crossing-off verdict under the simulator's own buffering
   (``simulator_capacities``) is deadlock-free exactly when the static
   run completes, and one crossing-off pass (``least_capacity``) finds
-  the least capacity whose verdict is;
+  the least capacity whose verdict is, because a parallel run resumed
+  at raised budgets ends where a fresh run ends;
 * parser/printer round-trips preserve transfer sequences.
 """
 
@@ -38,7 +39,9 @@ from repro import (
 from repro.arch.routing import default_router
 from repro.arch.topology import ExplicitLinear
 from repro.core.crossing import (
+    CrossingState,
     LookaheadConfig,
+    _run_parallel_fast,
     least_capacity,
     simulator_capacities,
 )
@@ -281,6 +284,44 @@ def test_least_capacity_is_the_least_free_verdict(spec, variant):
     if free:
         assert free == list(range(free[0], scan.stop))
     assert least_capacity(prog, router) == (free[0] if free else None)
+
+
+@given(
+    routed_specs,
+    variants,
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+@example(REGISTER_WORD_SPEC, "hoisted", 0, 1)
+@settings(
+    max_examples=200, suppress_health_check=[HealthCheck.too_slow], deadline=None
+)
+def test_resumed_parallel_run_matches_a_fresh_one(spec, variant, low, raise_by):
+    """Raising the R2 budgets and resuming ends where a fresh run ends.
+
+    ``least_capacity`` rests on this: it runs the parallel loop to its
+    closure at one capacity, raises the budgets and resumes on the same
+    state. ``steps`` and ``max_skipped`` record the route taken, so only
+    the crossed sets, remaining counts and verdict are compared.
+    """
+    prog = variant_program(spec, variant)
+    router = default_router(ExplicitLinear(tuple(prog.cells)))
+    high = low + raise_by
+
+    def state_at(capacity):
+        return CrossingState(
+            prog, simulator_capacities(prog, router, capacity), engine="interned"
+        )
+
+    fresh = state_at(high)
+    _run_parallel_fast(fresh, [], [])
+    resumed = state_at(low)
+    _run_parallel_fast(resumed, [], [])
+    resumed._cap = fresh._cap
+    _run_parallel_fast(resumed, [], [])
+    assert resumed._crossed == fresh._crossed
+    assert resumed._remaining == fresh._remaining
+    assert resumed.done == fresh.done
 
 
 def test_fcfs_buffering_can_hurt_completion():
