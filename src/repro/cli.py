@@ -39,16 +39,13 @@ import sys
 from pathlib import Path
 
 from repro.arch.config import ArrayConfig
-from repro.core.crossing import (
-    configure_crossing_backend,
-    cross_off,
-    uniform_lookahead,
-)
+from repro.core.crossing import cross_off, uniform_lookahead
 from repro.core.labeling import constraint_labeling, labels_as_str
 from repro.core.schedule import summarize_schedule
 from repro.errors import ConfigError, ReproError
 from repro.lang.parser import parse_program
 from repro.lang.printer import side_by_side
+from repro.sim.queue_manager import POLICY_NAMES, check_policy_names
 from repro.sim.runtime import simulate
 from repro.sweep import (
     CompletedCount,
@@ -81,19 +78,6 @@ def _lookahead_for(program, capacity: int):
     return uniform_lookahead(program, capacity) if capacity > 0 else None
 
 
-def _apply_crossing_backend(args) -> None:
-    """Install ``--crossing-backend`` as the process-wide preference.
-
-    Set via :func:`configure_crossing_backend` rather than threaded
-    per call so every crossing run the command triggers — direct
-    ``cross_off``, labelings, and the analyses inside sweep workers
-    (forwarded by ``WorkerContext``) — resolves the same way. An
-    unknown name is rejected by argparse ``choices`` before this runs.
-    """
-    if getattr(args, "crossing_backend", None) is not None:
-        configure_crossing_backend(args.crossing_backend)
-
-
 def cmd_show(args: argparse.Namespace) -> int:
     program = _load(args.file)
     print(side_by_side(program))
@@ -103,7 +87,6 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    _apply_crossing_backend(args)
     program = _load(args.file)
     capacity = _checked(args.capacity, "--capacity", 0)
     lookahead = _lookahead_for(program, capacity)
@@ -123,7 +106,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    _apply_crossing_backend(args)
     program = _load(args.file)
     capacity = _checked(args.capacity, "--capacity", 0)
     lookahead = _lookahead_for(program, capacity)
@@ -327,7 +309,6 @@ def _cmd_sweep_stream(args, program, policies, queues, capacities) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _apply_crossing_backend(args)
     program = _load(args.file)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     queues = _int_list(args.queues, "--queues", 1)
@@ -342,6 +323,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ):
         if not values:
             raise ConfigError(f"{flag} needs at least one value")
+    check_policy_names(policies)
     if args.stream:
         return _cmd_sweep_stream(args, program, policies, queues, capacities)
     jobs = sweep_jobs(
@@ -366,7 +348,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     store = _witness_store(args)
     plan = SweepPlan(
         jobs=jobs,
-        labels=labels,
         reducers=((outcomes,) if outcomes else ()) + extra_reducers,
         backend=_sweep_backend(args),
         workers=args.workers,
@@ -430,7 +411,6 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     can introduce a deadlock, a pinned counterexample) — see
     :mod:`repro.sweep.planner`.
     """
-    _apply_crossing_backend(args)
     program = _load(args.file)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     queues = _int_list(args.queues, "--queues", 1)
@@ -514,19 +494,6 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_crossing_backend_flag(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--crossing-backend",
-        dest="crossing_backend",
-        choices=("auto", "interned", "columnar"),
-        default=None,
-        help="crossing engine: interned (pure Python), columnar (numpy, "
-             "identical output), or auto (columnar for large programs "
-             "when numpy is installed); default defers to "
-             "REPRO_CROSSING_BACKEND, then auto",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -544,13 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--capacity", type=int, default=0,
         help="queue capacity for §8 lookahead (0 = strict §3 procedure)",
     )
-    _add_crossing_backend_flag(check)
     check.set_defaults(func=cmd_check)
 
     label = sub.add_parser("label", help="compute a consistent labeling")
     label.add_argument("file")
     label.add_argument("--capacity", type=int, default=0)
-    _add_crossing_backend_flag(label)
     label.set_defaults(func=cmd_label)
 
     run = sub.add_parser("run", help="simulate on a configured array")
@@ -558,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--queues", type=int, default=1, help="queues per link")
     run.add_argument("--capacity", type=int, default=0, help="words per queue")
     run.add_argument(
-        "--policy", choices=("ordered", "static", "fcfs"), default="ordered"
+        "--policy", choices=POLICY_NAMES, default="ordered"
     )
     run.add_argument(
         "--extension", action="store_true", help="enable queue extension"
@@ -650,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
              "pruned because extra buffering can change its outcome), "
              "and new deadlocks mined from this run are saved back",
     )
-    _add_crossing_backend_flag(sweep)
     sweep.add_argument("--json", help="write results to this JSON file")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -702,7 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
              "of deciding static lines by crossing-off (the differential "
              "baseline; same frontier)",
     )
-    _add_crossing_backend_flag(frontier)
     frontier.add_argument(
         "--json",
         help="write the frontier report (per-line frontier, probes, "

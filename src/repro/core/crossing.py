@@ -80,20 +80,20 @@ every R2 prefix query with one gather and one subtract), the parallel
 mode steps as whole-array boolean masks with batch crossing, the
 sequential mode drains the same readiness structure from a vectorized
 seed, and ``PairCrossing``/``uncrossed``/``max_skipped`` materialize
-lazily at the result boundary. Selection: the ``backend`` argument of
-:func:`cross_off` / ``CrossingState(engine=...)`` >
-:func:`configure_crossing_backend` > the ``REPRO_CROSSING_BACKEND``
-environment variable (``interned``, ``columnar`` or ``auto``; default
-``auto``). ``auto`` picks columnar when numpy imports and the program
-has at least ``COLUMNAR_AUTO_MIN_OPS`` transfer ops (conversion must
-amortize); without numpy it silently falls back to the interned engine,
-while an *explicit* ``columnar`` raises
-:class:`~repro.errors.ConfigError`. Observer callbacks always pin the
-interned engine (they read the live state between crossings). The
-bit-identity contract is enforced by the same differential harness that
-gates the interned fast loops: identical ``steps``/``crossings``/
-``uncrossed``/``max_skipped`` on every corpus, both modes, every
-lookahead budget — analysis caches therefore never key on the backend.
+lazily at the result boundary. The program picks the engine: ``auto``
+runs columnar when numpy imports and the program has at least
+``COLUMNAR_AUTO_MIN_OPS`` transfer ops (conversion must amortize), and
+the interned engine otherwise, silently so when numpy is missing.
+Output never depends on the engine, so only reference runs pin one,
+through :func:`cross_off`'s ``backend`` argument or
+:func:`configure_crossing_backend`; an explicit ``columnar`` without
+numpy raises :class:`~repro.errors.ConfigError`. Observer callbacks
+always pin the interned engine (they read the live state between
+crossings). The bit-identity contract is enforced by the same
+differential harness that gates the interned fast loops: identical
+``steps``/``crossings``/``uncrossed``/``max_skipped`` on every corpus,
+both modes, every lookahead budget — analysis caches therefore never
+key on the backend.
 
 Bucketed parallel step flush
 ----------------------------
@@ -144,7 +144,6 @@ in ``tests/reference_crossing.py``; property tests assert bit-identical
 from __future__ import annotations
 
 import math
-import os
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Protocol
@@ -163,13 +162,15 @@ _configured_backend: str | None = None
 
 
 def configure_crossing_backend(backend: str | None) -> str | None:
-    """Set the process-wide crossing-backend preference.
+    """Pin the crossing engine for every later run in this process.
 
-    ``backend`` is ``"auto"``, ``"interned"``, ``"columnar"`` or ``None``
-    (clear the preference). Per-call ``backend=`` arguments still win;
-    the ``REPRO_CROSSING_BACKEND`` environment variable is consulted only
-    when neither is set. Returns the previous preference so callers can
-    restore it.
+    A pin for reference runs that must use one engine whatever the
+    program; the package itself never sets it, so a run left alone
+    resolves ``auto``. ``backend`` is ``"auto"``, ``"interned"``,
+    ``"columnar"`` or ``None`` (clear the pin). A per-call ``backend=``
+    argument still wins, and forked sweep workers start with the pin
+    their parent held. Returns the previous pin so callers can restore
+    it.
     """
     global _configured_backend
     if backend is not None and backend not in _BACKEND_NAMES:
@@ -182,25 +183,18 @@ def configure_crossing_backend(backend: str | None) -> str | None:
     return previous
 
 
-def configured_crossing_backend() -> str | None:
-    """The process-wide preference set by :func:`configure_crossing_backend`."""
-    return _configured_backend
-
-
 def resolve_backend(program: ArrayProgram, backend: str | None = None) -> str:
     """Resolve the crossing backend for one run over ``program``.
 
-    Resolution order: explicit ``backend`` argument, then
-    :func:`configure_crossing_backend`, then ``REPRO_CROSSING_BACKEND``,
-    then ``"auto"``. ``auto`` returns ``"columnar"`` when numpy imports
-    and the program has at least :data:`COLUMNAR_AUTO_MIN_OPS` transfer
-    ops, else ``"interned"`` (silent fallback — the zero-dependency
-    install never errors). An explicit ``"columnar"`` without numpy
-    raises :class:`~repro.errors.ConfigError`.
+    Resolution order: explicit ``backend`` argument, then the
+    :func:`configure_crossing_backend` pin, then ``"auto"``. ``auto``
+    returns ``"columnar"`` when numpy imports and the program has at
+    least :data:`COLUMNAR_AUTO_MIN_OPS` transfer ops, else
+    ``"interned"`` (silent fallback — the zero-dependency install never
+    errors). An explicit ``"columnar"`` without numpy raises
+    :class:`~repro.errors.ConfigError`.
     """
-    name = backend if backend is not None else _configured_backend
-    if name is None:
-        name = os.environ.get("REPRO_CROSSING_BACKEND") or "auto"
+    name = backend if backend is not None else (_configured_backend or "auto")
     if name not in _BACKEND_NAMES:
         raise ConfigError(
             f"unknown crossing backend {name!r}; "
@@ -332,13 +326,13 @@ class CrossingState:
 
     Internally everything is indexed by the program's interned cell and
     message ids (see the module docstring for the layout); the public
-    queries and results speak names.
+    queries and results speak names. The state is the interned engine's;
+    the columnar kernels keep their own (:mod:`repro.core.crossing_np`).
     """
 
     __slots__ = (
         "program",
         "lookahead",
-        "engine",
         "intern",
         "total_remaining",
         "_senders",
@@ -356,16 +350,9 @@ class CrossingState:
         self,
         program: ArrayProgram,
         lookahead: LookaheadConfig | None = None,
-        engine: str | None = None,
     ) -> None:
         self.program = program
         self.lookahead = lookahead
-        # The resolved kernel preference for drivers over this state
-        # (cross_off consults the same resolution). The state itself is
-        # always the interned implementation; the columnar kernels live
-        # in repro.core.crossing_np and are dispatched at the cross_off
-        # boundary.
-        self.engine = resolve_backend(program, engine)
         intern = program.intern
         self.intern = intern
         ncells = len(intern.cell_names)
@@ -849,10 +836,10 @@ def cross_off(
         observer: called with the live state before each pair is crossed —
             the Section 6 labeling scheme plugs in here. Sequential mode
             only.
-        backend: kernel selection — ``"interned"``, ``"columnar"`` or
+        backend: pin the engine — ``"interned"``, ``"columnar"`` or
             ``"auto"`` (see "Columnar backend" in the module docstring);
-            ``None`` defers to :func:`configure_crossing_backend` /
-            ``REPRO_CROSSING_BACKEND``. Output never depends on the
+            ``None`` takes the :func:`configure_crossing_backend` pin if
+            one is set, else ``auto``. Output never depends on the
             backend; an observer pins the interned engine.
 
     Returns:
@@ -877,7 +864,7 @@ def cross_off(
             f"unknown crossing backend {backend!r}; "
             f"choose one of {', '.join(_BACKEND_NAMES)}"
         )
-    state = CrossingState(program, lookahead, engine="interned")
+    state = CrossingState(program, lookahead)
     steps: list[list[PairCrossing]] = []
     crossings: list[PairCrossing] = []
     if mode == "sequential":
@@ -983,9 +970,7 @@ def least_capacity(program: ArrayProgram, router) -> int | None:
     at each capacity is unique and extends the one below it, and no
     capacity below the least need admits a new pair.
     """
-    state = CrossingState(
-        program, simulator_capacities(program, router, 0), engine="interned"
-    )
+    state = CrossingState(program, simulator_capacities(program, router, 0))
     # The budget at c = 0 is hops - 1 per message.
     hops = [int(budget) + 1 for budget in state._cap]
     capacity = 0

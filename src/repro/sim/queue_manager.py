@@ -376,6 +376,20 @@ class QueueManager:
                 queue.drop_waiters()
 
 
+#: The short names :func:`make_policy` builds a policy from.
+POLICY_NAMES = ("ordered", "static", "fcfs")
+
+
+def check_policy_names(names) -> None:
+    """Raise :class:`ConfigError` naming the first unknown policy name."""
+    for name in names:
+        if name not in POLICY_NAMES:
+            raise ConfigError(
+                f"unknown assignment policy {name!r} "
+                f"(known: {', '.join(POLICY_NAMES)})"
+            )
+
+
 def make_policy(name: str, strict: bool = True) -> AssignmentPolicy:
     """Policy factory from a short name: fcfs | ordered | static."""
     if name == "fcfs":

@@ -38,15 +38,13 @@ iterable of jobs to an *ordered* stream of
 * ``witness`` is a compact deadlock-certificate dict
   (:meth:`~repro.witness.DeadlockWitness.as_dict`) mined *where the
   job ran* — in process or inside the worker — when the session asked
-  for it (``WorkerContext.mine_witnesses``) and the job deadlocked, else
+  for it (the backend's ``mine`` flag) and the job deadlocked, else
   ``None`` — so summary-only streams warm the witness store at full
   speed without shipping full results; the parent merges under the
   store's subsumption rules;
-* worker processes apply the session's
-  :class:`~repro.sweep.backends.WorkerContext` — the crossing-engine
-  preference, the mining flag, and any fault plan — before running
-  jobs; forked workers start with the parent's in-memory analysis
-  cache.
+* workers are forked, so they start with the parent's in-memory
+  analysis cache and any crossing-engine pin; the fault plan travels
+  on the :class:`~repro.sweep.fault.Tolerance`.
 
 Built-in backends:
 
@@ -180,11 +178,7 @@ coordinates. CLI: ``repro frontier`` (``--exhaustive`` forces the full
 evaluation baseline).
 """
 
-from repro.sweep.backends import (
-    WorkerContext,
-    available_backends,
-    get_backend,
-)
+from repro.sweep.backends import available_backends, get_backend
 from repro.sweep.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.sweep.fault import FaultPlan, Tolerance
 from repro.sweep.grid import (
@@ -254,7 +248,6 @@ __all__ = [
     "SweepSession",
     "Tolerance",
     "WORKER_CRASH_KIND",
-    "WorkerContext",
     "available_backends",
     "exhaustive_spec",
     "find_frontier",

@@ -18,9 +18,9 @@ witness, memo_hit)``:
   none — else ``None``. Without ``want_results`` no backend attaches a
   result: rows come straight off the stopped simulator, and a full
   result is built only to mine a deadlock;
-* ``witness`` is the mining hook: with ``WorkerContext.mine_witnesses``
-  set, every backend mines each deadlocked job *where it ran* — in
-  process for the serial backend, in the worker for pool — via
+* ``witness`` is the mining hook: with ``mine`` set, every backend
+  mines each deadlocked job *where it ran* — in process for the serial
+  backend, in the worker for pool — via
   :func:`~repro.sweep.jobs.mine_witness_payload` and attaches the
   compact certificate dict; the parent merges it into the witness store
   under the usual two-way subsumption, so summary-only streams mine at
@@ -37,16 +37,13 @@ witness, memo_hit)``:
   the rows do not;
 * with ``collect_errors`` unset, the first failing job's exception MUST
   propagate to the consumer (no silent loss);
-* worker processes MUST apply the :class:`WorkerContext` before running
-  jobs, so per-process state (the crossing-engine preference) matches
-  the parent; the parent never applies it, and only the supervised
-  worker loop reads its fault plan;
-* the ``tolerance`` argument tunes fault recovery — the pool backend
-  runs every job under the supervisor
+* the ``tolerance`` argument tunes fault recovery and carries the
+  fault plan — the pool backend runs every job under the supervisor
   (:mod:`repro.sweep.backends.supervise`: crash recovery, per-job
   wall-clock timeouts, bounded retries with backoff, poison-job
-  quarantine), which satisfies every clause above; the serial backend,
-  which has no worker processes to lose, ignores it.
+  quarantine, injected faults in the worker loop only), which satisfies
+  every clause above; the serial backend, which has no worker processes
+  to lose, ignores it.
 
 Every backend runs a job through the one shared runner,
 :func:`run_record`, so rows, results and witnesses come from the same
@@ -60,13 +57,12 @@ The built-in backends go by a short name (``serial``, ``pool``);
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from repro.arch.config import ArrayConfig
 from repro.errors import ConfigError, ReproError
 from repro.perf.analysis_cache import program_fingerprint
-from repro.sweep.fault import FaultPlan, Tolerance
+from repro.sweep.fault import Tolerance
 from repro.sweep.jobs import (
     BatchError,
     ProgramShape,
@@ -188,61 +184,6 @@ def run_record(
     return JobRecord(index, row, result if want_result else None, witness)
 
 
-@dataclass(frozen=True)
-class WorkerContext:
-    """Per-process configuration a backend carries to its workers.
-
-    The session captures it once and every worker applies it before
-    running jobs; per-process knobs extend this dataclass instead of
-    every backend's signature. Cached analyses need no forwarding: a
-    forked worker starts with a copy of the parent's in-memory analysis
-    cache.
-    """
-
-    #: Deterministic injected faults (:mod:`repro.sweep.fault`), read
-    #: only by the supervised worker loop.
-    fault_plan: FaultPlan | None = None
-    crossing_backend: str | None = None
-    #: Mine deadlock witnesses where each job runs (see the backend
-    #: contract) and ship the compact dicts back on each
-    #: :class:`JobRecord`.
-    mine_witnesses: bool = False
-
-    @classmethod
-    def capture(
-        cls,
-        fault_plan: FaultPlan | None = None,
-        *,
-        mine_witnesses: bool = False,
-    ) -> "WorkerContext":
-        """Snapshot the parent's per-process configuration.
-
-        A parent-process :func:`repro.core.crossing.
-        configure_crossing_backend` call is forwarded so every worker
-        resolves engines the way the parent does. Env-var-only
-        configuration needs no forwarding — workers inherit the
-        environment and resolve it themselves. ``fault_plan`` rides
-        along verbatim: it is the injection channel for the
-        deterministic fault harness. ``mine_witnesses`` is a session
-        decision (a witness store is attached), not ambient state, so
-        the session passes it explicitly.
-        """
-        from repro.core.crossing import configured_crossing_backend
-
-        return cls(
-            fault_plan=fault_plan,
-            crossing_backend=configured_crossing_backend(),
-            mine_witnesses=mine_witnesses,
-        )
-
-    def apply(self) -> None:
-        """Apply this configuration in the current (worker) process."""
-        if self.crossing_backend is not None:
-            from repro.core.crossing import configure_crossing_backend
-
-            configure_crossing_backend(self.crossing_backend)
-
-
 class ExecutionBackend:
     """Base class every execution backend implements."""
 
@@ -256,14 +197,15 @@ class ExecutionBackend:
         collect_errors: bool,
         workers: int,
         chunk_size: int,
-        ctx: WorkerContext,
+        mine: bool,
         tolerance: Tolerance,
     ) -> Iterator[JobRecord]:  # pragma: no cover - abstract
         """Run every job; yield :class:`JobRecord` in job order.
 
-        ``tolerance`` tunes the supervisor's crash recovery, per-job
-        timeouts and retries on the pool backend; the serial
-        backend ignores it.
+        ``mine`` attaches a mined certificate to each deadlocked job's
+        record. ``tolerance`` tunes the supervisor's crash recovery,
+        per-job timeouts and retries on the pool backend and carries
+        its fault plan; the serial backend ignores it.
         """
         raise NotImplementedError
 

@@ -21,12 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.sweep.backends import (
-    ExecutionBackend,
-    JobRecord,
-    Tolerance,
-    WorkerContext,
-)
+from repro.sweep.backends import ExecutionBackend, JobRecord, Tolerance
 from repro.sweep.backends.supervise import Supervisor
 from repro.sweep.jobs import SimJob
 
@@ -44,7 +39,7 @@ class PoolBackend(ExecutionBackend):
         collect_errors: bool,
         workers: int,
         chunk_size: int,
-        ctx: WorkerContext,
+        mine: bool,
         tolerance: Tolerance,
     ) -> Iterator[JobRecord]:
         return Supervisor(
@@ -53,6 +48,6 @@ class PoolBackend(ExecutionBackend):
             collect_errors=collect_errors,
             workers=workers,
             chunk_size=chunk_size,
-            ctx=ctx,
+            mine=mine,
             tolerance=tolerance,
         ).run()

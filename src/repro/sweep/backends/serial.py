@@ -15,7 +15,6 @@ from repro.sweep.backends import (
     JobRecord,
     RowMemo,
     Tolerance,
-    WorkerContext,
     run_record,
 )
 from repro.sweep.jobs import SimJob
@@ -39,7 +38,7 @@ class SerialBackend(ExecutionBackend):
         collect_errors: bool,
         workers: int,
         chunk_size: int,
-        ctx: WorkerContext,
+        mine: bool,
         tolerance: Tolerance,
     ) -> Iterator[JobRecord]:
         memo = RowMemo()
@@ -49,6 +48,6 @@ class SerialBackend(ExecutionBackend):
                 job,
                 want_result=want_results,
                 collect_errors=collect_errors,
-                mine=ctx.mine_witnesses,
+                mine=mine,
                 memo=memo,
             )

@@ -55,7 +55,8 @@ processes, each spawned on first use and connected by its own duplex
 A chunk whose programs cannot pickle (lambda or closure compute ops)
 fails in ``Connection.send``, which pickles the whole message before it
 writes a byte; that chunk runs in the parent instead. Injected faults
-(:class:`~repro.sweep.fault.FaultPlan`) fire only in the worker loop —
+(:class:`~repro.sweep.fault.FaultPlan`, carried on the
+:class:`~repro.sweep.fault.Tolerance`) fire only in the worker loop —
 never in the parent, and so never for those in-parent chunks.
 """
 
@@ -68,8 +69,8 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import Iterable, Iterator
 
 from repro.errors import WorkerCrashError
-from repro.sweep.backends import JobRecord, RowMemo, WorkerContext, run_record
-from repro.sweep.fault import Tolerance
+from repro.sweep.backends import JobRecord, RowMemo, run_record
+from repro.sweep.fault import FaultPlan, Tolerance
 from repro.sweep.jobs import WORKER_CRASH_KIND, BatchError, SimJob, iter_chunks
 from repro.sweep.summary import summarize_result, timeout_row
 
@@ -97,15 +98,20 @@ _UNPICKLABLE_PAYLOAD = (
 #: silently demote the chunk to in-parent execution.
 _UNPICKLABLE_CHUNK = (pickle.PicklingError, TypeError, AttributeError)
 
+#: Seconds the supervisor loop waits for a worker message (or a backoff
+#: to expire) before it checks timeouts and dispatches again.
+_POLL_S = 0.02
+
 
 def _worker_main(
     wid: int,
     conn,
     parent_conn,
     progress,
-    ctx: WorkerContext,
+    fault_plan: FaultPlan | None,
     want_results: bool,
     collect_errors: bool,
+    mine: bool,
 ) -> None:
     """Child process loop: run chunks from the pipe until it closes.
 
@@ -136,8 +142,6 @@ def _worker_main(
     # holds it, the parent's death never reads as EOF here and the
     # worker would outlive a SIGKILLed parent.
     parent_conn.close()
-    ctx.apply()
-    plan = ctx.fault_plan
     memo = RowMemo()
     try:
         while True:
@@ -146,16 +150,16 @@ def _worker_main(
             msg = ("done", records)
             for index, job in items:
                 progress[wid] = index
-                if plan is not None:
-                    plan.maybe_crash(index)
-                    plan.maybe_hang(index)
+                if fault_plan is not None:
+                    fault_plan.maybe_crash(index)
+                    fault_plan.maybe_hang(index)
                 try:
                     record = run_record(
                         index,
                         job,
                         want_result=want_results,
                         collect_errors=collect_errors,
-                        mine=ctx.mine_witnesses,
+                        mine=mine,
                         memo=memo,
                     )
                 except MemoryError:
@@ -228,14 +232,14 @@ class Supervisor:
         collect_errors: bool,
         workers: int,
         chunk_size: int,
-        ctx: WorkerContext,
+        mine: bool,
         tolerance: Tolerance,
     ) -> None:
         self.want_results = want_results
         self.collect_errors = collect_errors
         self.n_workers = max(1, workers)
         self.chunk_size = max(1, chunk_size)
-        self.ctx = ctx
+        self.mine = mine
         self.tol = tolerance
         #: Fresh chunks still to pull; None once the iterable is spent.
         self._chunks: Iterator | None = iter_chunks(jobs, self.chunk_size)
@@ -266,9 +270,10 @@ class Supervisor:
                 child_conn,
                 conn,
                 self._progress,
-                self.ctx,
+                self.tol.fault_plan,
                 self.want_results,
                 self.collect_errors,
+                self.mine,
             ),
             daemon=True,
         )
@@ -419,7 +424,7 @@ class Supervisor:
                     job,
                     want_result=self.want_results,
                     collect_errors=self.collect_errors,
-                    mine=self.ctx.mine_witnesses,
+                    mine=self.mine,
                     memo=memo,
                 )
             except Exception as exc:
@@ -465,7 +470,7 @@ class Supervisor:
                     if worker is not None and worker.task is not None
                 }
                 if busy:
-                    ready = _conn_wait(list(busy), timeout=self.tol.poll_s)
+                    ready = _conn_wait(list(busy), timeout=_POLL_S)
                 else:
                     ready = []
                     soonest = min(
@@ -473,7 +478,7 @@ class Supervisor:
                         default=None,
                     )
                     if soonest is not None and soonest > now:
-                        time.sleep(min(soonest - now, self.tol.poll_s))
+                        time.sleep(min(soonest - now, _POLL_S))
                 now = time.monotonic()
                 for conn in ready:
                     self._receive(busy[conn], now)

@@ -8,12 +8,13 @@ module provides the pieces that make that recovery *testable*:
 
 * :class:`FaultPlan` — a declarative, picklable plan of injected faults
   ("crash the worker running job 4, once; hang job 7, twice"). It
-  travels to workers on the :class:`~repro.sweep.backends.
-  WorkerContext`, and only the supervised worker loop reads it — never
-  the parent, so result hydration and serial execution are immune by
-  construction.
-* :class:`Tolerance` — the supervisor's policy knobs: retry budget,
-  per-job wall-clock timeout, backoff.
+  travels to workers on the :class:`Tolerance`, and only the supervised
+  worker loop reads it — never the parent, so result hydration and
+  serial execution are immune by construction.
+* :class:`Tolerance` — the supervisor's policy: retry budget, per-job
+  wall-clock timeout and the fault plan. A retry waits
+  :meth:`Tolerance.backoff` seconds: 0.05 s, doubling per attempt, at
+  most 2 s.
 
 Each fault fires a bounded number of times, coordinated across worker
 *processes* (a requeued job lands on a different worker) through a
@@ -34,6 +35,11 @@ from repro.errors import ConfigError
 
 #: Exit code of a worker killed by an injected crash (visible in tests).
 CRASH_EXIT_CODE = 86
+
+#: Backoff before a failed job's first retry; it doubles per attempt,
+#: up to :data:`_MAX_BACKOFF_S`.
+_FIRST_BACKOFF_S = 0.05
+_MAX_BACKOFF_S = 2.0
 
 
 def _normalize(spec) -> dict[int, int]:
@@ -114,7 +120,7 @@ class FaultPlan:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Supervisor policy: retries, timeout, backoff.
+    """Supervisor policy: retries, timeout, injected faults.
 
     Attributes:
         max_retries: extra attempts a job gets after its first failed
@@ -123,15 +129,13 @@ class Tolerance:
         job_timeout_s: per-job wall clock; a job running longer gets its
             worker killed and is retried, then recorded as a
             timeout-class row. ``None`` disables the timeout.
-        retry_backoff_s: base of the exponential backoff before a failed
-            job is requeued (``base * 2**(attempt-1)``, capped).
-        poll_s: supervisor event-loop poll interval.
+        fault_plan: deterministic injected faults, fired only in the
+            supervised worker loop.
     """
 
     max_retries: int = 2
     job_timeout_s: float | None = None
-    retry_backoff_s: float = 0.05
-    poll_s: float = 0.02
+    fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -142,11 +146,9 @@ class Tolerance:
             raise ConfigError(
                 f"job_timeout_s must be > 0, got {self.job_timeout_s}"
             )
-        if self.retry_backoff_s < 0:
-            raise ConfigError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
 
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before requeueing a job's ``attempt``-th retry."""
-        return min(self.retry_backoff_s * (2 ** max(0, attempt - 1)), 2.0)
+        return min(
+            _FIRST_BACKOFF_S * (2 ** max(0, attempt - 1)), _MAX_BACKOFF_S
+        )

@@ -1,7 +1,7 @@
 """Sweep plans and sessions: declare what to run, pick how to run it.
 
-A :class:`SweepPlan` is a declarative bundle — jobs, optional grid
-labels, streaming reducers, backend choice and execution knobs. A
+A :class:`SweepPlan` is a declarative bundle — jobs, streaming
+reducers, backend choice and execution knobs. A
 :class:`SweepSession` validates it, resolves the execution backend and
 runs it in one of two shapes:
 
@@ -36,13 +36,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from repro.errors import CheckpointError, ConfigError
 from repro.sweep.backends import (
     ExecutionBackend,
-    FaultPlan,
     JobRecord,
-    Tolerance,
-    WorkerContext,
     get_backend,
     run_record,
 )
+from repro.sweep.fault import FaultPlan, Tolerance
 from repro.sweep.jobs import (
     BatchError,
     SimJob,
@@ -73,7 +71,7 @@ def _auto_backend(workers: int) -> str:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Everything a sweep needs: jobs, labels, reducers, backend, knobs.
+    """Everything a sweep needs: jobs, reducers, backend, knobs.
 
     ``jobs`` may be any iterable (a lazy generator feeds
     :meth:`SweepSession.stream` without materializing, on every
@@ -83,9 +81,9 @@ class SweepPlan:
 
     The pool backend always runs under the supervisor
     (:mod:`repro.sweep.backends.supervise`): a crashed worker is
-    replaced and its job retried. ``max_retries`` (default 2),
-    ``job_timeout_s`` (default none) and ``retry_backoff_s`` tune that
-    recovery; ``fault_plan`` injects faults to test it.
+    replaced and its job retried. ``max_retries`` (default 2) and
+    ``job_timeout_s`` (default none) tune that recovery; ``fault_plan``
+    injects faults to test it.
 
     ``checkpoint`` names a file for periodic atomic progress snapshots
     (:mod:`repro.sweep.checkpoint`); with ``resume`` a sweep restarted
@@ -122,7 +120,6 @@ class SweepPlan:
     """
 
     jobs: Iterable[SimJob]
-    labels: Sequence[str] | None = None
     reducers: Sequence[StreamReducer] = ()
     backend: str | None = None
     workers: int = 1
@@ -130,7 +127,6 @@ class SweepPlan:
     on_error: str = "collect"
     job_timeout_s: float | None = None
     max_retries: int = 2
-    retry_backoff_s: float = 0.05
     fault_plan: FaultPlan | None = None
     checkpoint: str | None = None
     checkpoint_every: int = 64
@@ -156,7 +152,7 @@ class ResultHandle:
     hydration is exact.
     """
 
-    __slots__ = ("summary", "label", "_job", "_collect_errors", "_result")
+    __slots__ = ("summary", "_job", "_collect_errors", "_result")
 
     def __init__(
         self,
@@ -164,10 +160,8 @@ class ResultHandle:
         job: SimJob,
         collect_errors: bool,
         result: "SimulationResult | BatchError | None | object" = _UNSET,
-        label: str | None = None,
     ) -> None:
         self.summary = summary
-        self.label = label
         self._job = job
         self._collect_errors = collect_errors
         self._result = result
@@ -197,15 +191,10 @@ class SweepOutcome:
     rows: list[RunSummary]
     handles: list[ResultHandle]
     reducers: tuple[StreamReducer, ...]
-    labels: list[str] | None = None
 
     def results(self) -> "list[SimulationResult | BatchError]":
         """Every job's full result, hydrating where necessary."""
         return [handle.result() for handle in self.handles]
-
-    def reducer_summaries(self) -> dict[str, dict]:
-        """``{reducer.name: reducer.summary()}`` for every reducer."""
-        return {reducer.name: reducer.summary() for reducer in self.reducers}
 
 
 class SweepSession:
@@ -259,21 +248,15 @@ class SweepSession:
         )
         # Constructing the Tolerance up front validates the knobs
         # (negative retries, non-positive timeouts) at session creation.
-        self.tolerance = self._make_tolerance()
+        self.tolerance = Tolerance(
+            max_retries=plan.max_retries,
+            job_timeout_s=plan.job_timeout_s,
+            fault_plan=plan.fault_plan,
+        )
         # With a store attached, every backend mines each deadlock
         # where the job ran and ships a compact certificate on its
         # record; the parent merges them (see _witness_records).
-        mine = plan.witness_store is not None and plan.witness_mine
-        self.ctx = WorkerContext.capture(plan.fault_plan, mine_witnesses=mine)
-
-    def _make_tolerance(self) -> Tolerance:
-        """The supervisor's recovery policy from the plan's knobs."""
-        plan = self.plan
-        return Tolerance(
-            max_retries=plan.max_retries,
-            job_timeout_s=plan.job_timeout_s,
-            retry_backoff_s=plan.retry_backoff_s,
-        )
+        self.mine = plan.witness_store is not None and plan.witness_mine
 
     def _collect_errors(self) -> bool:
         return self.plan.on_error == "collect"
@@ -296,7 +279,7 @@ class SweepSession:
             collect_errors=self._collect_errors(),
             workers=self.plan.workers,
             chunk_size=self._chunk_size(jobs),
-            ctx=self.ctx,
+            mine=self.mine,
             tolerance=self.tolerance,
         )
         try:
@@ -325,8 +308,8 @@ class SweepSession:
         the CLI tables) cannot tell a pruned row from a simulated one.
 
         Mining rides the same pass: with ``plan.witness_mine`` set,
-        every backend mines each deadlocked job where it ran
-        (``WorkerContext.mine_witnesses``) and attaches the compact
+        every backend mines each deadlocked job where it ran (the
+        ``mine`` flag of the backend contract) and attaches the compact
         certificate dict to its record; the parent rehydrates and merges
         it under the store's usual two-way subsumption.
         """
@@ -500,7 +483,6 @@ class SweepSession:
             if not isinstance(self.plan.jobs, Sequence)
             else self.plan.jobs
         )
-        labels = self.plan.labels
         reducers = tuple(self.plan.reducers)
         collect = self._collect_errors()
         # A witness-pruned handle arrives with no materialized result
@@ -514,7 +496,6 @@ class SweepSession:
                 jobs[record.index],
                 collect,
                 result=record.result if record.result is not None else _UNSET,
-                label=labels[record.index] if labels is not None else None,
             )
 
     def run(self) -> SweepOutcome:
@@ -524,11 +505,6 @@ class SweepSession:
             rows=[handle.summary for handle in handles],
             handles=handles,
             reducers=tuple(self.plan.reducers),
-            labels=(
-                list(self.plan.labels)
-                if self.plan.labels is not None
-                else None
-            ),
         )
 
 

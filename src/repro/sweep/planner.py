@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.arch.config import ArrayConfig
 from repro.errors import ConfigError, SimulationError
+from repro.sim.queue_manager import check_policy_names
 from repro.sweep.grid import sweep_label
 from repro.sweep.jobs import SimJob, canonical_key, program_shape
 from repro.sweep.plan import SweepPlan, SweepSession
@@ -307,6 +308,7 @@ class FrontierPlanner:
     def __init__(self, spec: PlanSpec) -> None:
         if not spec.policies:
             raise ConfigError("frontier search needs at least one policy")
+        check_policy_names(spec.policies)
         if not spec.queues:
             raise ConfigError("frontier search needs at least one queues value")
         if not spec.capacities:

@@ -453,7 +453,8 @@ class TestFrontier:
 
 
 class TestOutOfRangeNumbers:
-    """Out-of-range numbers are one ``error:`` line and exit 2."""
+    """Out-of-range numbers, empty lists and unknown policy names are
+    one ``error:`` line and exit 2, with no run started."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -472,6 +473,10 @@ class TestOutOfRangeNumbers:
             ["sweep", "--capacity", ","],
             ["sweep", "--policies", ","],
             ["sweep", "--stream", "--policies", ","],
+            ["sweep", "--policies", "bogus"],
+            ["sweep", "--stream", "--policies", "ordered,bogus"],
+            ["frontier", "--policies", "bogus"],
+            ["frontier", "--policies", "static,bogus", "--exhaustive"],
             ["frontier", "--queues", "0"],
             ["frontier", "--capacity=-1,0"],
             ["frontier", "--workers", "0"],
@@ -490,43 +495,32 @@ class TestOutOfRangeNumbers:
 
 
 class TestCrossingBackendFlag:
-    """--crossing-backend on check/label/sweep (process-global knob)."""
+    """``--crossing-backend`` is gone: the program picks its engine, and
+    output never depends on which one runs."""
 
-    @pytest.fixture(autouse=True)
-    def _restore_backend(self):
-        from repro.core.crossing import configure_crossing_backend
-
-        previous = configure_crossing_backend(None)
-        yield
-        configure_crossing_backend(previous)
+    @pytest.mark.parametrize("command", ["check", "label", "sweep", "frontier"])
+    def test_flag_is_unrecognized(self, fig7_file, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, fig7_file, "--crossing-backend", "interned"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_check_backends_print_identically(self, fig7_file, capsys):
+        from repro.core.crossing import configure_crossing_backend
         from repro.core.crossing_np import numpy_available
 
-        assert main(["check", fig7_file, "--crossing-backend", "interned"]) == 0
-        interned = capsys.readouterr().out
-        if not numpy_available():
-            pytest.skip("columnar leg needs numpy")
-        assert main(["check", fig7_file, "--crossing-backend", "columnar"]) == 0
-        assert capsys.readouterr().out == interned
-
-    def test_label_accepts_flag(self, fig7_file, capsys):
-        code = main(["label", fig7_file, "--crossing-backend", "interned"])
-        assert code == 0
-        assert "A=1 B=3 C=2" in capsys.readouterr().out
-
-    def test_sweep_accepts_flag_and_forwards_to_workers(self, fig7_file, capsys):
-        code = main([
-            "sweep", fig7_file, "--queues", "1,2",
-            "--crossing-backend", "interned", "--workers", "2",
-        ])
-        assert code == 0
-        assert "2/2 runs completed" in capsys.readouterr().out
-
-    def test_unknown_backend_rejected_by_argparse(self, fig7_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["check", fig7_file, "--crossing-backend", "vectorized"])
-        assert "invalid choice" in capsys.readouterr().err
+        outputs = []
+        for backend in ("interned", "columnar"):
+            if backend == "columnar" and not numpy_available():
+                pytest.skip("columnar leg needs numpy")
+            previous = configure_crossing_backend(backend)
+            try:
+                assert main(["check", fig7_file]) == 0
+                assert main(["label", fig7_file]) == 0
+            finally:
+                configure_crossing_backend(previous)
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture

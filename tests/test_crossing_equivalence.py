@@ -54,7 +54,6 @@ from reference_crossing import reference_cross_off
 from repro import ArrayConfig, Simulator
 from repro.core.crossing import (
     COLUMNAR_AUTO_MIN_OPS,
-    CrossingState,
     configure_crossing_backend,
     cross_off,
     resolve_backend,
@@ -808,15 +807,11 @@ class TestBackendMachinery:
             resolve_backend(program, "vectorized")
 
     def test_env_var_resolution(self, monkeypatch):
+        # The program picks the engine: only the explicit argument and
+        # the configure_crossing_backend pin override auto.
         program = ArrayProgram(("C1",), [], {}, name="tiny")
-        monkeypatch.setenv("REPRO_CROSSING_BACKEND", "interned")
+        monkeypatch.setenv("REPRO_CROSSING_BACKEND", "columnar")
         assert resolve_backend(program) == "interned"
-        # Explicit argument and configured preference both win over env.
-        previous = configure_crossing_backend("auto")
-        try:
-            assert resolve_backend(program) == resolve_backend(program, "auto")
-        finally:
-            configure_crossing_backend(previous)
 
     def test_explicit_columnar_without_numpy_errors(self):
         program = ArrayProgram(("C1",), [], {}, name="tiny")
@@ -828,15 +823,3 @@ class TestBackendMachinery:
             # auto stays a silent fallback.
             assert resolve_backend(program) == "interned"
             assert cross_off(program).deadlock_free
-
-    def test_crossing_state_resolves_engine(self):
-        cells = ("C1", "C2")
-        messages = [Message("M", "C1", "C2", 1)]
-        programs = {"C1": [W("M")], "C2": [R("M")]}
-        program = ArrayProgram(cells, messages, programs, name="state")
-        state = CrossingState(program, engine="interned")
-        assert state.engine == "interned"
-        small_auto = CrossingState(program)
-        assert small_auto.engine == "interned"  # under the auto threshold
-        if numpy_available():
-            assert CrossingState(program, engine="columnar").engine == "columnar"

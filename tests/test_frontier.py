@@ -424,6 +424,12 @@ class TestPlannerMechanics:
             FrontierPlanner(PlanSpec(prog, capacities=()))
         with pytest.raises(ConfigError):
             FrontierPlanner(PlanSpec(prog, capacities=(0, 1, 1)))
+        with pytest.raises(
+            ConfigError,
+            match=r"unknown assignment policy 'bogus' "
+            r"\(known: ordered, static, fcfs\)",
+        ):
+            FrontierPlanner(PlanSpec(prog, policies=("static", "bogus")))
         for bad in (
             dict(queues=(1, 0)),
             dict(capacities=(-1, 0)),

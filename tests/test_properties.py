@@ -309,9 +309,8 @@ def test_resumed_parallel_run_matches_a_fresh_one(spec, variant, low, raise_by):
     high = low + raise_by
 
     def state_at(capacity):
-        return CrossingState(
-            prog, simulator_capacities(prog, router, capacity), engine="interned"
-        )
+        lookahead = simulator_capacities(prog, router, capacity)
+        return CrossingState(prog, lookahead)
 
     fresh = state_at(high)
     _run_parallel_fast(fresh, [], [])

@@ -332,61 +332,49 @@ class TestResultHandle:
         assert handle.result() is first
 
 
-class TestWorkerContextCrossingBackend:
-    """The crossing-backend preference rides WorkerContext to workers."""
+def _pinned_to_columnar(_value):
+    """1.0 when this process resolves a tiny program to columnar.
 
-    @pytest.fixture(autouse=True)
-    def _restore_backend(self):
+    ``auto`` keeps fig7 on the interned engine, so only a
+    :func:`~repro.core.crossing.configure_crossing_backend` pin makes
+    it columnar.
+    """
+    from repro.core.crossing import resolve_backend
+
+    return float(resolve_backend(fig7_program()) == "columnar")
+
+
+class TestForkedWorkersKeepThePin:
+    """A pool worker is forked, so it starts with the parent's pin."""
+
+    def test_pool_workers_inherit_the_pin(self):
+        import multiprocessing
+
+        from repro import COMPUTE, ArrayProgram, Message, R, W
         from repro.core.crossing import configure_crossing_backend
+        from repro.core.crossing_np import numpy_available
 
-        previous = configure_crossing_backend(None)
-        yield
-        configure_crossing_backend(previous)
-
-    def test_capture_snapshots_configured_preference(self):
-        from repro.core.crossing import configure_crossing_backend
-        from repro.sweep.backends import WorkerContext
-
-        assert WorkerContext.capture().crossing_backend is None
-        configure_crossing_backend("interned")
-        ctx = WorkerContext.capture()
-        assert ctx.crossing_backend == "interned"
-
-    def test_apply_installs_preference(self):
-        from repro.core.crossing import configured_crossing_backend
-        from repro.sweep.backends import WorkerContext
-
-        WorkerContext(crossing_backend="interned").apply()
-        assert configured_crossing_backend() == "interned"
-        # A context with no preference leaves the current one alone.
-        WorkerContext().apply()
-        assert configured_crossing_backend() == "interned"
-
-    def test_session_leaves_parent_preference_alone(self, fig7):
-        from repro.core.crossing import (
-            configure_crossing_backend,
-            configured_crossing_backend,
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the parent's memory only under fork")
+        if not numpy_available():
+            pytest.skip("a columnar pin needs numpy")
+        program = ArrayProgram(
+            ["C1", "C2"],
+            [Message("A", "C1", "C2", 1)],
+            {
+                "C1": [W("A", constant=2.0)],
+                "C2": [R("A", into="x"), COMPUTE("y", _pinned_to_columnar, ["x"])],
+            },
         )
-
-        configure_crossing_backend("interned")
-        session = SweepSession(
-            SweepPlan(jobs=sweep_jobs(fig7, policies=("ordered",)))
-        )
-        configure_crossing_backend(None)
-        rows = list(session.stream())
-        assert [row.outcome for row in rows] == ["completed"]
-        # The captured context is for workers; the parent's own
-        # preference is the caller's to set.
-        assert configured_crossing_backend() is None
-
-    def test_pool_workers_inherit_preference(self, fig7):
-        from repro.core.crossing import configure_crossing_backend
-
-        configure_crossing_backend("interned")
-        plan = SweepPlan(
-            jobs=sweep_jobs(fig7, policies=("ordered",), queues=(1, 2)),
-            backend="pool",
-            workers=2,
-        )
-        rows = [h.summary for h in SweepSession(plan).run().handles]
-        assert [row.outcome for row in rows] == ["completed", "completed"]
+        previous = configure_crossing_backend("columnar")
+        try:
+            plan = SweepPlan(
+                jobs=[SimJob(program), SimJob(program)],
+                backend="pool",
+                workers=2,
+                chunk_size=1,
+            )
+            results = SweepSession(plan).run().results()
+        finally:
+            configure_crossing_backend(previous)
+        assert [result.registers["C2"]["y"] for result in results] == [1.0, 1.0]
