@@ -12,8 +12,9 @@ Three claims, each recorded into ``BENCH_core.json``:
   far less dramatically than in PR 1, because the incremental crossing
   engine (see ``bench_crossing_cold.py``) made cold analysis itself
   ~5x cheaper;
-* **batched ensembles** — ``simulate_many`` sustains the same
-  throughput over many distinct programs with a deterministic merge.
+* **batched ensembles** — a loop of :meth:`SimJob.run` over many
+  distinct programs sustains the same throughput, the analysis cache
+  shared across the batch.
 
 Expected shape: cached ensemble beats uncached (the residual analysis
 cost is real but no longer dominant); all ensemble runs complete;
@@ -24,7 +25,7 @@ import time
 
 from conftest import recording_enabled
 
-from repro import ArrayConfig, Simulator, simulate_many
+from repro import ArrayConfig, Simulator
 from repro.algorithms.fir import fir_program, fir_registers
 from repro.perf import clear_analysis_cache
 from repro.sim.engine import Engine
@@ -76,7 +77,7 @@ def test_repeated_program_ensemble_cached(benchmark, core_metrics):
             SimJob(prog, config=config, registers=regs)
             for _ in range(REPEAT_RUNS)
         ]
-        return simulate_many(jobs)
+        return [job.run() for job in jobs]
 
     results = benchmark(cached_ensemble)
     assert len(results) == REPEAT_RUNS
@@ -127,16 +128,20 @@ def test_repeated_program_ensemble_cached(benchmark, core_metrics):
 
 
 def test_distinct_program_ensemble_batched(benchmark, core_metrics):
-    """40 distinct random programs through the batch runner."""
+    """40 distinct random programs, run one after another."""
     programs = ensemble_programs(40, cells=8, messages=12, max_length=4)
     config = ArrayConfig(queues_per_link=10)
+    jobs = [SimJob(program, config=config) for program in programs]
 
-    results = benchmark(lambda: simulate_many(programs, config))
+    def batch():
+        return [job.run() for job in jobs]
+
+    results = benchmark(batch)
     assert len(results) == 40
     assert all(r.completed for r in results)
 
     t0 = time.perf_counter()
-    results = simulate_many(programs, config)
+    results = batch()
     dt = time.perf_counter() - t0
     core_metrics(
         "ensemble_distinct_random_x40",

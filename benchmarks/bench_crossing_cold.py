@@ -15,12 +15,12 @@ Three claims, recorded into ``BENCH_core.json``:
   analysed cold (capacities + constraint labeling, no cache reuse
   possible) at a rate that keeps classification off the critical path;
 * **streamed sweep** — a large repeat sweep through
-  ``simulate_stream`` with O(1) retained results sustains batch-runner
-  throughput.
+  :meth:`SweepSession.stream` with O(1) retained results sustains
+  batch-runner throughput.
 
 Expected shape: per-program cold analysis is several times faster than
 the PR 1 baseline implied (51.5 ms uncached vs 7.4 ms cached per run —
-~44 ms of analysis); streamed and collected sweeps agree on outcomes.
+~44 ms of analysis); streamed rows agree with the jobs' own runs.
 """
 
 import time
@@ -34,9 +34,9 @@ from repro.core.labeling import constraint_labeling
 from repro.sweep import (
     CompletedCount,
     SimJob,
+    SweepPlan,
+    SweepSession,
     iter_sweep_jobs,
-    simulate_many,
-    simulate_stream,
 )
 
 
@@ -115,7 +115,8 @@ def test_streamed_sweep_matches_collected(benchmark, core_metrics):
     def stream_sweep():
         outcomes = CompletedCount()
         jobs = iter_sweep_jobs(prog, queues=(1,), capacities=(2,), repeat=repeat)
-        for _row in simulate_stream(jobs, reducers=(outcomes,)):
+        plan = SweepPlan(jobs=jobs, reducers=(outcomes,), chunk_size=32)
+        for _row in SweepSession(plan).stream():
             pass
         return outcomes
 
@@ -135,12 +136,13 @@ def test_streamed_sweep_matches_collected(benchmark, core_metrics):
 
 
 def test_streamed_outcomes_agree_with_batch():
-    """Correctness guard: streaming and collecting classify identically."""
+    """Correctness guard: streamed rows classify as the jobs' runs do."""
     prog = fir_program(4, 8)
     jobs = [
         SimJob(prog, config=ArrayConfig(queue_capacity=2)) for _ in range(8)
     ]
-    rows = list(simulate_stream(iter(jobs)))
-    results = simulate_many(jobs)
+    plan = SweepPlan(jobs=iter(jobs), chunk_size=32)
+    rows = list(SweepSession(plan).stream())
+    results = [job.run() for job in jobs]
     assert [r.completed for r in rows] == [r.completed for r in results]
     assert [r.time for r in rows] == [r.time for r in results]

@@ -46,15 +46,15 @@ that matter at scale:
   ``reuse_analysis=False`` for stateful custom routers.
 * **Pluggable sweep execution** — ensemble sweeps run through the
   :mod:`repro.sweep` package: a :class:`repro.sweep.SweepPlan` (jobs +
-  grid labels + reducers + backend choice) executed by a
+  reducers + backend choice) executed by a
   :class:`repro.sweep.SweepSession` over the ``serial`` or ``pool``
   backend — the latter runs chunks on supervised worker processes
   that send each chunk's :class:`repro.sweep.RunSummary` rows back
   over their own pipe, and recovers from worker crashes and hangs.
-  :func:`repro.sweep.simulate_many` (deterministic merge order) and
-  :func:`repro.sweep.simulate_stream` (one O(1) summary row per job,
-  lazily) remain the stable entry points; ``repro sweep`` exposes the
-  whole subsystem on the command line (``--backend``, ``--stream``).
+  :meth:`repro.sweep.SweepSession.stream` yields one O(1) summary row
+  per job, lazily and in job order; a job's full result is
+  :meth:`repro.SimJob.run`. ``repro sweep`` exposes the whole
+  subsystem on the command line (``--backend``, ``--stream``).
 * **Streaming reducers with a merge contract** — completed counts,
   makespan histograms, deadlock rate by config, per-config makespan
   stats and t-digest makespan quantiles
@@ -114,15 +114,13 @@ from repro.perf import analysis_cache_stats, clear_analysis_cache
 from repro.sim import (
     FCFSPolicy,
     OrderedPolicy,
-    SimJob,
     SimulationResult,
     Simulator,
     StaticPolicy,
     compare_models,
     simulate,
-    simulate_many,
 )
-from repro.sweep import SweepPlan, SweepSession
+from repro.sweep import SimJob, SweepPlan, SweepSession
 
 __version__ = "1.0.0"
 
@@ -176,7 +174,6 @@ __all__ = [
     "label_messages",
     "related_groups",
     "simulate",
-    "simulate_many",
     "trivial_labeling",
     "uniform_lookahead",
     "verify_theorem1",

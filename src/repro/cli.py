@@ -315,7 +315,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     capacities = _int_list(args.capacity, "--capacity", 0)
     _checked(args.repeat, "--repeat", 1)
     # An empty grid would print "0/0 runs completed" and exit 0, which
-    # claims every run completed.
+    # claims every run completed; a repeated value would run and print
+    # its grid points twice (--repeat is how a point runs again).
     for flag, values in (
         ("--policies", policies),
         ("--queues", queues),
@@ -323,6 +324,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ):
         if not values:
             raise ConfigError(f"{flag} needs at least one value")
+        if len(set(values)) != len(values):
+            raise ConfigError(
+                f"{flag} repeats a value; --repeat runs a grid point again"
+            )
     check_policy_names(policies)
     if args.stream:
         return _cmd_sweep_stream(args, program, policies, queues, capacities)
@@ -355,8 +360,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         witness_store=store,
         **_fault_tolerance_kwargs(args),
     )
-    # Summary rows carry everything the table needs, so even the eager
-    # sweep never materializes full results.
     rows = []
     session = SweepSession(plan)
     stream = session.stream()

@@ -1,26 +1,9 @@
 """Discrete-event simulation of programmable systolic arrays.
 
 Ensemble execution (batched and streaming sweeps) lives in the
-:mod:`repro.sweep` package; the sweep names below are re-exported from it.
+:mod:`repro.sweep` package.
 """
 
-from repro.sweep import (
-    BatchError,
-    CompletedCount,
-    DeadlockRateByConfig,
-    MakespanHistogram,
-    PerConfigMakespan,
-    QuantileReducer,
-    RunSummary,
-    SimJob,
-    StreamReducer,
-    iter_sweep_jobs,
-    iter_sweep_labels,
-    simulate_many,
-    simulate_stream,
-    sweep_jobs,
-    sweep_labels,
-)
 from repro.sim.engine import Engine, StopReason
 from repro.sim.memory_model import ModelComparison, compare_models
 from repro.sim.queue_manager import (
@@ -38,21 +21,6 @@ from repro.sim.words import Word
 
 __all__ = [
     "AssignmentEvent",
-    "BatchError",
-    "CompletedCount",
-    "DeadlockRateByConfig",
-    "MakespanHistogram",
-    "PerConfigMakespan",
-    "QuantileReducer",
-    "RunSummary",
-    "SimJob",
-    "StreamReducer",
-    "iter_sweep_jobs",
-    "iter_sweep_labels",
-    "simulate_many",
-    "simulate_stream",
-    "sweep_jobs",
-    "sweep_labels",
     "AssignmentPolicy",
     "Engine",
     "FCFSPolicy",

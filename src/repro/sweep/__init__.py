@@ -16,32 +16,33 @@ is the execution subsystem for those sweeps, split along three axes:
   :class:`~repro.sweep.plan.SweepPlan` and driven by a
   :class:`~repro.sweep.plan.SweepSession`;
 * **what to keep** — flat :class:`~repro.sweep.summary.RunSummary` rows
-  (one per job, constant size), streaming reducers
-  (:mod:`repro.sweep.reducers`) with an exact ``merge`` contract, and
-  on-demand full results via :class:`~repro.sweep.plan.ResultHandle`.
+  (one per job, constant size) and streaming reducers
+  (:mod:`repro.sweep.reducers`) with an exact ``merge`` contract. Rows
+  are all a sweep returns; a job's full result is
+  :meth:`~repro.sweep.jobs.SimJob.run`.
 
 The backend contract
 --------------------
 
 A backend (see :class:`repro.sweep.backends.ExecutionBackend`) maps an
 iterable of jobs to an *ordered* stream of
-``(index, row, result, witness)`` records
+``(index, row, witness, memo_hit)`` records
 (:class:`~repro.sweep.backends.JobRecord`):
 
 * records arrive in job order, whatever the worker scheduling;
 * ``row`` — the job's :class:`~repro.sweep.summary.RunSummary` — must
   be **byte-identical across backends** for the same job list; it may
-  come from this process or over a worker's pipe, but never differ;
-* ``result`` is the full simulation result when the session asked for
-  results (a job killed for hanging has none), else ``None``; a
-  summary-only row builds one only to mine a deadlock;
+  come from this process or over a worker's pipe, but never differ. A
+  job builds its full result only to mine a deadlock;
 * ``witness`` is a compact deadlock-certificate dict
   (:meth:`~repro.witness.DeadlockWitness.as_dict`) mined *where the
   job ran* — in process or inside the worker — when the session asked
   for it (the backend's ``mine`` flag) and the job deadlocked, else
-  ``None`` — so summary-only streams warm the witness store at full
-  speed without shipping full results; the parent merges under the
-  store's subsumption rules;
+  ``None`` — so streams warm the witness store at full speed without
+  shipping full results; the parent merges under the store's
+  subsumption rules;
+* ``memo_hit`` is set when the row came from the runner's memo (see
+  *Repeated runs* below) instead of a simulation;
 * workers are forked, so they start with the parent's in-memory
   analysis cache and any crossing-engine pin; the fault plan travels
   on the :class:`~repro.sweep.fault.Tolerance`.
@@ -53,16 +54,14 @@ serial   In-process, in order. The reference implementation: every
          other backend's rows are differential-tested against it.
 pool     Chunks of jobs run on supervised worker processes
          (:mod:`repro.sweep.backends.supervise`), one pipe per worker
-         and one message per chunk. Rows, mined certificates and (when
-         requested) full results are pickled back through the pipe.
+         and one message per chunk. Rows and mined certificates are
+         pickled back through the pipe.
 ======== ==============================================================
 
 The pool backend pulls lazy job streams incrementally — a generator is
 never materialized — and recovers from worker deaths (see below).
 ``backend=None`` picks ``serial`` for one worker or on a one-CPU host,
-``pool`` otherwise. A sweep that needs only a few full results streams
-its rows and re-runs the jobs it wants
-(:meth:`~repro.sweep.plan.SweepSession.iter_handles` says how).
+``pool`` otherwise.
 
 Reducers and quantiles
 ----------------------
@@ -151,9 +150,9 @@ and a capacity of at least the longest message never blocks a push.
 runner keeps a small per-program memo of rows by key
 (:class:`~repro.sweep.backends.RowMemo`), so each distinct run is
 simulated once per memo and its repeats are served re-stamped with
-their own index, queues and capacity. Full-result runs, error rows and
-(while mining) deadlocked rows are never served. Hits are counted on
-the session (``memo_hits``) and printed by ``repro sweep --stream``.
+their own index, queues and capacity. Error rows and (while mining)
+deadlocked rows are never served. Hits are counted on the session
+(``memo_hits``) and printed by ``repro sweep --stream``.
 
 The frontier planner
 --------------------
@@ -195,14 +194,7 @@ from repro.sweep.jobs import (
     job_fingerprint,
     witness_row,
 )
-from repro.sweep.plan import (
-    ResultHandle,
-    SweepOutcome,
-    SweepPlan,
-    SweepSession,
-    simulate_many,
-    simulate_stream,
-)
+from repro.sweep.plan import SweepPlan, SweepSession
 from repro.sweep.planner import (
     MONOTONE_POLICIES,
     FrontierPlanner,
@@ -238,12 +230,10 @@ __all__ = [
     "PerConfigMakespan",
     "PlanSpec",
     "QuantileReducer",
-    "ResultHandle",
     "RunSummary",
     "SimJob",
     "StreamReducer",
     "SweepCheckpoint",
-    "SweepOutcome",
     "SweepPlan",
     "SweepSession",
     "Tolerance",
@@ -257,8 +247,6 @@ __all__ = [
     "job_fingerprint",
     "merge_reducers",
     "parse_quantiles",
-    "simulate_many",
-    "simulate_stream",
     "summarize_result",
     "sweep_fingerprint",
     "sweep_jobs",

@@ -4,37 +4,30 @@ The backend contract
 --------------------
 
 A backend turns an iterable of :class:`~repro.sweep.jobs.SimJob` into an
-ordered stream of :class:`JobRecord` tuples ``(index, row, result,
-witness, memo_hit)``:
+ordered stream of :class:`JobRecord` tuples ``(index, row, witness,
+memo_hit)``:
 
 * records MUST be yielded in job order (index 0, 1, 2, ...);
 * ``row`` is the job's :class:`~repro.sweep.summary.RunSummary` and MUST
   be byte-identical across backends for the same job list — a backend
   moves rows (in process, or over its workers' pipes) but never alters
-  them;
-* ``result`` is the full :class:`~repro.sim.result.SimulationResult`
-  (or :class:`~repro.sweep.jobs.BatchError`) when ``want_results`` is
-  set — except for a job the supervisor killed for hanging, which has
-  none — else ``None``. Without ``want_results`` no backend attaches a
-  result: rows come straight off the stopped simulator, and a full
-  result is built only to mine a deadlock;
+  them. Rows come straight off the stopped simulator; a full result is
+  built only to mine a deadlock;
 * ``witness`` is the mining hook: with ``mine`` set, every backend
   mines each deadlocked job *where it ran* — in process for the serial
   backend, in the worker for pool — via
   :func:`~repro.sweep.jobs.mine_witness_payload` and attaches the
   compact certificate dict; the parent merges it into the witness store
-  under the usual two-way subsumption, so summary-only streams mine at
-  full speed too;
-* a summary-only row MAY come from the runner's memo
-  (:class:`RowMemo`) instead of a simulation: a job whose
-  :func:`~repro.sweep.jobs.canonical_key` repeats an earlier job of the
-  same program, in the same memo, gets that job's row with its own
-  ``index``, ``queues`` and ``capacity`` stamped in, and ``memo_hit``
-  set. Three kinds of row are never served from the memo: rows of
-  ``want_results`` runs, error rows, and deadlocked rows while mining
-  is on. A backend creates one memo per serial ``execute()`` and per
-  worker, so which repeats hit depends on chunking and scheduling, but
-  the rows do not;
+  under the usual two-way subsumption;
+* a row MAY come from the runner's memo (:class:`RowMemo`) instead of a
+  simulation: a job whose :func:`~repro.sweep.jobs.canonical_key`
+  repeats an earlier job of the same program, in the same memo, gets
+  that job's row with its own ``index``, ``queues`` and ``capacity``
+  stamped in, and ``memo_hit`` set. Two kinds of row are never served
+  from the memo: error rows, and deadlocked rows while mining is on. A
+  backend creates one memo per serial ``execute()`` and per worker, so
+  which repeats hit depends on chunking and scheduling, but the rows do
+  not;
 * with ``collect_errors`` unset, the first failing job's exception MUST
   propagate to the consumer (no silent loss);
 * the ``tolerance`` argument tunes fault recovery and carries the
@@ -46,8 +39,8 @@ witness, memo_hit)``:
   to lose, ignores it.
 
 Every backend runs a job through the one shared runner,
-:func:`run_record`, so rows, results and witnesses come from the same
-code in process and in a worker.
+:func:`run_record`, so rows and witnesses come from the same code in
+process and in a worker.
 
 The built-in backends go by a short name (``serial``, ``pool``);
 :func:`get_backend` resolves names for
@@ -57,7 +50,7 @@ The built-in backends go by a short name (``serial``, ``pool``);
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.arch.config import ArrayConfig
 from repro.errors import ConfigError, ReproError
@@ -73,12 +66,9 @@ from repro.sweep.jobs import (
 )
 from repro.sweep.summary import RunSummary, summarize_result
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.sim.result import SimulationResult
-
 
 class JobRecord(NamedTuple):
-    """One finished job: index, summary row and optional payloads.
+    """One finished job: index, summary row and its mining payload.
 
     ``witness`` is a compact :meth:`~repro.witness.certificate.
     DeadlockWitness.as_dict` payload mined where the job ran (see the
@@ -89,7 +79,6 @@ class JobRecord(NamedTuple):
 
     index: int
     row: RunSummary
-    result: "SimulationResult | BatchError | None"
     witness: dict | None = None
     memo_hit: bool = False
 
@@ -126,7 +115,6 @@ def run_record(
     index: int,
     job: SimJob,
     *,
-    want_result: bool,
     collect_errors: bool,
     mine: bool,
     memo: RowMemo | None = None,
@@ -134,25 +122,25 @@ def run_record(
     """Run one job and reduce it to its :class:`JobRecord`.
 
     The one per-job runner every backend shares. The row is read off
-    the stopped simulator; the full result is built only when the caller
-    ships it (``want_result``) or a deadlock is to be mined (``mine``),
-    and the simulator is closed before returning, so reference counting
-    frees the whole run at once. With ``collect_errors`` a
-    :class:`~repro.errors.ReproError` from set-up or the run becomes a
+    the stopped simulator; the full result is built only when a
+    deadlock is to be mined (``mine``), and the simulator is closed
+    before returning, so reference counting frees the whole run at
+    once. With ``collect_errors`` a :class:`~repro.errors.ReproError`
+    from set-up or the run becomes a
     :class:`~repro.sweep.jobs.BatchError` row; otherwise it propagates.
 
     With a ``memo``, a job whose canonical key already has a row is not
     run: the record carries that row with this job's ``index``,
     ``queues`` and ``capacity`` stamped in, and ``memo_hit`` set. The
-    memo is bypassed under ``want_result``, and never stores an error
-    row (a job whose representative raised runs again and raises or
-    collects its own error) or, while mining, a deadlocked row (a
-    certificate's scope carries the job's own queue count).
+    memo never stores an error row (a job whose representative raised
+    runs again and raises or collects its own error) or, while mining,
+    a deadlocked row (a certificate's scope carries the job's own queue
+    count).
     """
     result = None
     key = None
     try:
-        if memo is not None and not want_result:
+        if memo is not None:
             key = memo.key(job)
             row = memo.rows.get(key)
             if row is not None:
@@ -163,12 +151,12 @@ def run_record(
                     queues=config.queues_per_link,
                     capacity=config.queue_capacity,
                 )
-                return JobRecord(index, row, None, None, True)
+                return JobRecord(index, row, None, True)
         sim = job.simulator()
         try:
             sim.execute(max_events=job.max_events, max_time=job.max_time)
             row = summarize_result(index, job, sim)
-            if want_result or (mine and sim.deadlocked):
+            if mine and sim.deadlocked:
                 result = sim.result()
         finally:
             sim.close()
@@ -181,7 +169,7 @@ def run_record(
         if key is not None and not (mine and row.deadlocked):
             memo.rows[key] = row
     witness = mine_witness_payload(job, result) if mine else None
-    return JobRecord(index, row, result if want_result else None, witness)
+    return JobRecord(index, row, witness)
 
 
 class ExecutionBackend:
@@ -193,7 +181,6 @@ class ExecutionBackend:
         self,
         jobs: Iterable[SimJob],
         *,
-        want_results: bool,
         collect_errors: bool,
         workers: int,
         chunk_size: int,

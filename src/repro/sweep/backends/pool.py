@@ -10,11 +10,8 @@ Each worker starts with the parent's analysis cache (it is forked) and
 warms its own copy from there, so chunking by program keeps the cache
 hot.
 
-Rows, mined certificates and, with ``want_results``, every full
-:class:`SimulationResult` cross the worker's pipe, one message per
-chunk. A full result is tens of kilobytes pickled, so a sweep that
-needs only a few of them streams its rows and re-runs the jobs it wants
-(see :meth:`~repro.sweep.plan.SweepSession.iter_handles`).
+Rows and mined certificates cross the worker's pipe, one message per
+chunk.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from repro.sweep.jobs import SimJob
 
 
 class PoolBackend(ExecutionBackend):
-    """Supervised workers; rows and results cross their pipes."""
+    """Supervised workers; rows cross their pipes."""
 
     name = "pool"
 
@@ -35,7 +32,6 @@ class PoolBackend(ExecutionBackend):
         self,
         jobs: Iterable[SimJob],
         *,
-        want_results: bool,
         collect_errors: bool,
         workers: int,
         chunk_size: int,
@@ -44,7 +40,6 @@ class PoolBackend(ExecutionBackend):
     ) -> Iterator[JobRecord]:
         return Supervisor(
             jobs,
-            want_results=want_results,
             collect_errors=collect_errors,
             workers=workers,
             chunk_size=chunk_size,

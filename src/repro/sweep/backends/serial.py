@@ -34,7 +34,6 @@ class SerialBackend(ExecutionBackend):
         self,
         jobs: Iterable[SimJob],
         *,
-        want_results: bool,
         collect_errors: bool,
         workers: int,
         chunk_size: int,
@@ -46,7 +45,6 @@ class SerialBackend(ExecutionBackend):
             yield run_record(
                 index,
                 job,
-                want_result=want_results,
                 collect_errors=collect_errors,
                 mine=mine,
                 memo=memo,

@@ -24,13 +24,10 @@ processes, each spawned on first use and connected by its own duplex
   materialized. The supervisor holds only unemitted jobs (for requeue
   and quarantine) and drops each one as its row is emitted;
 * **one message per chunk** — a worker runs its whole chunk and ships
-  every record (its row, any mined certificate and, when the session
-  wants results, the full result) in one message that also marks the
-  chunk done. Each worker has one chunk outstanding at a time: sending
-  a second one ahead on the same duplex pipe can deadlock when a batch
-  of full results and the next task both overflow the socket buffers.
-  A death loses exactly the undelivered chunk, and exactly its jobs are
-  requeued;
+  every record (its row and any mined certificate) in one message that
+  also marks the chunk done. Each worker has one chunk outstanding at a
+  time, so a death loses at most that undelivered chunk, and exactly
+  its jobs are requeued;
 * **a shared progress slot per worker** — before each job a worker
   writes the job's index into its slot of a shared array, so on pipe
   EOF the parent blames a death on exactly the job that was running.
@@ -109,7 +106,6 @@ def _worker_main(
     parent_conn,
     progress,
     fault_plan: FaultPlan | None,
-    want_results: bool,
     collect_errors: bool,
     mine: bool,
 ) -> None:
@@ -157,7 +153,6 @@ def _worker_main(
                     record = run_record(
                         index,
                         job,
-                        want_result=want_results,
                         collect_errors=collect_errors,
                         mine=mine,
                         memo=memo,
@@ -228,14 +223,12 @@ class Supervisor:
         self,
         jobs: Iterable[SimJob],
         *,
-        want_results: bool,
         collect_errors: bool,
         workers: int,
         chunk_size: int,
         mine: bool,
         tolerance: Tolerance,
     ) -> None:
-        self.want_results = want_results
         self.collect_errors = collect_errors
         self.n_workers = max(1, workers)
         self.chunk_size = max(1, chunk_size)
@@ -271,7 +264,6 @@ class Supervisor:
                 conn,
                 self._progress,
                 self.tol.fault_plan,
-                self.want_results,
                 self.collect_errors,
                 self.mine,
             ),
@@ -327,7 +319,7 @@ class Supervisor:
                 f"job_timeout_s={self.tol.job_timeout_s} on each of "
                 f"{attempts} attempts",
             )
-            self._completed[index] = JobRecord(index, row, None)
+            self._completed[index] = JobRecord(index, row)
             return
         message = (
             f"worker process died on each of {attempts} attempts "
@@ -339,9 +331,7 @@ class Supervisor:
             return
         error = BatchError(kind=WORKER_CRASH_KIND, error=message)
         row = summarize_result(index, job, error)
-        self._completed[index] = JobRecord(
-            index, row, error if self.want_results else None
-        )
+        self._completed[index] = JobRecord(index, row)
 
     def _fail(self, index: int, kind: str, detail: str, now: float) -> None:
         """Charge one failed attempt; requeue with backoff or quarantine."""
@@ -422,7 +412,6 @@ class Supervisor:
                 self._completed[index] = run_record(
                     index,
                     job,
-                    want_result=self.want_results,
                     collect_errors=self.collect_errors,
                     mine=self.mine,
                     memo=memo,

@@ -59,8 +59,9 @@ def iter_sweep_jobs(
 ) -> Iterator[SimJob]:
     """Lazily generate the (policy x queues x capacity) x repeat sweep.
 
-    The generator form feeds :func:`repro.sweep.simulate_stream` without
-    ever holding the whole sweep in memory.
+    The generator form feeds a :class:`~repro.sweep.plan.SweepPlan`
+    whose :meth:`~repro.sweep.plan.SweepSession.stream` never holds the
+    whole sweep in memory.
     """
     for pol, nq, cap, _label in _sweep_grid(policies, queues, capacities, repeat):
         yield SimJob(

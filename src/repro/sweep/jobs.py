@@ -1,32 +1,29 @@
 """Sweep jobs: the unit of work every execution backend runs.
 
 A :class:`SimJob` is one simulation to execute — program, config,
-policy, registers, limits. :func:`normalize_jobs` turns the
-``simulate_many`` input shapes (programs + broadcast config, per-program
-configs, or prebuilt jobs) into a flat job list; the backends' shared
-runner (:func:`repro.sweep.backends.run_record`) executes one job,
-optionally trapping :class:`~repro.errors.ReproError` into a
-:class:`BatchError` so infeasible sweep corners stay data instead of
-aborting the batch. Chunking lives here too: the supervisor behind
-the pool backend splits the job stream with it.
-:func:`canonical_key` names the run a job performs, so
-the runner can simulate each distinct run of a program once.
+policy, registers, limits. The backends' shared runner
+(:func:`repro.sweep.backends.run_record`) executes one job, optionally
+trapping :class:`~repro.errors.ReproError` into a :class:`BatchError`
+so infeasible sweep corners stay data instead of aborting the batch.
+Chunking lives here too: the supervisor behind the pool backend splits
+the job stream with it. :func:`canonical_key` names the run a job
+performs, so the runner can simulate each distinct run of a program
+once.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.arch.config import ArrayConfig
-from repro.errors import ConfigError
+from repro.sim.runtime import Simulator
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.arch.links import Link
     from repro.core.program import ArrayProgram
     from repro.sim.result import SimulationResult
-    from repro.sim.runtime import Simulator
     from repro.sweep.summary import RunSummary
 
 
@@ -68,13 +65,8 @@ class SimJob:
     max_events: int | None = 5_000_000
     max_time: int | None = None
 
-    def simulator(self) -> "Simulator":
+    def simulator(self) -> Simulator:
         """This job's simulator, built but not yet run."""
-        # Imported lazily: repro.sim imports this package at module
-        # scope (to re-export its public names), so a top-level import
-        # here would be circular.
-        from repro.sim.runtime import Simulator
-
         return Simulator(
             self.program,
             config=self.config,
@@ -90,39 +82,6 @@ class SimJob:
             return sim.run(max_events=self.max_events, max_time=self.max_time)
         finally:
             sim.close()
-
-
-def normalize_jobs(
-    programs: "Sequence[ArrayProgram] | Sequence[SimJob]",
-    configs: ArrayConfig | Sequence[ArrayConfig | None] | None,
-    policy: str,
-    registers: dict[str, dict[str, float | None]] | None,
-) -> list[SimJob]:
-    """Flatten the ``simulate_many`` input shapes into a job list."""
-    jobs: list[SimJob] = []
-    if not programs:
-        return jobs
-    if isinstance(programs[0], SimJob):
-        if configs is not None:
-            raise ConfigError("pass configs inside SimJob objects, not both")
-        for job in programs:
-            if not isinstance(job, SimJob):
-                raise ConfigError("mix of SimJob and ArrayProgram inputs")
-            jobs.append(job)
-        return jobs
-    if configs is None or isinstance(configs, ArrayConfig):
-        config_list: list[ArrayConfig | None] = [configs] * len(programs)
-    else:
-        config_list = list(configs)
-        if len(config_list) != len(programs):
-            raise ConfigError(
-                f"{len(programs)} programs but {len(config_list)} configs"
-            )
-    for program, config in zip(programs, config_list):
-        jobs.append(
-            SimJob(program, config=config, policy=policy, registers=registers)
-        )
-    return jobs
 
 
 def witness_row(index: int, job: SimJob, witness) -> "RunSummary":

@@ -85,11 +85,11 @@ class PlanSpec:
 
     The declarative layer over :class:`~repro.sweep.plan.SweepPlan` for
     frontier search. ``capacities`` is the axis to search (sorted
-    ascending by the planner; duplicates are rejected so the exhaustive
-    grid it is compared against is unambiguous). ``exhaustive`` evaluates
-    every line in full, static lines included (see
-    :func:`exhaustive_spec`). ``reducers`` are fed every executed row,
-    in emission order, exactly as a sweep session would feed them.
+    ascending by the planner). A value repeated on any axis is rejected,
+    so the exhaustive grid it is compared against is unambiguous.
+    ``exhaustive`` evaluates every line in full, static lines included
+    (see :func:`exhaustive_spec`). ``reducers`` are fed every executed
+    row, in emission order, exactly as a sweep session would feed them.
 
     ``witness_store`` rides into the query's
     :class:`~repro.sweep.plan.SweepPlan`, so covered jobs are answered
@@ -99,9 +99,9 @@ class PlanSpec:
 
     ``backend`` and ``workers`` run the query's jobs. A round of one
     job (a static-only query has no other kind) runs in-process unless
-    ``backend`` names a backend, as :func:`~repro.sweep.plan.simulate_many`
-    runs a single job: forking workers for one simulation costs more
-    than the simulation.
+    ``backend`` names a backend: one job never needs worker processes,
+    since forking them for one simulation costs more than the
+    simulation.
     """
 
     program: "ArrayProgram"
@@ -112,7 +112,6 @@ class PlanSpec:
     reducers: Sequence[StreamReducer] = ()
     backend: str | None = None
     workers: int = 1
-    chunk_size: int | None = None
     exhaustive: bool = False
     witness_store: "WitnessStore | None" = None
 
@@ -313,11 +312,16 @@ class FrontierPlanner:
             raise ConfigError("frontier search needs at least one queues value")
         if not spec.capacities:
             raise ConfigError("frontier search needs a capacity axis")
-        if len(set(spec.capacities)) != len(tuple(spec.capacities)):
-            raise ConfigError(
-                "capacity axis contains duplicates; the exhaustive grid it "
-                "is compared against would be ambiguous"
-            )
+        for axis, values in (
+            ("policy", spec.policies),
+            ("queues", spec.queues),
+            ("capacity", spec.capacities),
+        ):
+            if len(set(values)) != len(tuple(values)):
+                raise ConfigError(
+                    f"{axis} axis contains duplicates; the exhaustive grid "
+                    "it is compared against would be ambiguous"
+                )
         if min(spec.queues) < 1:
             raise ConfigError(f"queues must be >= 1, got {min(spec.queues)}")
         if min(spec.capacities) < 0:
@@ -326,10 +330,6 @@ class FrontierPlanner:
             )
         if spec.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {spec.workers}")
-        if spec.chunk_size is not None and spec.chunk_size < 1:
-            raise ConfigError(
-                f"chunk_size must be >= 1, got {spec.chunk_size}"
-            )
         self.spec = spec
         self.capacities: tuple[int, ...] = tuple(sorted(spec.capacities))
 
@@ -422,12 +422,11 @@ class FrontierPlanner:
             plan = SweepPlan(
                 jobs=[self._job(s.policy, s.queues, i) for s, i in probes],
                 backend=spec.backend,
-                # One job never needs worker processes (simulate_many's rule).
+                # One job never needs worker processes.
                 workers=(
                     1 if spec.backend is None and len(probes) == 1
                     else spec.workers
                 ),
-                chunk_size=spec.chunk_size,
                 on_error="collect",
                 witness_store=spec.witness_store,
             )

@@ -231,9 +231,9 @@ def ensemble_programs(
 ) -> list[ArrayProgram]:
     """``count`` random deadlock-free programs, one per seed.
 
-    The materialised form of :func:`spec_family` — the input shape the
-    batched runner (:func:`repro.sweep.simulate_many`) consumes
-    directly for Theorem-1 ensembles.
+    The materialised form of :func:`spec_family`, for Theorem-1
+    ensembles: wrap each program in a :class:`repro.sweep.SimJob` to
+    sweep it.
     """
     return [
         random_program(spec)

@@ -352,14 +352,6 @@ def test_serial_memo_hits_are_exactly_the_repeated_keys():
     assert (len(jobs), hits) == (72, 56)
 
 
-def test_full_result_runs_bypass_the_memo():
-    jobs = saturated_grid()[:12]
-    session = SweepSession(SweepPlan(jobs=jobs))
-    outcome = session.run()
-    assert session.memo_hits == 0
-    assert outcome.rows == [simulated_row(i, job) for i, job in enumerate(jobs)]
-
-
 def test_error_rows_are_never_served():
     """A job whose representative raised runs again and raises itself."""
     job = SimJob(
@@ -367,13 +359,13 @@ def test_error_rows_are_never_served():
     )
     memo = RowMemo()
     first = run_record(
-        0, job, want_result=False, collect_errors=True, mine=False, memo=memo
+        0, job, collect_errors=True, mine=False, memo=memo
     )
     assert first.row.error_kind == "ConfigError"
     assert not memo.rows
     with pytest.raises(ConfigError):
         run_record(
-            1, job, want_result=False, collect_errors=False, mine=False, memo=memo
+            1, job, collect_errors=False, mine=False, memo=memo
         )
     rows, session = stream([job, job], on_error="collect")
     assert [row.error_kind for row in rows] == ["ConfigError"] * 2
@@ -388,7 +380,7 @@ def test_memo_forgets_the_previous_program():
     other = SimJob(cross_read(), config=ArrayConfig(queues_per_link=2))
     for index, job in enumerate((fig7, other, fig7)):
         record = run_record(
-            index, job, want_result=False, collect_errors=True, mine=False, memo=memo
+            index, job, collect_errors=True, mine=False, memo=memo
         )
         assert not record.memo_hit
     assert list(memo.rows) == [key_of(fig7)]
@@ -421,7 +413,7 @@ def test_mining_sees_every_deadlock(backend, knobs):
     for index, job in enumerate(jobs):
         if reference.find(job) is None:
             record = run_record(
-                index, job, want_result=False, collect_errors=True, mine=True
+                index, job, collect_errors=True, mine=True
             )
             if record.witness is not None:
                 reference.add(DeadlockWitness.from_dict(record.witness))

@@ -453,8 +453,9 @@ class TestFrontier:
 
 
 class TestOutOfRangeNumbers:
-    """Out-of-range numbers, empty lists and unknown policy names are
-    one ``error:`` line and exit 2, with no run started."""
+    """Out-of-range numbers, empty lists, repeated axis values and
+    unknown policy names are one ``error:`` line and exit 2, with no run
+    started."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -475,6 +476,11 @@ class TestOutOfRangeNumbers:
             ["sweep", "--stream", "--policies", ","],
             ["sweep", "--policies", "bogus"],
             ["sweep", "--stream", "--policies", "ordered,bogus"],
+            ["sweep", "--policies", "static,static", "--queues", "2"],
+            ["sweep", "--capacity", "1,1"],
+            ["sweep", "--stream", "--queues", "2,2"],
+            ["frontier", "--policies", "static", "--queues", "2,2"],
+            ["frontier", "--policies", "static,static", "--queues", "2"],
             ["frontier", "--policies", "bogus"],
             ["frontier", "--policies", "static,bogus", "--exhaustive"],
             ["frontier", "--queues", "0"],

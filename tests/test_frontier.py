@@ -424,6 +424,10 @@ class TestPlannerMechanics:
             FrontierPlanner(PlanSpec(prog, capacities=()))
         with pytest.raises(ConfigError):
             FrontierPlanner(PlanSpec(prog, capacities=(0, 1, 1)))
+        with pytest.raises(ConfigError, match="policy axis contains duplicates"):
+            FrontierPlanner(PlanSpec(prog, policies=("static", "static")))
+        with pytest.raises(ConfigError, match="queues axis contains duplicates"):
+            FrontierPlanner(PlanSpec(prog, queues=(1, 2, 1)))
         with pytest.raises(
             ConfigError,
             match=r"unknown assignment policy 'bogus' "
@@ -434,7 +438,6 @@ class TestPlannerMechanics:
             dict(queues=(1, 0)),
             dict(capacities=(-1, 0)),
             dict(workers=0),
-            dict(chunk_size=0),
         ):
             with pytest.raises(ConfigError):
                 FrontierPlanner(PlanSpec(prog, **bad))

@@ -337,18 +337,15 @@ def test_golden_simulation_results():
     )
 
 
-@pytest.mark.parametrize(
-    "want_result, mine", [(False, False), (True, False), (False, True)]
-)
-def test_run_record_matches_simulated_results(want_result, mine):
-    """The sweep runner's summary-only rows equal rows of full runs.
+@pytest.mark.parametrize("mine", [False, True])
+def test_run_record_matches_simulated_results(mine):
+    """The sweep runner's rows equal rows of full runs.
 
     :func:`~repro.sweep.backends.run_record` reads each row off the
     stopped simulator instead of its :class:`SimulationResult`; over the
     whole corpus the row must equal ``summarize_result`` of a full
     ``Simulator(...).run()`` (set-up errors as :class:`BatchError` rows),
-    with ``want_result`` the attached result must equal that run's, and
-    with ``mine`` the witness must be the one mined from it.
+    and with ``mine`` the witness must be the one mined from it.
     """
     from repro.sweep import BatchError, SimJob, summarize_result
     from repro.sweep.backends import run_record
@@ -366,11 +363,8 @@ def test_run_record_matches_simulated_results(want_result, mine):
             ).run(max_events=job.max_events, max_time=job.max_time)
         except ReproError as exc:
             expected = BatchError(kind=type(exc).__name__, error=str(exc))
-        record = run_record(
-            index, job, want_result=want_result, collect_errors=True, mine=mine
-        )
+        record = run_record(index, job, collect_errors=True, mine=mine)
         assert record.index == index
         assert record.row == summarize_result(index, job, expected), job_id
-        assert record.result == (expected if want_result else None), job_id
         witness = mine_witness_payload(job, expected) if mine else None
         assert record.witness == witness, job_id

@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from repro import ArrayConfig, SimJob, simulate_many
+from repro import ArrayConfig, SimJob
 from repro.errors import ConfigError
 from repro.sweep import (
     BatchError,
@@ -12,9 +12,10 @@ from repro.sweep import (
     DeadlockRateByConfig,
     MakespanHistogram,
     RunSummary,
+    SweepPlan,
+    SweepSession,
     iter_sweep_jobs,
     iter_sweep_labels,
-    simulate_stream,
     summarize_result,
     sweep_jobs,
     sweep_labels,
@@ -30,13 +31,16 @@ def ensemble():
 CONFIG = ArrayConfig(queues_per_link=8)
 
 
+def stream(jobs, **plan_kwargs):
+    return SweepSession(SweepPlan(jobs=jobs, **plan_kwargs)).stream()
+
+
 class TestSimulateStream:
-    def test_rows_in_job_order_and_match_simulate_many(self, ensemble):
+    def test_rows_in_job_order_and_match_job_runs(self, ensemble):
         jobs = [SimJob(p, config=CONFIG) for p in ensemble]
-        rows = list(simulate_stream(iter(jobs)))
-        results = simulate_many(jobs)
+        rows = list(stream(iter(jobs)))
         assert [row.index for row in rows] == list(range(len(jobs)))
-        for row, result in zip(rows, results):
+        for row, result in zip(rows, (job.run() for job in jobs)):
             assert row.completed == result.completed
             assert row.deadlocked == result.deadlocked
             assert row.time == result.time
@@ -47,24 +51,24 @@ class TestSimulateStream:
     def test_is_a_lazy_generator(self, ensemble):
         jobs = (SimJob(p, config=CONFIG) for p in ensemble)
         counter = CompletedCount()
-        stream = simulate_stream(jobs, reducers=(counter,), chunk_size=1)
-        assert isinstance(stream, types.GeneratorType)
+        rows = stream(jobs, reducers=(counter,), chunk_size=1)
+        assert isinstance(rows, types.GeneratorType)
         assert counter.total == 0  # nothing ran yet
-        first = next(stream)
+        first = next(rows)
         assert isinstance(first, RunSummary)
         assert counter.total == 1  # exactly one job ran and was reduced
 
     def test_workers_match_in_process(self, ensemble):
         jobs = [SimJob(p, config=CONFIG) for p in ensemble]
-        serial = list(simulate_stream(iter(jobs)))
-        parallel = list(simulate_stream(iter(jobs), workers=2, chunk_size=2))
+        serial = list(stream(iter(jobs)))
+        parallel = list(stream(iter(jobs), workers=2, chunk_size=2))
         assert serial == parallel
 
     def test_reducers_see_every_row(self, ensemble):
         jobs = [SimJob(p, config=CONFIG) for p in ensemble]
         outcomes = CompletedCount()
         makespan = MakespanHistogram(bucket_width=8)
-        rows = list(simulate_stream(iter(jobs), reducers=(outcomes, makespan)))
+        rows = list(stream(iter(jobs), reducers=(outcomes, makespan)))
         assert outcomes.total == len(rows)
         assert outcomes.completed == sum(1 for r in rows if r.completed)
         assert makespan.count == outcomes.completed
@@ -77,7 +81,7 @@ class TestSimulateStream:
         jobs = iter_sweep_jobs(ensemble[0], queues=(8,), repeat=repeat)
         outcomes = CompletedCount()
         times = set()
-        for row in simulate_stream(
+        for row in stream(
             jobs, reducers=(outcomes,), workers=2, chunk_size=64
         ):
             times.add(row.time)
@@ -89,7 +93,7 @@ class TestSimulateStream:
         jobs = sweep_jobs(
             ensemble[0], policies=("static", "ordered"), queues=(1, 8)
         )
-        rows = list(simulate_stream(iter(jobs)))
+        rows = list(stream(iter(jobs)))
         outcomes = {row.outcome for row in rows}
         assert "infeasible" in outcomes
         infeasible = [r for r in rows if r.outcome == "infeasible"]
@@ -98,16 +102,16 @@ class TestSimulateStream:
     def test_on_error_raise_propagates(self, ensemble):
         jobs = sweep_jobs(ensemble[0], policies=("static",), queues=(1,))
         with pytest.raises(ConfigError):
-            list(simulate_stream(iter(jobs), on_error="raise"))
+            list(stream(iter(jobs), on_error="raise"))
 
     def test_invalid_arguments_rejected(self, ensemble):
         jobs = [SimJob(ensemble[0], config=CONFIG)]
         with pytest.raises(ConfigError):
-            list(simulate_stream(iter(jobs), workers=0))
+            list(stream(iter(jobs), workers=0))
         with pytest.raises(ConfigError):
-            list(simulate_stream(iter(jobs), chunk_size=0))
+            list(stream(iter(jobs), chunk_size=0))
         with pytest.raises(ConfigError):
-            list(simulate_stream(iter(jobs), on_error="bogus"))
+            list(stream(iter(jobs), on_error="bogus"))
 
     def test_unpicklable_chunk_runs_in_process(self, ensemble):
         from repro import COMPUTE, ArrayProgram, Message, R, W
@@ -121,12 +125,12 @@ class TestSimulateStream:
             },
         )
         jobs = [SimJob(ensemble[0], config=CONFIG), SimJob(lam)]
-        rows = list(simulate_stream(iter(jobs), workers=2, chunk_size=1))
+        rows = list(stream(iter(jobs), workers=2, chunk_size=1))
         assert [row.index for row in rows] == [0, 1]
         assert all(row.completed for row in rows)
 
     def test_empty_stream(self):
-        assert list(simulate_stream(iter(()))) == []
+        assert list(stream(iter(()))) == []
 
 
 class TestReducers:

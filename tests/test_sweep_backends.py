@@ -6,8 +6,7 @@ reducer summaries for the same job list — a row may be built in
 process or cross a worker's pipe, but the data may not differ. This
 harness pins that contract on a seed sweep corpus spanning every
 outcome class (completed, deadlock, timeout, infeasible), plus the
-full results the pool backend ships and the in-process fallback for
-chunks that cannot pickle.
+in-process fallback for chunks that cannot pickle.
 """
 
 import gc
@@ -24,8 +23,6 @@ from repro.sweep import (
     MakespanHistogram,
     PerConfigMakespan,
     QuantileReducer,
-    ResultHandle,
-    RunSummary,
     SimJob,
     SweepPlan,
     SweepSession,
@@ -85,9 +82,9 @@ def run_backend(backend: str, jobs):
         workers=2,
         chunk_size=3,
     )
-    outcome = SweepSession(plan).run()
+    rows = list(SweepSession(plan).stream())
     summaries = {r.name: r.summary() for r in reducers}
-    return outcome, summaries
+    return rows, summaries
 
 
 class TestBackendDifferential:
@@ -100,7 +97,7 @@ class TestBackendDifferential:
         return {b: run_backend(b, corpus) for b in BACKENDS}
 
     def test_corpus_covers_every_outcome(self, per_backend):
-        rows = per_backend["serial"][0].rows
+        rows = per_backend["serial"][0]
         assert {row.outcome for row in rows} == {
             "completed",
             "deadlock",
@@ -109,13 +106,12 @@ class TestBackendDifferential:
         }
 
     def test_rows_identical_across_backends(self, per_backend):
-        serial_rows = per_backend["serial"][0].rows
-        assert per_backend["pool"][0].rows == serial_rows
+        assert per_backend["pool"][0] == per_backend["serial"][0]
 
     def test_rows_byte_identical_as_json(self, per_backend):
-        def dump(outcome):
+        def dump(rows):
             return json.dumps(
-                [row.__dict__ for row in outcome.rows], sort_keys=True
+                [row.__dict__ for row in rows], sort_keys=True
             ).encode()
 
         serial = dump(per_backend["serial"][0])
@@ -128,32 +124,8 @@ class TestBackendDifferential:
 
     def test_rows_are_in_job_order(self, per_backend, corpus):
         for backend in BACKENDS:
-            rows = per_backend[backend][0].rows
+            rows = per_backend[backend][0]
             assert [row.index for row in rows] == list(range(len(corpus)))
-
-    def test_pool_ships_every_full_result(self, per_backend):
-        serial_results = per_backend["serial"][0].results()
-        pool_outcome = per_backend["pool"][0]
-        # Handles arrive materialized: nothing re-runs in the parent.
-        assert all(h.hydrated for h in pool_outcome.handles)
-        for got, want in zip(pool_outcome.results(), serial_results):
-            assert type(got) is type(want)
-            if not hasattr(want, "received"):
-                assert got == want  # BatchError
-                continue
-            assert got.completed == want.completed
-            assert got.time == want.time
-            assert got.events == want.events
-            assert got.received == want.received
-            assert got.assignment_trace == want.assignment_trace
-
-    def test_stream_matches_run_rows(self, corpus):
-        for backend in BACKENDS:
-            plan = SweepPlan(
-                jobs=corpus, backend=backend, workers=2, chunk_size=3
-            )
-            streamed = list(SweepSession(plan).stream())
-            assert streamed == run_backend(backend, corpus)[0].rows
 
 
 class TestSessionValidation:
@@ -195,8 +167,7 @@ class TestSessionValidation:
     def test_empty_jobs(self):
         for backend in BACKENDS:
             plan = SweepPlan(jobs=[], backend=backend, workers=2)
-            outcome = SweepSession(plan).run()
-            assert outcome.rows == [] and outcome.handles == []
+            assert list(SweepSession(plan).stream()) == []
 
     def test_on_error_raise_propagates_from_every_backend(self, fig8):
         jobs = sweep_jobs(fig8, policies=("static",), queues=(1,))
@@ -206,15 +177,6 @@ class TestSessionValidation:
             )
             with pytest.raises(ConfigError):
                 list(SweepSession(plan).stream())
-
-
-def _row(**kw):
-    base = dict(
-        index=0, completed=True, deadlocked=False, timed_out=False,
-        time=10, events=5, words=3, policy="ordered", queues=1, capacity=0,
-    )
-    base.update(kw)
-    return RunSummary(**base)
 
 
 class TestPoolFallback:
@@ -233,12 +195,9 @@ class TestPoolFallback:
         )
         jobs = [SimJob(fig7_program()), SimJob(lam)]
         plan = SweepPlan(jobs=jobs, backend="pool", workers=2, chunk_size=1)
-        outcome = SweepSession(plan).run()
-        assert [row.index for row in outcome.rows] == [0, 1]
-        assert all(row.completed for row in outcome.rows)
-        # The in-parent chunk materializes its result like a worker does.
-        assert outcome.handles[1].hydrated
-        assert outcome.handles[1].result().registers["C2"]["y"] == 3.0
+        rows = list(SweepSession(plan).stream())
+        assert [row.index for row in rows] == [0, 1]
+        assert all(row.completed for row in rows)
 
 
 def _explode(value):
@@ -290,10 +249,7 @@ class TestRunRecordTeardown:
     @pytest.mark.parametrize("policy, case", TEARDOWN_CASES)
     def test_no_cyclic_garbage_left(self, policy, case):
         job = _teardown_job(policy, case)
-        modes = [
-            {"want_result": False, "mine": False},
-            {"want_result": True, "mine": True},
-        ]
+        modes = [{"mine": False}, {"mine": True}]
         # Warm the analysis cache first: only the run itself is on trial.
         first = run_record(0, job, collect_errors=True, **modes[0])
         expected = {
@@ -317,23 +273,9 @@ class TestRunRecordTeardown:
             gc.enable()
 
 
-class TestResultHandle:
-    def test_materialized_handle_never_reruns(self, fig7):
-        job = SimJob(fig7)
-        sentinel = object()
-        handle = ResultHandle(_row(), job, False, result=sentinel)
-        assert handle.hydrated
-        assert handle.result() is sentinel
-
-    def test_lazy_handle_runs_once_and_caches(self, fig7):
-        handle = ResultHandle(_row(), SimJob(fig7), False)
-        first = handle.result()
-        assert first.completed
-        assert handle.result() is first
-
-
 def _pinned_to_columnar(_value):
-    """1.0 when this process resolves a tiny program to columnar.
+    """1.0 when this process resolves a tiny program to columnar, else a
+    :class:`ReproError` (an infeasible row).
 
     ``auto`` keeps fig7 on the interned engine, so only a
     :func:`~repro.core.crossing.configure_crossing_backend` pin makes
@@ -341,7 +283,9 @@ def _pinned_to_columnar(_value):
     """
     from repro.core.crossing import resolve_backend
 
-    return float(resolve_backend(fig7_program()) == "columnar")
+    if resolve_backend(fig7_program()) != "columnar":
+        raise ReproError("this process lost the columnar pin")
+    return 1.0
 
 
 class TestForkedWorkersKeepThePin:
@@ -374,7 +318,7 @@ class TestForkedWorkersKeepThePin:
                 workers=2,
                 chunk_size=1,
             )
-            results = SweepSession(plan).run().results()
+            rows = list(SweepSession(plan).stream())
         finally:
             configure_crossing_backend(previous)
-        assert [result.registers["C2"]["y"] for result in results] == [1.0, 1.0]
+        assert [row.completed for row in rows] == [True, True]

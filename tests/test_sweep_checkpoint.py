@@ -290,15 +290,6 @@ class TestMismatchRefusal:
 
 
 class TestPlanValidation:
-    def test_eager_run_rejects_checkpoint(self):
-        session = SweepSession(
-            SweepPlan(jobs=corpus_jobs(), checkpoint="/tmp/x.ckpt")
-        )
-        with pytest.raises(ConfigError, match="streaming feature"):
-            session.run()
-        with pytest.raises(ConfigError, match="streaming feature"):
-            list(session.iter_handles())
-
     def test_resume_requires_checkpoint_path(self):
         with pytest.raises(ConfigError, match="requires a checkpoint"):
             SweepSession(SweepPlan(jobs=corpus_jobs(), resume=True))

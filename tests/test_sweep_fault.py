@@ -318,7 +318,6 @@ class TestWorkerErrorNarrowing:
 
         return Supervisor(
             jobs,
-            want_results=False,
             collect_errors=True,
             workers=1,
             chunk_size=1,

@@ -153,45 +153,6 @@ class TestBackendDifferential:
         assert session.witness_mined == 0
 
 
-class TestPrunedHandles:
-    """Full-result sessions: run jobs hand over their results, pruned
-    jobs hydrate on first access to the result they would have had."""
-
-    @pytest.mark.parametrize("backend", ("serial", "pool"))
-    def test_pruned_handles_hydrate_on_demand(self, backend):
-        jobs = sweep_jobs(
-            cross_read(),
-            policies=("static", "fcfs"),
-            queues=(1,),
-            capacities=(0, 1, 2, 3),
-        )
-        store = WitnessStore()
-        run_sweep(jobs, store)  # warm it up on the serial baseline
-        session = SweepSession(
-            SweepPlan(
-                jobs=jobs,
-                witness_store=store,
-                backend=backend,
-                workers=2,
-                chunk_size=2,
-            )
-        )
-        handles = session.run().handles
-        assert session.witness_pruned == 4  # the whole static line
-        assert [h.hydrated for h in handles] == [
-            job.policy != "static" for job in jobs
-        ]
-        for handle, job in zip(handles, jobs):
-            got, want = handle.result(), job.run()
-            assert handle.hydrated and got.deadlocked
-            assert (got.time, got.events, got.received) == (
-                want.time,
-                want.events,
-                want.received,
-            )
-            assert got.assignment_trace == want.assignment_trace
-
-
 class TestWorkerMining:
     """Cold multiprocess sweeps mine in-worker, matching serial exactly.
 
@@ -337,15 +298,6 @@ class TestCheckpointComposition:
         assert session.witness_mined == 2
         assert session.witness_pruned == 2
         assert len(store) == 1
-
-    def test_mining_can_be_disabled(self):
-        jobs = sweep_jobs(
-            cross_read(), policies=("static",), queues=(1,), capacities=(0, 1)
-        )
-        store = WitnessStore()
-        _rows, _summaries, session = run_sweep(jobs, store, witness_mine=False)
-        assert session.witness_mined == 0
-        assert len(store) == 0
 
 
 class TestPlannerSeeding:
