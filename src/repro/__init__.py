@@ -40,10 +40,19 @@ that matter at scale:
 * **Analysis caching** — ``Simulator(..., reuse_analysis=True)`` (the
   default) shares routing, competing-message sets, lookahead capacities
   and the constraint labeling through a process-global content-keyed
-  cache (:mod:`repro.perf`). Repeated simulations of the same program
+  cache (:mod:`repro.perf`), together with a frozen, structure-only
+  build plan (:class:`repro.sim.runtime.BuildPlan`: the sorted link
+  table, routes, agent names and op-to-flow indices), so a simulator
+  builds only per-job state. Repeated simulations of the same program
   (sweeps, policy ablations, Theorem-1 ensembles) skip static analysis
   entirely. Use ``repro.perf.clear_analysis_cache()`` to reset, and
   ``reuse_analysis=False`` for stateful custom routers.
+* **Repeated runs** — a sweep simulates each distinct run of a program
+  once. Queues past a link's competing count and capacity past the
+  longest message change no run, and an FCFS job with a queue per
+  competing message performs the static run, so
+  :func:`repro.sweep.jobs.canonical_key` gives such jobs one key and
+  the runner's row memo serves the repeats re-stamped.
 * **Pluggable sweep execution** — ensemble sweeps run through the
   :mod:`repro.sweep` package: a :class:`repro.sweep.SweepPlan` (jobs +
   reducers + backend choice) executed by a

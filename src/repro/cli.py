@@ -12,9 +12,11 @@ The textual format is that of :mod:`repro.lang.parser`. Examples::
     python -m repro frontier program.sysp --queues 1,2 --capacity 0,1,2,4,8
 
 ``frontier`` answers the Section 8 sizing question directly: the minimal
-queue capacity per (policy, queues) line. Static lines are decided by
-one crossing-off pass and confirmed by a single simulation of the
-frontier point; FCFS and ordered lines are fully evaluated.
+queue capacity per (policy, queues) line. Static lines, and FCFS lines
+with a queue per competing message (which perform the static run), are
+decided by one crossing-off pass and confirmed by a single simulation
+of the frontier point; other FCFS lines and ordered lines are fully
+evaluated.
 
 Multiprocess sweeps always recover from worker deaths: crashed
 workers are replaced and their jobs retried (``--max-retries``), and
@@ -409,10 +411,12 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     """Minimal-buffering frontier per (policy, queues) line (Section 8).
 
     A static line's frontier is the least axis capacity at or above the
-    program's c* from crossing-off, and only that point is simulated;
-    FCFS and ordered lines are evaluated in full (extra FCFS buffering
-    can introduce a deadlock, a pinned counterexample) — see
-    :mod:`repro.sweep.planner`.
+    program's c* from crossing-off, and only that point is simulated.
+    An FCFS line with at least the widest competing count of queues
+    performs the static run and is decided the same way. FCFS lines
+    with fewer queues (where extra buffering can introduce a deadlock,
+    a pinned counterexample) and ordered lines are evaluated in full —
+    see :mod:`repro.sweep.planner`.
     """
     program = _load(args.file)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
@@ -624,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     frontier = sub.add_parser(
         "frontier",
         help="minimal buffering per (policy, queues) line, decided by "
-             "crossing-off where the static policy allows",
+             "crossing-off where the static run allows",
         description="Find each (policy, queues) line's minimal completing "
                     "queue capacity on the given axis. A static line's "
                     "frontier is the least axis capacity at or above the "
@@ -633,17 +637,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "is simulated, once for all lines that perform the "
                     "same run (queue counts at or past the widest "
                     "competing count), and a line with fewer queues than "
-                    "that count is infeasible. FCFS and ordered lines are "
-                    "evaluated exhaustively: extra buffering can "
-                    "introduce an FCFS deadlock. "
+                    "that count is infeasible. An FCFS line at or past "
+                    "the widest competing count performs the static run "
+                    "and is decided the same way. Other FCFS lines and "
+                    "ordered lines are evaluated exhaustively: below that "
+                    "count extra buffering can introduce an FCFS "
+                    "deadlock. "
                     "Exit status 0 when every line has a frontier, 1 when "
                     "some line never completes.",
     )
     frontier.add_argument("file")
     frontier.add_argument(
         "--policies", default="static",
-        help="comma-separated assignment policies (static is decided "
-             "by crossing-off; ordered and fcfs are fully evaluated)",
+        help="comma-separated assignment policies (static, and fcfs "
+             "at or past the widest competing count, are decided by "
+             "crossing-off; ordered and other fcfs lines are fully "
+             "evaluated)",
     )
     frontier.add_argument(
         "--queues", default="1", help="comma-separated queues-per-link values"

@@ -36,6 +36,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.arch.config import ArrayConfig
 from repro.arch.links import Link, Route
@@ -53,6 +54,9 @@ from repro.core.labeling import Labeling, constraint_labeling
 from repro.core.program import ArrayProgram
 from repro.core.requirements import competing_messages
 from repro.errors import DeadlockedProgramError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.sim.runtime import BuildPlan
 
 _FINGERPRINT_ATTR = "_perf_fingerprint"
 
@@ -160,7 +164,10 @@ class AnalysisEntry:
       for unbuffered, no-extension configs);
     * ``labeling`` — the constraint labeling (frozen dataclass);
     * ``ordered_groups`` — link -> per-label groups, precomputed for the
-      ordered policy's setup.
+      ordered policy's setup;
+    * ``plan`` — the simulator's structure-only
+      :class:`~repro.sim.runtime.BuildPlan`, sharing the route tuples of
+      ``routes``.
     """
 
     __slots__ = (
@@ -176,6 +183,7 @@ class AnalysisEntry:
         "_labeling",
         "_labeling_error",
         "_ordered_groups",
+        "_plan",
     )
 
     def __init__(
@@ -201,6 +209,7 @@ class AnalysisEntry:
         # raises a fresh error instead of crossing off again.
         self._labeling_error: tuple[type, str] | None = None
         self._ordered_groups: dict[Link, tuple[tuple[str, ...], ...]] | None = None
+        self._plan: BuildPlan | None = None
 
     @property
     def routes(self) -> dict[str, Route]:
@@ -267,6 +276,23 @@ class AnalysisEntry:
                         raise
                     self._labeling = labeling
         return self._labeling
+
+    @property
+    def plan(self) -> BuildPlan:
+        """The simulator's build plan (computed once).
+
+        Built from ``routes`` and ``competing``, so it holds structure
+        only: every program this entry serves shares it.
+        """
+        if self._plan is None:
+            with self._lock:
+                if self._plan is None:
+                    from repro.sim.runtime import build_plan
+
+                    self._plan = build_plan(
+                        self._program, self.routes, self.competing
+                    )
+        return self._plan
 
     def ordered_groups(
         self, labeling: Labeling

@@ -66,7 +66,8 @@ class MessageFlow:
         self.last_hop = len(route) - 1
         self.queues: list[HardwareQueue | None] = [None] * len(route)
         self.requested: list[bool] = [False] * len(route)
-        self._grant_waiters: list[list[Callback]] = [[] for _ in route]
+        # A hop's waiter list is made when the first party waits on it.
+        self._grant_waiters: list[list[Callback] | None] = [None] * len(route)
         self.words_written = 0
         self.words_delivered = 0
 
@@ -86,7 +87,7 @@ class MessageFlow:
         self.queues[hop] = queue
         waiters = self._grant_waiters[hop]
         if waiters:
-            self._grant_waiters[hop] = []
+            self._grant_waiters[hop] = None
             for poke in waiters:
                 poke()
 
@@ -94,6 +95,8 @@ class MessageFlow:
         """Invoke ``poke`` once a queue is granted on ``hop``."""
         if self.queues[hop] is not None:
             poke()
+        elif self._grant_waiters[hop] is None:
+            self._grant_waiters[hop] = [poke]
         else:
             self._grant_waiters[hop].append(poke)
 
@@ -264,10 +267,13 @@ class CellAgent(_Agent):
         self,
         sim: "Simulator",
         cell: str,
+        name: str,
         ops: tuple[Op, ...],
+        flow_ids: tuple[int | None, ...],
+        flows: list[MessageFlow],
         registers: dict[str, float | None] | None = None,
     ) -> None:
-        super().__init__(sim, f"cell:{cell}")
+        super().__init__(sim, name)
         self.cell = cell
         self.ops = ops
         self.pc = 0
@@ -288,10 +294,11 @@ class CellAgent(_Agent):
         )
         # Pre-resolved execution plan: each op paired with its flow (None
         # for computes), so the hot loop never does a by-name dict lookup.
-        flows = sim.flows
+        # ``flow_ids`` gives each op's index into ``flows``, the run's
+        # flow list.
         self._plan: list[tuple[Op, "MessageFlow | None"]] = [
-            (op, None if op.kind is OpKind.COMPUTE else flows[op.message])
-            for op in ops
+            (op, None if i is None else flows[i])
+            for op, i in zip(ops, flow_ids)
         ]
 
     def start(self) -> None:
@@ -457,8 +464,10 @@ class ForwarderAgent(_Agent):
         "_hop_latency",
     )
 
-    def __init__(self, sim: "Simulator", flow: MessageFlow, hop: int) -> None:
-        super().__init__(sim, f"fwd:{flow.message.name}:{hop}")
+    def __init__(
+        self, sim: "Simulator", flow: MessageFlow, hop: int, name: str
+    ) -> None:
+        super().__init__(sim, name)
         self.flow = flow
         self.hop = hop
         self.moved = 0

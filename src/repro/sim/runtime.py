@@ -13,18 +13,33 @@ router/topology subclasses are automatically excluded from sharing
 unless they expose an ``analysis_fingerprint`` token (see
 :mod:`repro.perf.analysis_cache`); ``reuse_analysis=False`` disables
 sharing entirely.
+
+A simulator builds from a frozen :class:`BuildPlan`: the sorted link
+table with each link's competing messages, every message's route, each
+cell's agent name and op-to-flow indices, and each forwarder's flow,
+hop and name. The plan follows from program structure alone, so the
+cache keeps one per entry and a build creates only per-job state —
+link states and policy data, flows, agents and the engine. The plan
+holds no op, message or value: programs that differ only in compute
+callables or write constants share it, and each job's own program
+supplies those. Without an entry, :func:`build_plan` makes the same
+plan fresh, so there is one build path either way.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
+from operator import attrgetter
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.arch.config import ArrayConfig, CommModel
-from repro.arch.links import Link
+from repro.arch.links import Link, Route
 from repro.arch.routing import Router, default_router
 from repro.arch.topology import ExplicitLinear, Topology
 from repro.core.labeling import Labeling, constraint_labeling
 from repro.core.crossing import route_capacities
+from repro.core.ops import OpKind
 from repro.core.program import ArrayProgram
 from repro.core.requirements import competing_messages
 from repro.errors import SimulationError
@@ -34,6 +49,88 @@ from repro.sim.deadlock import diagnose
 from repro.sim.engine import WHEEL_HORIZON, Engine, StopReason
 from repro.sim.queue_manager import AssignmentPolicy, QueueManager, make_policy
 from repro.sim.result import SimulationResult
+
+
+class BuildPlan(NamedTuple):
+    """The structure-only half of a :class:`Simulator` build.
+
+    Everything here follows from the program's structure, topology and
+    router, so one plan serves every run of a program; a simulator adds
+    only its per-job state (link states and policy data, flows, agents,
+    the engine). The fields are:
+
+    * ``messages`` — message names in declaration order, and ``routes``
+      their routes in that order (a build's flow list is indexed alike);
+    * ``links`` — every link a route crosses, sorted, with the names of
+      its competing messages;
+    * ``cells`` — per cell in program order: the cell, its agent's name
+      and, per op, the index of the op's flow (``None`` for a compute);
+    * ``forwarders`` — per forwarder, by message then hop: its flow
+      index, hop and agent name.
+
+    A plan holds names, links and indices, never an :class:`~repro.core.
+    ops.Op`, a :class:`~repro.core.message.Message` or a value: programs
+    with equal fingerprints share a plan although their compute
+    callables and write constants differ, so those come from each job's
+    own program.
+    """
+
+    messages: tuple[str, ...]
+    routes: tuple[Route, ...]
+    links: tuple[tuple[Link, tuple[str, ...]], ...]
+    cells: tuple[tuple[str, str, tuple[int | None, ...]], ...]
+    forwarders: tuple[tuple[int, int, str], ...]
+
+
+#: ``Link``'s dataclass order, (src, dst), as a sort key: sorting by key
+#: compares in C instead of calling the generated ``__lt__`` per pair.
+_LINK_ORDER = attrgetter("src", "dst")
+
+
+def build_plan(
+    program: ArrayProgram,
+    routes: Mapping[str, Route],
+    competing: Mapping[Link, Sequence[str]],
+) -> BuildPlan:
+    """The :class:`BuildPlan` of ``program`` under these routes.
+
+    Raises :class:`~repro.errors.SimulationError` if a message has an
+    empty route (a flow needs at least one queue). Agent names are
+    interned, so the plans of one program's entries (one per capacity)
+    share them.
+    """
+    names = tuple(program.messages)
+    index = {name: i for i, name in enumerate(names)}
+    used: set[Link] = set()
+    for name in names:
+        route = routes[name]
+        if not route:
+            raise SimulationError(f"message {name} has an empty route")
+        used.update(route)
+    return BuildPlan(
+        messages=names,
+        routes=tuple(routes[name] for name in names),
+        links=tuple(
+            (link, tuple(competing.get(link, ())))
+            for link in sorted(used, key=_LINK_ORDER)
+        ),
+        cells=tuple(
+            (
+                cell,
+                sys.intern(f"cell:{cell}"),
+                tuple(
+                    None if op.kind is OpKind.COMPUTE else index[op.message]
+                    for op in program.cell_programs[cell].ops
+                ),
+            )
+            for cell in program.cells
+        ),
+        forwarders=tuple(
+            (i, hop, sys.intern(f"fwd:{name}:{hop}"))
+            for i, name in enumerate(names)
+            for hop in range(len(routes[name]) - 1)
+        ),
+    )
 
 
 def wheel_horizon_for(program: ArrayProgram, config: ArrayConfig) -> int:
@@ -85,9 +182,16 @@ class Simulator:
         strict: enforce Theorem 1 assumption (ii) at setup for the
             ordered policy.
         reuse_analysis: share static analyses (routes, competing sets,
-            capacities, labeling) through the process-global content-keyed
-            cache. Identical results either way; repeated simulations of
-            the same program skip re-analysis.
+            capacities, labeling) and the :class:`BuildPlan` through the
+            process-global content-keyed cache. Identical results either
+            way; repeated simulations of the same program skip
+            re-analysis and re-planning.
+
+    A build takes its :class:`BuildPlan` from the analysis entry (or
+    plans afresh without one) and creates only what a run mutates: the
+    link states with their policy data, one flow per message, the cell
+    and forwarder agents, and the engine. Ops, messages and register
+    values always come from this simulator's own program.
 
     A simulator's life is build → :meth:`execute` → :meth:`result` →
     :meth:`close`; :meth:`run` is the first two in one call. After
@@ -168,54 +272,66 @@ class Simulator:
             )
         return constraint_labeling(self.program, lookahead=lookahead)
 
-    def _build(self, registers: dict[str, dict[str, float | None]]) -> None:
+    def _plan(self) -> BuildPlan:
+        """The analysis entry's plan, or a fresh one without an entry."""
         analysis = self._analysis
-        if analysis is not None:
-            routes = analysis.routes
-            competing = analysis.competing
-        else:
+        program = self.program
+        if analysis is None:
             routes = {
                 msg.name: self.router.route(msg.sender, msg.receiver)
-                for msg in self.program.messages.values()
+                for msg in program.messages.values()
             }
-            competing = competing_messages(self.program, self.router)
+            return build_plan(
+                program, routes, competing_messages(program, self.router)
+            )
+        plan = analysis.plan
+        if plan.messages == tuple(program.messages):
+            return plan
+        # The fingerprint does not see declaration order, and flows and
+        # forwarders follow it: plan this program's own order afresh.
+        return build_plan(program, analysis.routes, analysis.competing)
+
+    def _build(self, registers: dict[str, dict[str, float | None]]) -> None:
+        plan = self._plan()
         # Links first: an infeasible static/ordered config raises in
-        # link set-up, before any flow or agent is built (a flow needs a
-        # non-empty route).
-        used_links: set[Link] = set()
-        for msg in self.program.messages.values():
-            route = routes[msg.name]
-            if not route:
-                raise SimulationError(f"message {msg.name} has an empty route")
-            used_links.update(route)
+        # link set-up, before any flow or agent is built.
         groups_table = None
         if (
-            analysis is not None
+            self._analysis is not None
             and self.policy.name == "ordered"
             and self.labeling is not None
         ):
-            groups_table = analysis.ordered_groups(self.labeling)
-        for link in sorted(used_links):
-            self.manager.add_link(
+            groups_table = self._analysis.ordered_groups(self.labeling)
+        manager, config, labeling = self.manager, self.config, self.labeling
+        for link, competing in plan.links:
+            manager.add_link(
                 link,
-                self.config,
-                competing.get(link, ()),
-                self.labeling,
+                config,
+                competing,
+                labeling,
                 groups_table.get(link) if groups_table is not None else None,
             )
-        for msg in self.program.messages.values():
-            self.flows[msg.name] = MessageFlow(self, msg, routes[msg.name])
-        for cell in self.program.cells:
-            agent = CellAgent(
+        flows = [
+            MessageFlow(self, msg, route)
+            for msg, route in zip(self.program.messages.values(), plan.routes)
+        ]
+        self.flows.update(zip(plan.messages, flows))
+        cell_programs = self.program.cell_programs
+        for cell, name, flow_ids in plan.cells:
+            self.cell_agents[cell] = CellAgent(
                 self,
                 cell,
-                self.program.cell_programs[cell].ops,
+                name,
+                cell_programs[cell].ops,
+                flow_ids,
+                flows,
                 registers.get(cell),
             )
-            self.cell_agents[cell] = agent
-        for name, flow in self.flows.items():
-            for hop in range(flow.hops - 1):
-                self.forwarders[(name, hop)] = ForwarderAgent(self, flow, hop)
+        messages = plan.messages
+        for i, hop, name in plan.forwarders:
+            self.forwarders[(messages[i], hop)] = ForwarderAgent(
+                self, flows[i], hop, name
+            )
 
     # ------------------------------------------------------------------
     # Agent callbacks

@@ -130,14 +130,14 @@ capacity band is exactly the set of capacities whose run replays the
 witnessed trace. Pruning is restricted to
 :data:`~repro.sweep.planner.MONOTONE_POLICIES` (static); FCFS — where
 extra buffering can change the outcome, a pinned counterexample — is
-exempt by construction and always simulates. Mining runs in-process on
-the serial backend and *inside the workers* on pool
+exempt by construction: no certificate ever prunes an FCFS row. Mining
+runs in-process on the serial backend and *inside the workers* on pool
 (the ``witness`` field of the backend contract), so cold multiprocess
 sweeps grow the store too. Skips and newly mined certificates are
 counted on the session (``witness_pruned`` / ``witness_mined``; both
 surface in ``repro sweep --json``) and compose with
 ``--checkpoint``/``--resume``. A frontier query without
-``exhaustive`` gives the store no work: its static frontier rows
+``exhaustive`` gives the store no work: its crossing-off frontier rows
 complete, and FCFS and ordered rows are never pruned or mined.
 
 Repeated runs
@@ -146,13 +146,16 @@ Repeated runs
 Many jobs of a provisioning grid are the same run under a different
 config: queues beyond a link's competing-message count are never taken,
 and a capacity of at least the longest message never blocks a push.
-:func:`~repro.sweep.jobs.canonical_key` clamps both, and the shared
-runner keeps a small per-program memo of rows by key
+With a queue per competing message FCFS grants every request at once,
+as the static policy does, so its run is the static run.
+:func:`~repro.sweep.jobs.canonical_key` clamps both and folds that
+FCFS case into the static key, and the shared runner keeps a small
+per-program memo of rows by key
 (:class:`~repro.sweep.backends.RowMemo`), so each distinct run is
 simulated once per memo and its repeats are served re-stamped with
-their own index, queues and capacity. Error rows and (while mining)
-deadlocked rows are never served. Hits are counted on the session
-(``memo_hits``) and printed by ``repro sweep --stream``.
+their own index, policy, queues and capacity. Error rows and (while
+mining) deadlocked rows are never served. Hits are counted on the
+session (``memo_hits``) and printed by ``repro sweep --stream``.
 
 The frontier planner
 --------------------
@@ -166,8 +169,10 @@ grid axes and the execution knobs;
 at compile time — crossing-off under the simulator's buffering gives
 the least capacity c* at which the program completes
 (:func:`~repro.core.crossing.least_capacity`) — and simulates only its
-frontier point, raising if that run does not complete. FCFS (where
-extra buffering can *introduce* deadlock — a pinned counterexample) and
+frontier point, raising if that run does not complete. An FCFS line
+with a queue per competing message performs the static run, so it is
+decided the same way. FCFS lines with fewer queues (where extra
+buffering can *introduce* deadlock — a pinned counterexample) and
 ordered lines are evaluated in full. A query is one
 :class:`~repro.sweep.plan.SweepPlan` whose
 :class:`~repro.sweep.summary.RunSummary` rows carry their

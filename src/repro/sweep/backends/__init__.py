@@ -22,8 +22,10 @@ memo_hit)``:
 * a row MAY come from the runner's memo (:class:`RowMemo`) instead of a
   simulation: a job whose :func:`~repro.sweep.jobs.canonical_key`
   repeats an earlier job of the same program, in the same memo, gets
-  that job's row with its own ``index``, ``queues`` and ``capacity``
-  stamped in, and ``memo_hit`` set. Two kinds of row are never served
+  that job's row with its own ``index``, ``policy``, ``queues`` and
+  ``capacity`` stamped in, and ``memo_hit`` set (an FCFS job with a
+  queue per competing message keys as the static run, so it may be
+  served a static job's row). Two kinds of row are never served
   from the memo: error rows, and deadlocked rows while mining is on. A
   backend creates one memo per serial ``execute()`` and per worker, so
   which repeats hit depends on chunking and scheduling, but the rows do
@@ -88,12 +90,14 @@ class RowMemo:
 
     Jobs with equal :func:`~repro.sweep.jobs.canonical_key` perform the
     same run, so :func:`run_record` serves a repeated key from here
-    instead of simulating it again. The memo holds one program at a
-    time (a sweep lists each program's grid together) and forgets the
-    previous program's rows when the next one arrives; the program's
-    :class:`~repro.sweep.jobs.ProgramShape` is computed on that switch,
-    so keying a job needs no analysis lookup. Backends create one per
-    serial ``execute()`` and per worker; nothing outlives them.
+    instead of simulating it again, re-stamped with the job's own
+    ``index``, ``policy``, ``queues`` and ``capacity``. The memo holds
+    one program at a time (a sweep lists each program's grid together)
+    and forgets the previous program's rows when the next one arrives;
+    the program's :class:`~repro.sweep.jobs.ProgramShape` is computed on
+    that switch, so keying a job needs no analysis lookup. Backends
+    create one per serial ``execute()`` and per worker; nothing outlives
+    them.
     """
 
     __slots__ = ("shape", "rows")
@@ -131,11 +135,11 @@ def run_record(
 
     With a ``memo``, a job whose canonical key already has a row is not
     run: the record carries that row with this job's ``index``,
-    ``queues`` and ``capacity`` stamped in, and ``memo_hit`` set. The
-    memo never stores an error row (a job whose representative raised
-    runs again and raises or collects its own error) or, while mining,
-    a deadlocked row (a certificate's scope carries the job's own queue
-    count).
+    ``policy``, ``queues`` and ``capacity`` stamped in, and ``memo_hit``
+    set. The memo never stores an error row (a job whose representative
+    raised runs again and raises or collects its own error) or, while
+    mining, a deadlocked row (a certificate's scope carries the job's
+    own queue count).
     """
     result = None
     key = None
@@ -148,6 +152,7 @@ def run_record(
                 row = dataclasses.replace(
                     row,
                     index=index,
+                    policy=job.policy,
                     queues=config.queues_per_link,
                     capacity=config.queue_capacity,
                 )

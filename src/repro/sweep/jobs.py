@@ -254,7 +254,7 @@ def canonical_key(job: SimJob, shape: ProgramShape) -> tuple:
 
     The key holds the program fingerprint, the policy, the registers,
     ``strict``, both limits and every config field except three, which
-    are canonicalized:
+    are canonicalized, and the policy is folded in one case:
 
     * **queues** — each link's queue count is clamped to the number of
       messages competing for that link. A message requests a queue on a
@@ -274,23 +274,38 @@ def canonical_key(job: SimJob, shape: ProgramShape) -> tuple:
       the ordered policy's lookahead (hops x capacity) is then at least
       every message's length, which no count of skipped writes can
       exceed, so rule R2 never binds.
+    * **policy** — an FCFS job with a queue per competing message on
+      every link keys as ``"static"``: Section 7's static scheme is that
+      provisioning. No request then finds the pool empty, so FCFS grants
+      inside the request, as the static policy does, and which queue a
+      message gets changes no timing. Static set-up cannot fail there
+      either. Below a link's competing count FCFS may make a message
+      wait, so it keeps its own key.
 
     Summary rows of jobs with equal keys therefore differ only in their
-    ``index``, ``queues`` and ``capacity`` columns. (Full results also
-    differ in ``queue_stats``, which lists every configured queue.)
-    ``shape`` is the :func:`program_shape` of ``job.program``, computed
-    once per program, so keying a job makes no analysis lookup.
+    ``index``, ``policy``, ``queues`` and ``capacity`` columns. (Full
+    results also differ in ``queue_stats``, which lists every configured
+    queue, and in the queue indices of ``assignment_trace``.) ``shape``
+    is the :func:`program_shape` of ``job.program``, computed once per
+    program, so keying a job makes no analysis lookup.
     """
     config = job.config or ArrayConfig()
     if config.link_queue_overrides:
         queues: int | tuple[int, ...] = tuple(
             min(config.queues_on(link), count) for link, count in shape.links
         )
+        full = all(
+            held == count for held, (_link, count) in zip(queues, shape.links)
+        )
     else:
         queues = min(config.queues_per_link, shape.widest)
+        full = queues == shape.widest
+    policy = job.policy
+    if policy == "fcfs" and full:
+        policy = "static"
     return (
         shape.fingerprint,
-        job.policy,
+        policy,
         _registers_repr(job.registers),
         job.strict,
         job.max_events,

@@ -86,7 +86,7 @@ class SweepPlan:
     :func:`~repro.sweep.jobs.canonical_key` repeats an earlier job of
     the same program from a per-program row memo
     (:class:`~repro.sweep.backends.RowMemo`), re-stamped with the job's
-    own index, queues and capacity, and counts it in
+    own index, policy, queues and capacity, and counts it in
     :attr:`SweepSession.memo_hits`. Error rows and, with a witness
     store attached, deadlocked rows always simulate.
     """

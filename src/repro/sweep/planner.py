@@ -4,8 +4,9 @@ The paper's Section 8 question — how many queues and how much buffering
 before a program class stops deadlocking? — is a *frontier* query: along
 each (policy, queues) line of the provisioning grid, find the minimal
 queue capacity whose run completes. Exhaustively sweeping the capacity
-axis answers it in linear cost; this module decides static lines at
-compile time and evaluates the rest in full:
+axis answers it in linear cost; this module decides static lines, and
+the FCFS lines that perform the static run, at compile time and
+evaluates the rest in full:
 
 * **static policy** — the static policy needs a queue per competing
   message on every link, so a line below the widest competing count
@@ -18,17 +19,26 @@ compile time and evaluates the rest in full:
   capacity at or above c*. Only that point is simulated. If its row
   does not complete, analysis and simulator disagree, and the planner
   raises :class:`~repro.errors.SimulationError` rather than answer;
-* **fcfs and ordered** — extra capacity can *introduce* an FCFS
-  deadlock (the pinned counterexample
-  ``test_fcfs_buffering_can_hurt_completion``), and no two-way property
-  pins the ordered policy, so the planner evaluates the whole line.
+* **fcfs at or past the widest count** — with a queue per competing
+  message no request finds the pool empty, so FCFS grants every request
+  at once, as the static policy does, and its run *is* the static run
+  (:func:`~repro.sweep.jobs.canonical_key` gives both one key). Such a
+  line is decided from c* exactly as a static line is;
+* **fcfs below the widest count, and ordered** — extra capacity can
+  *introduce* an FCFS deadlock there (the pinned counterexample
+  ``test_fcfs_buffering_can_hurt_completion`` runs at two queues on a
+  program whose widest count is three), and no two-way property pins
+  the ordered policy, so the planner evaluates the whole line.
 
-Static lines whose jobs have equal
+Crossing-off lines of one policy whose jobs have equal
 :func:`~repro.sweep.jobs.canonical_key` (every queue count at or past
 the widest competing count) perform the same run and share the first
 such line's frontier row; :attr:`FrontierResult.shared_with` names that
-line. Exhaustive lines never share, which keeps :func:`exhaustive_spec`
-the differential oracle.
+line. Lines of different policies never share a search, so each line
+reports under its own policy; a static and an FCFS probe of one run
+still execute in one sweep, where the runner's row memo serves the
+second from the first. Exhaustive lines never share, which keeps
+:func:`exhaustive_spec` the differential oracle.
 
 A query runs its jobs as one :class:`~repro.sweep.plan.SweepPlan` on the
 backend the :class:`PlanSpec` names. Each row is a standard
@@ -61,9 +71,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.witness.store import WitnessStore
 
 #: Policies whose run-time completion is monotone in queue capacity
-#: (hypothesis-pinned for static). FCFS is excluded by the pinned
-#: counterexample; "ordered" is excluded conservatively (no
-#: monotonicity property is pinned for it).
+#: (hypothesis-pinned for static). FCFS stays out: at a queue per
+#: competing message its run is the static run, which the row memo
+#: already shares, and below that the pinned counterexample shows extra
+#: capacity can make it deadlock. "ordered" is excluded conservatively
+#: (no monotonicity property is pinned for it).
 #:
 #: Deadlock-witness pruning (:mod:`repro.witness`) reads this set: a
 #: stored certificate only generalizes across capacities when
@@ -94,8 +106,8 @@ class PlanSpec:
     ``witness_store`` rides into the query's
     :class:`~repro.sweep.plan.SweepPlan`, so covered jobs are answered
     from the store and fresh deadlocks are mined into it. Without
-    ``exhaustive`` it changes nothing: a static frontier row completes,
-    and FCFS and ordered rows are never pruned or mined.
+    ``exhaustive`` it changes nothing: a crossing-off frontier row
+    completes, and FCFS and ordered rows are never pruned or mined.
 
     ``backend`` and ``workers`` run the query's jobs. A round of one
     job (a static-only query has no other kind) runs in-process unless
@@ -178,11 +190,12 @@ class FrontierReport:
     """A full planner run: per-line frontiers plus every executed row.
 
     ``lines`` holds one :class:`FrontierResult` per grid line, shared
-    lines included. ``rows`` holds only the executed jobs — each static
-    search's frontier row and each exhaustive line's axis, none for a
-    shared line — carrying the searching line's exhaustive-grid indices
-    (see the module docstring), in job order. ``jobs_executed`` is their
-    count; ``grid_jobs`` the exhaustive grid's.
+    lines included. ``rows`` holds only the executed jobs — each
+    crossing-off search's frontier row and each exhaustive line's axis,
+    none for a shared line — carrying the searching line's
+    exhaustive-grid indices (see the module docstring), in job order.
+    ``jobs_executed`` is their count; ``grid_jobs`` the exhaustive
+    grid's.
     """
 
     lines: list[FrontierResult]
@@ -293,10 +306,11 @@ class _LineSearch:
 
 
 class FrontierPlanner:
-    """Executes a :class:`PlanSpec`: static lines from c*, others in full.
+    """Executes a :class:`PlanSpec`: static lines, and FCFS lines with a
+    queue per competing message, from c*; others in full.
 
-    The query's jobs — one frontier point per distinct static search,
-    plus every exhaustive line's whole axis — run as a single
+    The query's jobs — one frontier point per distinct crossing-off
+    search, plus every exhaustive line's whole axis — run as a single
     :class:`~repro.sweep.plan.SweepPlan`, so line-level parallelism is
     available to the pool backend; errors are collected
     (``on_error="collect"``) — an infeasible corner of an exhaustive
@@ -359,39 +373,46 @@ class FrontierPlanner:
     def _searches(self) -> list[tuple[int, _LineSearch]]:
         """Every grid line's queue count and the search answering it.
 
-        An exhaustive line searches itself over the whole axis. A static
-        line runs nothing when it is infeasible (fewer queues than the
-        widest competing count) or its frontier is off the axis.
-        Otherwise it runs its frontier point, keyed by that job's
+        An exhaustive line searches itself over the whole axis: every
+        line under ``exhaustive``, every ordered line, and every FCFS
+        line with fewer queues than the widest competing count. The
+        other lines resolve by crossing-off. A static line runs nothing
+        when it is infeasible (fewer queues than the widest competing
+        count) or its frontier is off the axis. Otherwise a line runs its
+        frontier point, keyed by its policy and that job's
         :func:`~repro.sweep.jobs.canonical_key`: lines whose keys agree
         perform the same run, and the first such line's search answers
-        them all. The program's shape and c* are computed here, and only
-        when some line resolves by crossing-off.
+        them all. The program's shape is computed here when some line
+        is not exhaustive, and c* only when some line resolves by
+        crossing-off.
         """
         spec = self.spec
         every = range(len(self.capacities))
         shape = None
-        frontier = None
         by_key: dict[tuple, _LineSearch] = {}
         lines: list[tuple[int, _LineSearch]] = []
         for policy in spec.policies:
             for queues in spec.queues:
-                if spec.exhaustive or policy != "static":
+                if shape is None and not spec.exhaustive and policy != "ordered":
+                    shape = program_shape(spec.program)
+                if (
+                    spec.exhaustive
+                    or policy == "ordered"
+                    or (policy == "fcfs" and queues < shape.widest)
+                ):
                     search = _LineSearch(
                         policy, queues, len(lines), MODE_EXHAUSTIVE, every
                     )
                     lines.append((queues, search))
                     continue
-                if shape is None:
-                    shape = program_shape(spec.program)
-                    frontier = self._frontier_index()
+                frontier = self._frontier_index()
                 if queues < shape.widest or frontier is None:
                     search = _LineSearch(
                         policy, queues, len(lines), MODE_CROSSING_OFF, ()
                     )
                 else:
                     job = self._job(policy, queues, frontier)
-                    key = canonical_key(job, shape)
+                    key = (policy, canonical_key(job, shape))
                     search = by_key.get(key)
                     if search is None:
                         search = by_key[key] = _LineSearch(

@@ -11,7 +11,14 @@ from repro.perf import (
     program_fingerprint,
     topology_fingerprint,
 )
+from repro.algorithms.figures import (
+    fig2_expected_outputs,
+    fig2_fir,
+    fig2_registers,
+    fig7_program,
+)
 from repro.algorithms.fir import fir_program, fir_registers
+from repro.core.program import ArrayProgram
 from repro.arch.topology import ExplicitLinear, LinearArray, Mesh2D
 from repro.workloads import WorkloadSpec, random_program
 
@@ -151,6 +158,70 @@ class TestCachedEqualsFresh:
         sim2 = Simulator(program, registers=fir_registers((1.0,) * 4))
         assert sim1.labeling is sim2.labeling
         assert GLOBAL_ANALYSIS_CACHE.stats()["size"] == 1
+
+
+class TestBuildPlan:
+    """The entry's build plan holds structure only, and is the one path."""
+
+    def test_fingerprint_equal_programs_share_the_plan_not_the_values(self):
+        inputs = ((1.0, 2.0, 3.0, 4.0), (5.0, -1.0, 0.5, 8.0))
+        sims = []
+        for xs in inputs:
+            sim = Simulator(fig2_fir(xs), registers=fig2_registers())
+            result = sim.run()
+            assert result.received["YA"] == list(fig2_expected_outputs(xs))
+            sims.append(sim)
+        first, second = sims
+        assert program_fingerprint(first.program) == program_fingerprint(
+            second.program
+        )
+        assert first._analysis is second._analysis
+        assert first._plan() is second._plan() is first._analysis.plan
+        assert analysis_cache_stats()["size"] == 1
+
+    @pytest.mark.parametrize("policy", ["ordered", "static", "fcfs"])
+    @pytest.mark.parametrize("name", ["fig2", "fig7"])
+    def test_uncached_build_equals_cached_in_the_full_result(self, name, policy):
+        if name == "fig2":
+            program, registers = fig2_fir(), fig2_registers()
+        else:
+            program, registers = fig7_program(), None
+        config = ArrayConfig(queues_per_link=2, queue_capacity=1)
+
+        def run(reuse):
+            return Simulator(
+                program,
+                config=config,
+                policy=policy,
+                registers=registers,
+                reuse_analysis=reuse,
+            ).run()
+
+        fresh = run(False)
+        assert run(True) == fresh  # fills the cache
+        assert run(True) == fresh  # reads the cache
+        assert fresh.queue_stats and fresh.assignment_trace
+
+    def test_declaration_order_is_planned_per_program(self):
+        # The fingerprint hashes messages by name, so a program that
+        # declares the same messages in another order shares the entry;
+        # its flows and forwarders still follow its own order.
+        base = fig7_program()
+        names = list(base.messages)
+        for order in (names, names[::-1]):
+            program = ArrayProgram(
+                base.cells,
+                [base.messages[name] for name in order],
+                {cell: base.cell_programs[cell].ops for cell in base.cells},
+            )
+            assert program_fingerprint(program) == program_fingerprint(base)
+            sim = Simulator(program, policy="fcfs", config=ArrayConfig())
+            assert list(sim.flows) == order
+            fresh = Simulator(
+                program, policy="fcfs", config=ArrayConfig(), reuse_analysis=False
+            ).run()
+            assert sim.run() == fresh
+        assert analysis_cache_stats()["size"] == 1
 
 
 class TestCustomSubclassSafety:

@@ -3,11 +3,13 @@
 In the paper's queue model a message takes at most one queue on a link
 and a queue carries one message at a time (Sections 2.3 and 7), so
 queues beyond a link's competing count are never taken and a capacity of
-at least the longest message never blocks a push or binds rule R2.
-:func:`~repro.sweep.jobs.canonical_key` clamps both, and jobs with equal
-keys must give the same summary row up to its ``index``, ``queues`` and
-``capacity`` columns. These tests pin that claim (on the golden corpus
-and over generated programs) and the row memo built on it
+at least the longest message never blocks a push or binds rule R2. With
+a queue per competing message no request waits, so FCFS performs the
+static run. :func:`~repro.sweep.jobs.canonical_key` clamps both counts
+and folds that FCFS case into the static key, and jobs with equal keys
+must give the same summary row up to its ``index``, ``policy``,
+``queues`` and ``capacity`` columns. These tests pin that claim (on the
+golden corpus and over generated programs) and the row memo built on it
 (:class:`~repro.sweep.backends.RowMemo`): every backend's rows stay
 equal to plain simulations, errors are never served, and mining sees
 every deadlock.
@@ -72,6 +74,7 @@ def restamp(row, index: int, job: SimJob):
     return dataclasses.replace(
         row,
         index=index,
+        policy=job.policy,
         queues=config.queues_per_link,
         capacity=config.queue_capacity,
     )
@@ -164,6 +167,32 @@ def test_key_clamps_queues_and_capacity_to_the_program():
     assert key_of(SimJob(program)) == key(1, 0)
 
 
+def test_fcfs_with_a_queue_per_competing_message_keys_as_static():
+    program = fig7_program()  # widest competing set 2
+    shape = program_shape(program)
+
+    def key(policy, queues, **fields):
+        config = ArrayConfig(queues_per_link=queues, **fields)
+        return canonical_key(SimJob(program, config=config, policy=policy), shape)
+
+    assert key("fcfs", 2) == key("fcfs", 7) == key("static", 2)
+    assert key("fcfs", 1) != key("static", 1)
+    assert key("fcfs", 1) != key("static", 2)
+    # The ordered policy holds free queues back for the lowest label
+    # group, so it never folds.
+    assert key("ordered", 2) != key("static", 2)
+    # With overrides the fold needs every link at its competing count.
+    full = dict(shape.links)
+    assert key("fcfs", 1, link_queue_overrides=full) == key(
+        "static", 1, link_queue_overrides=full
+    )
+    short = dict(full)
+    short[next(link for link, count in full.items() if count == 2)] = 1
+    assert key("fcfs", 5, link_queue_overrides=short) != key(
+        "static", 5, link_queue_overrides=short
+    )
+
+
 def test_shape_is_memoized_on_the_program_and_travels_with_it(monkeypatch):
     import pickle
 
@@ -199,7 +228,9 @@ def key_families(draw):
     capacity around both saturation points, under one set of other
     fields (extension, memory-to-memory, latencies, strict, a small
     event budget); half the families add per-link override configs
-    beside the plain ones."""
+    beside the plain ones. A family runs either the ordered policy or
+    both static and FCFS, so FCFS jobs with a queue per competing
+    message meet the static jobs whose key they share."""
     spec = draw(
         st.builds(
             WorkloadSpec,
@@ -223,7 +254,7 @@ def key_families(draw):
         allow_extension=draw(st.booleans()),
         comm_model=draw(st.sampled_from(tuple(CommModel))),
     )
-    policy = draw(st.sampled_from(POLICIES))
+    policies = draw(st.sampled_from((("ordered",), ("static", "fcfs"))))
     strict = draw(st.booleans())
     max_events = draw(st.sampled_from((5_000_000, 60)))
     shape = program_shape(program)
@@ -252,6 +283,7 @@ def key_families(draw):
             max_events=max_events,
         )
         for config in configs
+        for policy in policies
     ]
     return shape, jobs
 
@@ -346,10 +378,12 @@ def test_serial_memo_hits_are_exactly_the_repeated_keys():
     rows, session = stream(jobs)
     hits = expected_memo_hits(jobs, rows)
     assert session.memo_hits == hits
-    # 72 jobs make 12 distinct runs. The 6 static q=1 jobs raise, so
-    # the 4 of them that repeat a key run again: 72 - 12 - 4 hits.
+    # Each policy clamps to 2 queue counts x 2 capacities: 12 keys. At
+    # q >= 2 (fig7's widest count) FCFS keys as static, so 72 jobs make
+    # 10 distinct runs. The 6 static q=1 jobs raise, so the 4 of them
+    # that repeat a key run again: 72 - 10 - 4 hits.
     assert sum(row.error_kind is not None for row in rows) == 6
-    assert (len(jobs), hits) == (72, 56)
+    assert (len(jobs), hits) == (72, 58)
 
 
 def test_error_rows_are_never_served():

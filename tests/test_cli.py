@@ -422,13 +422,31 @@ class TestFrontier:
         assert payload["lines"][0]["mode"] == "crossing-off"
 
     def test_fcfs_line_reported_exhaustive(self, fig7_file, capsys):
+        # fig7's widest competing count is 2: one queue is below it.
         code = main([
             "frontier", fig7_file, "--policies", "fcfs",
-            "--queues", "2", "--capacity", "0,1,2",
+            "--queues", "1", "--capacity", "0,1,2",
         ])
         out = capsys.readouterr().out
+        assert "frontier fcfs q=1: " in out
         assert "[exhaustive, 3 probes]" in out
         assert code in (0, 1)
+
+    def test_fcfs_line_at_the_widest_count_decided_by_crossing_off(
+        self, fig7_file, capsys
+    ):
+        code = main([
+            "frontier", fig7_file, "--policies", "fcfs",
+            "--queues", "2,3", "--capacity", "0,1,2",
+        ])
+        out = capsys.readouterr().out
+        assert "frontier fcfs q=2: cap=0  [crossing-off, 1 probes]" in out
+        assert (
+            "frontier fcfs q=3: cap=0  [crossing-off, 1 probes, shared with "
+            "q=2]" in out
+        )
+        assert "executed 1/6 grid jobs" in out
+        assert code == 0
 
     def test_duplicate_capacities_clean_error(self, burst_file, capsys):
         assert main(["frontier", burst_file, "--capacity", "0,1,1"]) == 2

@@ -11,8 +11,10 @@ minimal capacity that completes. These tests pin that claim four ways:
   program family under the static policy;
 * the FCFS fallback, kept honest by the pinned non-monotonicity
   counterexample (``test_properties.test_fcfs_buffering_can_hurt_completion``):
-  on that program any reasoning from capacity monotonicity would *miss*
-  the frontier that full evaluation finds;
+  on that program, below its widest competing count, any reasoning from
+  capacity monotonicity would *miss* the frontier that full evaluation
+  finds; at or past that count FCFS performs the static run and is
+  decided from c*;
 * the completion check: a c* that lies makes the planner raise instead
   of answering.
 
@@ -30,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.arch.config import ArrayConfig
 from repro.core import crossing
 from repro.core.message import Message
 from repro.core.ops import R, W
@@ -40,8 +43,10 @@ from repro.sweep import (
     CompletedCount,
     FrontierPlanner,
     PlanSpec,
+    SimJob,
     exhaustive_spec,
     find_frontier,
+    summarize_result,
     sweep_labels,
 )
 from repro.sweep.backends.pool import PoolBackend
@@ -172,6 +177,46 @@ class TestDifferentialCorpus:
                 capacities=SATURATING_CAPACITIES,
             )
             assert_differential(spec)
+
+    def test_fcfs_lines_on_saturating_axes(self):
+        """FCFS lines at or past the widest count resolve from c* within
+        their own policy; their frontier rows equal plain simulations."""
+        programs = [generated(seed) for seed in (0, 7, 23, 91)] + [
+            generated(seed, cells=5, messages=8, max_length=3)
+            for seed in (3, 14)
+        ]
+        decided = 0
+        for prog in programs:
+            widest = program_shape(prog).widest
+            spec = PlanSpec(
+                prog,
+                policies=("static", "fcfs"),
+                queues=saturating_queues(prog),
+                capacities=SATURATING_CAPACITIES,
+            )
+            planned, _grid = assert_differential(spec)
+            for line in planned.lines:
+                if line.policy == "fcfs":
+                    assert line.mode == (
+                        MODE_CROSSING_OFF if line.queues >= widest
+                        else MODE_EXHAUSTIVE
+                    )
+                    decided += line.mode == MODE_CROSSING_OFF and bool(
+                        line.probes
+                    )
+            width = len(SATURATING_CAPACITIES)
+            for row in planned.rows:
+                line = planned.lines[row.index // width]
+                assert (row.policy, row.queues) == (line.policy, line.queues)
+                job = SimJob(
+                    prog,
+                    config=ArrayConfig(
+                        queues_per_link=row.queues, queue_capacity=row.capacity
+                    ),
+                    policy=row.policy,
+                )
+                assert row == summarize_result(row.index, job, job.run())
+        assert decided > 0
 
     def test_logarithmic_cost_on_long_axis(self):
         spec = PlanSpec(
@@ -325,21 +370,28 @@ class TestSharedSearch:
         assert {row.capacity for row in report.rows} <= {0, 1, 2}
 
     def test_exhaustive_lines_never_share_or_collapse(self):
+        # Static lines of burst_exchange(2) (widest competing count 1)
+        # share one search; FCFS lines below the counterexample's widest
+        # count (3, longest message 1) search every capacity themselves.
+        static = find_frontier(
+            burst_exchange(2), queues=(1, 2), capacities=(0, 1, 2, 3)
+        )
+        assert [line.shared_with for line in static.lines] == [None, 1]
+        prog = random_program(FCFS_COUNTEREXAMPLE)
+        assert program_shape(prog).widest == 3
         spec = PlanSpec(
-            burst_exchange(2),
-            policies=("static", "fcfs"),
+            prog,
+            policies=("fcfs",),
             queues=(1, 2),
             capacities=(0, 1, 2, 3),
         )
         report = FrontierPlanner(spec).run()
-        static, fcfs = report.lines[:2], report.lines[2:]
-        assert [line.shared_with for line in static] == [None, 1]
-        for line in fcfs:
+        for line in report.lines:
             assert line.mode == MODE_EXHAUSTIVE
             assert line.shared_with is None
             assert [cap for cap, _ in line.probes] == [0, 1, 2, 3]
         grid = FrontierPlanner(exhaustive_spec(spec)).run()
-        assert grid.jobs_executed == grid.grid_jobs == 16
+        assert grid.jobs_executed == grid.grid_jobs == 8
         assert all(line.shared_with is None for line in grid.lines)
 
     def test_shared_with_in_report_dict(self):

@@ -16,11 +16,14 @@ and hammered over the random-program family:
   run completes, and one crossing-off pass (``least_capacity``) finds
   the least capacity whose verdict is, because a parallel run resumed
   at raised budgets ends where a fresh run ends;
+* with a queue per competing message, FCFS performs the static run:
+  every row field but the policy agrees;
 * parser/printer round-trips preserve transfer sequences.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from hypothesis import HealthCheck, example, given, settings
@@ -47,6 +50,7 @@ from repro.core.crossing import (
 )
 from repro.core.requirements import dynamic_queue_demand, static_queue_demand
 from repro.lang import parse_program, print_program
+from repro.sweep import SimJob, summarize_result
 from repro.workloads import (
     WorkloadSpec,
     hoist_writes,
@@ -321,6 +325,38 @@ def test_resumed_parallel_run_matches_a_fresh_one(spec, variant, low, raise_by):
     assert resumed._crossed == fresh._crossed
     assert resumed._remaining == fresh._remaining
     assert resumed.done == fresh.done
+
+
+@given(
+    routed_specs,
+    variants,
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=4),
+)
+@example(REGISTER_WORD_SPEC, "hoisted", 0, 0)
+@settings(
+    max_examples=200, suppress_health_check=[HealthCheck.too_slow], deadline=None
+)
+def test_fcfs_with_a_queue_per_competing_message_is_the_static_run(
+    spec, variant, extra, capacity
+):
+    """FCFS at or past the widest competing count == static, row for row.
+
+    A message holds at most one queue per link, so with a queue per
+    competing message no request finds the pool empty: FCFS grants
+    inside the request, as the static policy does, and which queue a
+    message gets changes no timing. ``canonical_key`` folds such FCFS
+    jobs into the static run's key on this argument.
+    """
+    prog = variant_program(spec, variant)
+    router = default_router(ExplicitLinear(tuple(prog.cells)))
+    queues = max(static_queue_demand(prog, router).values(), default=1) + extra
+    config = ArrayConfig(queues_per_link=queues, queue_capacity=capacity)
+    rows = {}
+    for policy in ("static", "fcfs"):
+        job = SimJob(prog, config=config, policy=policy)
+        rows[policy] = summarize_result(0, job, job.run())
+    assert dataclasses.replace(rows["fcfs"], policy="static") == rows["static"]
 
 
 def test_fcfs_buffering_can_hurt_completion():

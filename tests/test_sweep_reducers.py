@@ -131,6 +131,29 @@ class TestMergeContract:
                 QuantileReducer(QUANTS, compression=200)
             )
 
+    def test_per_config_makespan_merges_a_shared_config(self):
+        """Shards that share a config fold its count, total and extrema;
+        a config in one shard only is copied. Merged either way round,
+        they equal one reducer fed both shards' rows."""
+        left_rows = [
+            make_row(0, True, False, 20, "static", 2, 0, False),
+            make_row(1, True, False, 30, "static", 2, 0, False),
+            make_row(2, True, False, 7, "fcfs", 1, 2, False),
+        ]
+        right_rows = [
+            make_row(3, True, False, 10, "static", 2, 0, False),
+            make_row(4, True, False, 40, "static", 2, 0, False),
+            make_row(5, True, False, 25, "static", 2, 0, False),
+        ]
+        both = single_pass(PerConfigMakespan, left_rows + right_rows)
+        assert both.summary()["static q=2 cap=0"] == {
+            "count": 5, "min": 10, "mean": 25.0, "max": 40,
+        }
+        for first, second in ((left_rows, right_rows), (right_rows, left_rows)):
+            merged = single_pass(PerConfigMakespan, first)
+            merged.merge(single_pass(PerConfigMakespan, second))
+            assert merged.summary() == both.summary()
+
     def test_merge_reducers_helper_folds_left(self):
         shards = []
         for base in range(3):
