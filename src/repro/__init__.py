@@ -43,10 +43,15 @@ that matter at scale:
   cache (:mod:`repro.perf`), together with a frozen, structure-only
   build plan (:class:`repro.sim.runtime.BuildPlan`: the sorted link
   table, routes, agent names and op-to-flow indices), so a simulator
-  builds only per-job state. Repeated simulations of the same program
-  (sweeps, policy ablations, Theorem-1 ensembles) skip static analysis
-  entirely. Use ``repro.perf.clear_analysis_cache()`` to reset, and
-  ``reuse_analysis=False`` for stateful custom routers.
+  builds only per-job state. The key starts from
+  ``ArrayProgram.fingerprint``, which covers message declaration order,
+  so programs that share an entry perform the same runs. Repeated
+  simulations of the same program (sweeps, policy ablations, Theorem-1
+  ensembles) skip static analysis entirely, and a program's
+  default-array entry also answers a sweep's per-program shape and the
+  frontier planner's c*. Use ``repro.perf.clear_analysis_cache()`` to
+  reset, and ``reuse_analysis=False`` for stateful custom routers: the
+  simulator then computes the same analyses in a private entry.
 * **Repeated runs** — a sweep simulates each distinct run of a program
   once. Queues past a link's competing count and capacity past the
   longest message change no run, and an FCFS job with a queue per

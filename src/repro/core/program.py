@@ -9,6 +9,7 @@ which is what makes the compile-time analyses possible.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -117,6 +118,7 @@ class ArrayProgram:
             raise ProgramError(f"programs given for unknown cells: {sorted(unknown)}")
         self._validate()
         self._intern: InternTable | None = None
+        self._fingerprint: str | None = None
 
     def _validate(self) -> None:
         for cell, prog in self.cell_programs.items():
@@ -170,6 +172,38 @@ class ArrayProgram:
             table = InternTable(self)
             self._intern = table
         return table
+
+    @property
+    def fingerprint(self) -> str:
+        """Stable digest of this program's structural content (computed once).
+
+        Covers the cells, the messages in declaration order and every
+        cell's operation sequence (kind, message, cycles, register,
+        operands), but not compute callables or write values, which
+        change no analysis and no run's timing. Declaration order is
+        covered because the simulator issues same-cycle queue requests
+        in it: under FCFS it can decide between deadlock and completion.
+        The digest hashes *names*, never interned ids, since checkpoint
+        grid fingerprints and witness-store scopes built from it persist
+        across processes and releases.
+        """
+        digest = self._fingerprint
+        if digest is None:
+            h = hashlib.blake2b(digest_size=16)
+            h.update(repr(self.cells).encode())
+            for msg in self.messages.values():
+                h.update(
+                    f"|m:{msg.name},{msg.sender},{msg.receiver},{msg.length}".encode()
+                )
+            for cell in self.cells:
+                h.update(f"|c:{cell}".encode())
+                for op in self.cell_programs[cell].ops:
+                    h.update(
+                        f";{op.kind.name},{op.message},{op.cycles},"
+                        f"{op.register},{op.operands}".encode()
+                    )
+            digest = self._fingerprint = h.hexdigest()
+        return digest
 
     @property
     def total_transfer_ops(self) -> int:

@@ -3,8 +3,13 @@
 Repeated simulations of the same program (parameter sweeps, policy
 ablations, Theorem-1 ensembles) share one content-keyed
 :class:`AnalysisEntry` holding routes, competing-message sets, lookahead
-capacities and the constraint labeling — so only the first run pays for
-static analysis. See :mod:`repro.perf.analysis_cache`.
+capacities, the constraint labeling and the simulator's build plan — so
+only the first run pays for static analysis. The key starts from the
+program's :attr:`~repro.core.program.ArrayProgram.fingerprint`, which
+covers message declaration order, so equal keys mean equal runs. Every
+simulator reads an entry (a private one when it shares nothing), and a
+program's default-array entry also answers its sweep shape and c*. See
+:mod:`repro.perf.analysis_cache`.
 
 The cache is one tier: the process-local LRU (:class:`AnalysisCache`).
 Sweep workers are forked from the parent, so each starts with every
@@ -18,7 +23,6 @@ from repro.perf.analysis_cache import (
     GLOBAL_ANALYSIS_CACHE,
     analysis_cache_stats,
     clear_analysis_cache,
-    program_fingerprint,
     router_fingerprint,
     topology_fingerprint,
 )
@@ -40,7 +44,6 @@ __all__ = [
     "GLOBAL_ANALYSIS_CACHE",
     "analysis_cache_stats",
     "clear_analysis_cache",
-    "program_fingerprint",
     "reset_shm_cache_state",
     "router_fingerprint",
     "topology_fingerprint",

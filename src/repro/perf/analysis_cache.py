@@ -1,4 +1,4 @@
-"""Content-keyed cache of the simulator's static analyses.
+"""Content-keyed cache of a program's static analyses.
 
 Building a :class:`~repro.sim.runtime.Simulator` performs a batch of
 static work — routing every message, computing competing-message sets,
@@ -11,19 +11,24 @@ times, so this module memoizes the analyses under a content key:
     (program fingerprint, topology fingerprint, router class,
      queue_capacity, allow_extension)
 
+Fingerprints are BLAKE2 digests of the structural content (cells,
+messages in declaration order, per-cell operation sequences; see
+:attr:`~repro.core.program.ArrayProgram.fingerprint`), so two
+structurally identical programs share entries even if built
+independently, and programs that share an entry perform the same runs.
+Entries are computed lazily — a FCFS run never pays for a labeling — and
+shared artifacts are immutable (tuples, frozen dataclasses) or treated
+as read-only by every consumer. A simulator that cannot or may not share
+reads a private entry the cache never stores or counts. A program's
+entry on a job's default array (:func:`default_entry`) also answers its
+:class:`ProgramShape` and c*, which hold at every capacity.
+
 The crossing *backend* (interned vs columnar, see
 :func:`repro.core.crossing.resolve_backend`) is deliberately **not**
 part of the key: the engines are pinned bit-identical by the
 equivalence harness, so a labeling computed under one backend is the
 labeling under the other — switching backends mid-process keeps every
 cache entry valid and shared.
-
-Fingerprints are BLAKE2 digests of the structural content (cells,
-messages, per-cell operation sequences), so two structurally identical
-programs share cache entries even if built independently. Entries are
-computed lazily — a FCFS run never pays for a labeling — and shared
-artifacts are immutable (tuples, frozen dataclasses) or treated as
-read-only by every consumer.
 
 The cache is bounded LRU and process-global; :func:`clear_analysis_cache`
 resets it (useful in tests and long-lived services after memory
@@ -32,7 +37,6 @@ pressure).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -40,7 +44,13 @@ from typing import TYPE_CHECKING
 
 from repro.arch.config import ArrayConfig
 from repro.arch.links import Link, Route
-from repro.arch.routing import LinearRouter, RingRouter, Router, XYRouter
+from repro.arch.routing import (
+    LinearRouter,
+    RingRouter,
+    Router,
+    XYRouter,
+    default_router,
+)
 from repro.arch.topology import (
     ExplicitLinear,
     LinearArray,
@@ -49,7 +59,7 @@ from repro.arch.topology import (
     Topology,
     Torus2D,
 )
-from repro.core.crossing import LookaheadConfig, route_capacities
+from repro.core.crossing import LookaheadConfig, least_capacity, route_capacities
 from repro.core.labeling import Labeling, constraint_labeling
 from repro.core.program import ArrayProgram
 from repro.core.requirements import competing_messages
@@ -57,48 +67,6 @@ from repro.errors import DeadlockedProgramError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.sim.runtime import BuildPlan
-
-_FINGERPRINT_ATTR = "_perf_fingerprint"
-
-
-def program_fingerprint(program: ArrayProgram) -> str:
-    """Stable digest of a program's structural content.
-
-    Covers cells, message declarations, and every cell's operation
-    sequence (kind, message, cycles, register, operands). Compute
-    callables are excluded — they never influence routing, competition or
-    labeling. The digest is memoized on the program instance (programs
-    are immutable after construction).
-
-    The digest hashes *names*, never interned ids: checkpoint grid
-    fingerprints and witness-store scopes are built from it and persist
-    across processes and releases, so it cannot depend on how any
-    particular build assigned ids. (Intern order is itself content-
-    derived — sorted names — but keeping ids out of the hash makes the
-    independence unconditional.) The intern table is used only as the
-    pre-sorted message iteration order.
-    """
-    cached = getattr(program, _FINGERPRINT_ATTR, None)
-    if cached is not None:
-        return cached
-    h = hashlib.blake2b(digest_size=16)
-    h.update(repr(program.cells).encode())
-    for name in program.intern.message_names:
-        msg = program.messages[name]
-        h.update(f"|m:{msg.name},{msg.sender},{msg.receiver},{msg.length}".encode())
-    for cell in program.cells:
-        h.update(f"|c:{cell}".encode())
-        for op in program.cell_programs[cell].ops:
-            h.update(
-                f";{op.kind.name},{op.message},{op.cycles},"
-                f"{op.register},{op.operands}".encode()
-            )
-    digest = h.hexdigest()
-    try:
-        setattr(program, _FINGERPRINT_ATTR, digest)
-    except AttributeError:  # pragma: no cover - slotted subclass
-        pass
-    return digest
 
 
 def topology_fingerprint(topology: Topology) -> str | None:
@@ -141,6 +109,21 @@ def router_fingerprint(router: Router) -> str | None:
     return None
 
 
+@dataclass(frozen=True)
+class ProgramShape:
+    """What a sweep's canonical key needs of one program.
+
+    ``links`` pairs every link a message crosses with its number of
+    competing messages, sorted by link; ``widest`` is the largest of
+    those counts and ``longest`` the longest message, in words.
+    """
+
+    fingerprint: str
+    links: tuple[tuple[Link, int], ...]
+    widest: int
+    longest: int
+
+
 @dataclass(frozen=True, slots=True)
 class AnalysisKey:
     """The full content key one cache entry lives under."""
@@ -167,7 +150,10 @@ class AnalysisEntry:
       ordered policy's setup;
     * ``plan`` — the simulator's structure-only
       :class:`~repro.sim.runtime.BuildPlan`, sharing the route tuples of
-      ``routes``.
+      ``routes``;
+    * ``shape`` — the program's :class:`ProgramShape`, and
+      ``least_capacity`` its c*; neither depends on the entry's
+      capacity, so callers ask them of :func:`default_entry`.
     """
 
     __slots__ = (
@@ -184,6 +170,9 @@ class AnalysisEntry:
         "_labeling_error",
         "_ordered_groups",
         "_plan",
+        "_shape",
+        "_least_capacity",
+        "_has_least_capacity",
     )
 
     def __init__(
@@ -210,6 +199,9 @@ class AnalysisEntry:
         self._labeling_error: tuple[type, str] | None = None
         self._ordered_groups: dict[Link, tuple[tuple[str, ...], ...]] | None = None
         self._plan: BuildPlan | None = None
+        self._shape: ProgramShape | None = None
+        self._least_capacity: int | None = None
+        self._has_least_capacity = False
 
     @property
     def routes(self) -> dict[str, Route]:
@@ -294,6 +286,40 @@ class AnalysisEntry:
                     )
         return self._plan
 
+    @property
+    def shape(self) -> ProgramShape:
+        """The program's :class:`ProgramShape` (computed once)."""
+        if self._shape is None:
+            with self._lock:
+                if self._shape is None:
+                    program = self._program
+                    links = tuple(
+                        sorted(
+                            (link, len(names))
+                            for link, names in self.competing.items()
+                        )
+                    )
+                    self._shape = ProgramShape(
+                        fingerprint=program.fingerprint,
+                        links=links,
+                        widest=max((count for _link, count in links), default=0),
+                        longest=max(program.intern.lengths, default=0),
+                    )
+        return self._shape
+
+    @property
+    def least_capacity(self) -> int | None:
+        """:func:`~repro.core.crossing.least_capacity` of the program
+        under this entry's router (computed once)."""
+        if not self._has_least_capacity:
+            with self._lock:
+                if not self._has_least_capacity:
+                    self._least_capacity = least_capacity(
+                        self._program, self._router
+                    )
+                    self._has_least_capacity = True
+        return self._least_capacity
+
     def ordered_groups(
         self, labeling: Labeling
     ) -> dict[Link, tuple[tuple[str, ...], ...]]:
@@ -341,15 +367,15 @@ class AnalysisCache:
 
         Returns ``None`` when the topology or router cannot be
         fingerprinted (custom subclasses without an
-        ``analysis_fingerprint`` token) — the caller must fall back to
-        fresh analysis rather than risk sharing wrong routes.
+        ``analysis_fingerprint`` token) — the caller must build a private
+        entry rather than risk sharing wrong routes.
         """
         topology_fp = topology_fingerprint(topology)
         router_fp = router_fingerprint(router)
         if topology_fp is None or router_fp is None:
             return None
         key = AnalysisKey(
-            program=program_fingerprint(program),
+            program=program.fingerprint,
             topology=topology_fp,
             router=router_fp,
             queue_capacity=config.queue_capacity,
@@ -393,6 +419,20 @@ class AnalysisCache:
 #: Process-global cache used by :class:`repro.sim.runtime.Simulator` when
 #: ``reuse_analysis=True`` (the default).
 GLOBAL_ANALYSIS_CACHE = AnalysisCache()
+
+_DEFAULT_CONFIG = ArrayConfig()
+
+
+def default_entry(program: ArrayProgram) -> AnalysisEntry:
+    """``program``'s shared entry at ``ArrayConfig()`` on a job's array.
+
+    A sweep job has no topology field: it runs on the linear array in
+    the program's cell order under that array's default router.
+    """
+    topology = ExplicitLinear(tuple(program.cells))
+    return GLOBAL_ANALYSIS_CACHE.lookup(
+        program, topology, default_router(topology), _DEFAULT_CONFIG
+    )
 
 
 def clear_analysis_cache() -> None:

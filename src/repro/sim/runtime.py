@@ -6,24 +6,25 @@ consistent labeling plus a compatible queue assignment runs to completion
 (Theorem 1); drop any premise and the simulator shows you the deadlock.
 
 Static analyses (routing, competing-message sets, lookahead capacities,
-labeling) are shared across simulators through the content-keyed cache in
+labeling) come from one :class:`~repro.perf.analysis_cache.AnalysisEntry`,
+shared across simulators through the content-keyed cache in
 :mod:`repro.perf` — repeated simulations of the same program pay for them
 once, and forked pool workers start with the parent's copies. Custom
-router/topology subclasses are automatically excluded from sharing
-unless they expose an ``analysis_fingerprint`` token (see
-:mod:`repro.perf.analysis_cache`); ``reuse_analysis=False`` disables
-sharing entirely.
+router/topology subclasses are excluded from sharing unless they expose
+an ``analysis_fingerprint`` token (see :mod:`repro.perf.analysis_cache`),
+and ``reuse_analysis=False`` shares nothing; such a simulator reads a
+private entry the same way.
 
-A simulator builds from a frozen :class:`BuildPlan`: the sorted link
-table with each link's competing messages, every message's route, each
-cell's agent name and op-to-flow indices, and each forwarder's flow,
-hop and name. The plan follows from program structure alone, so the
-cache keeps one per entry and a build creates only per-job state —
-link states and policy data, flows, agents and the engine. The plan
-holds no op, message or value: programs that differ only in compute
-callables or write constants share it, and each job's own program
-supplies those. Without an entry, :func:`build_plan` makes the same
-plan fresh, so there is one build path either way.
+A simulator builds from its entry's frozen :class:`BuildPlan`: the
+sorted link table with each link's competing messages, every message's
+route, each cell's agent name and op-to-flow indices, and each
+forwarder's flow, hop and name. The plan follows from program structure
+alone, so a build creates only per-job state — link states and policy
+data, flows, agents and the engine. The plan holds no op, message or
+value: programs that differ only in compute callables or write
+constants share it, and each job's own program supplies those. They
+also declare their messages in one order (the program fingerprint
+covers it), so the plan's flows always follow the job's own.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ from repro.arch.config import ArrayConfig, CommModel
 from repro.arch.links import Link, Route
 from repro.arch.routing import Router, default_router
 from repro.arch.topology import ExplicitLinear, Topology
-from repro.core.labeling import Labeling, constraint_labeling
-from repro.core.crossing import route_capacities
+from repro.core.labeling import Labeling
 from repro.core.ops import OpKind
 from repro.core.program import ArrayProgram
-from repro.core.requirements import competing_messages
 from repro.errors import SimulationError
 from repro.perf.analysis_cache import GLOBAL_ANALYSIS_CACHE, AnalysisEntry
 from repro.sim.agents import CellAgent, ForwarderAgent, MessageFlow, _Agent
@@ -183,15 +182,16 @@ class Simulator:
             ordered policy.
         reuse_analysis: share static analyses (routes, competing sets,
             capacities, labeling) and the :class:`BuildPlan` through the
-            process-global content-keyed cache. Identical results either
-            way; repeated simulations of the same program skip
-            re-analysis and re-planning.
+            process-global content-keyed cache; ``False`` computes them
+            in a private entry. Identical results either way; repeated
+            simulations of the same program skip re-analysis and
+            re-planning.
 
-    A build takes its :class:`BuildPlan` from the analysis entry (or
-    plans afresh without one) and creates only what a run mutates: the
-    link states with their policy data, one flow per message, the cell
-    and forwarder agents, and the engine. Ops, messages and register
-    values always come from this simulator's own program.
+    A build takes its :class:`BuildPlan` from the analysis entry and
+    creates only what a run mutates: the link states with their policy
+    data, one flow per message, the cell and forwarder agents, and the
+    engine. Ops, messages and register values always come from this
+    simulator's own program.
 
     A simulator's life is build → :meth:`execute` → :meth:`result` →
     :meth:`close`; :meth:`run` is the first two in one call. After
@@ -222,23 +222,28 @@ class Simulator:
         reuse_analysis: bool = True,
     ) -> None:
         self.program = program
-        self.config = config or ArrayConfig()
+        self.config = config = config or ArrayConfig()
         self.topology = topology or ExplicitLinear(tuple(program.cells))
         self.router = router or default_router(self.topology)
-        self.reuse_analysis = reuse_analysis
-        self._analysis: AnalysisEntry | None = (
-            GLOBAL_ANALYSIS_CACHE.lookup(
-                program, self.topology, self.router, self.config
-            )
+        analysis = (
+            GLOBAL_ANALYSIS_CACHE.lookup(program, self.topology, self.router, config)
             if reuse_analysis
             else None
         )
+        if analysis is None:
+            analysis = AnalysisEntry(
+                program, self.router, config.queue_capacity, config.allow_extension
+            )
+        self._analysis = analysis
         if isinstance(policy, str):
             self.policy = make_policy(policy, strict=strict)
         else:
             self.policy = policy
         if labeling is None and self.policy.name == "ordered":
-            labeling = self._auto_labeling()
+            # The constraint-based labeling always exists and matches the
+            # Section 6 scheme on every example the paper works; see
+            # repro.core.labeling for why the literal scheme is not used.
+            labeling = analysis.labeling
         self.labeling = labeling
 
         self.engine = Engine(horizon=wheel_horizon_for(program, self.config))
@@ -256,52 +261,16 @@ class Simulator:
         self._closed = False
         self._build(registers or {})
 
-    def _auto_labeling(self) -> Labeling:
-        # The constraint-based labeling always exists and matches the
-        # Section 6 scheme on every example the paper works; see
-        # repro.core.labeling for why the literal scheme is not used here.
-        if self._analysis is not None:
-            return self._analysis.labeling
-        lookahead = None
-        if self.config.queue_capacity > 0 or self.config.allow_extension:
-            lookahead = route_capacities(
-                self.program,
-                self.router,
-                self.config.queue_capacity,
-                allow_extension=self.config.allow_extension,
-            )
-        return constraint_labeling(self.program, lookahead=lookahead)
-
-    def _plan(self) -> BuildPlan:
-        """The analysis entry's plan, or a fresh one without an entry."""
-        analysis = self._analysis
-        program = self.program
-        if analysis is None:
-            routes = {
-                msg.name: self.router.route(msg.sender, msg.receiver)
-                for msg in program.messages.values()
-            }
-            return build_plan(
-                program, routes, competing_messages(program, self.router)
-            )
-        plan = analysis.plan
-        if plan.messages == tuple(program.messages):
-            return plan
-        # The fingerprint does not see declaration order, and flows and
-        # forwarders follow it: plan this program's own order afresh.
-        return build_plan(program, analysis.routes, analysis.competing)
-
     def _build(self, registers: dict[str, dict[str, float | None]]) -> None:
-        plan = self._plan()
+        analysis = self._analysis
+        plan = analysis.plan
         # Links first: an infeasible static/ordered config raises in
         # link set-up, before any flow or agent is built.
-        groups_table = None
-        if (
-            self._analysis is not None
-            and self.policy.name == "ordered"
-            and self.labeling is not None
-        ):
-            groups_table = self._analysis.ordered_groups(self.labeling)
+        groups_table = (
+            analysis.ordered_groups(self.labeling)
+            if self.policy.name == "ordered"
+            else None
+        )
         manager, config, labeling = self.manager, self.config, self.labeling
         for link, competing in plan.links:
             manager.add_link(

@@ -203,8 +203,6 @@ from repro.sweep.plan import SweepPlan, SweepSession
 from repro.sweep.planner import (
     MONOTONE_POLICIES,
     FrontierPlanner,
-    FrontierReport,
-    FrontierResult,
     PlanSpec,
     exhaustive_spec,
     find_frontier,
@@ -218,7 +216,6 @@ from repro.sweep.reducers import (
     StreamReducer,
     merge_reducers,
     parse_quantiles,
-    validate_quantile_labels,
 )
 from repro.sweep.summary import RunSummary, summarize_result
 
@@ -228,8 +225,6 @@ __all__ = [
     "DeadlockRateByConfig",
     "FaultPlan",
     "FrontierPlanner",
-    "FrontierReport",
-    "FrontierResult",
     "MONOTONE_POLICIES",
     "MakespanHistogram",
     "PerConfigMakespan",
@@ -257,6 +252,5 @@ __all__ = [
     "sweep_jobs",
     "sweep_label",
     "sweep_labels",
-    "validate_quantile_labels",
     "witness_row",
 ]

@@ -56,11 +56,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 from repro.arch.config import ArrayConfig
 from repro.errors import ConfigError, ReproError
-from repro.perf.analysis_cache import program_fingerprint
+from repro.perf.analysis_cache import ProgramShape
 from repro.sweep.fault import Tolerance
 from repro.sweep.jobs import (
     BatchError,
-    ProgramShape,
     SimJob,
     canonical_key,
     mine_witness_payload,
@@ -93,11 +92,14 @@ class RowMemo:
     instead of simulating it again, re-stamped with the job's own
     ``index``, ``policy``, ``queues`` and ``capacity``. The memo holds
     one program at a time (a sweep lists each program's grid together)
-    and forgets the previous program's rows when the next one arrives;
-    the program's :class:`~repro.sweep.jobs.ProgramShape` is computed on
-    that switch, so keying a job needs no analysis lookup. Backends
-    create one per serial ``execute()`` and per worker; nothing outlives
-    them.
+    and forgets the previous program's rows when the next one arrives.
+    A program is identified by its fingerprint, which covers message
+    declaration order, so a re-declared program is a new program here.
+    On a switch the memo reads the program's
+    :class:`~repro.perf.analysis_cache.ProgramShape` off its
+    default-array analysis entry (one lookup), so keying a job needs no
+    lookup. Backends create one per serial ``execute()`` and per worker;
+    nothing outlives them.
     """
 
     __slots__ = ("shape", "rows")
@@ -109,8 +111,8 @@ class RowMemo:
     def key(self, job: SimJob) -> tuple:
         """``job``'s canonical key, switching programs if needed."""
         shape = self.shape
-        if shape is None or program_fingerprint(job.program) != shape.fingerprint:
-            shape = self.shape = program_shape(job.program, job.config)
+        if shape is None or job.program.fingerprint != shape.fingerprint:
+            shape = self.shape = program_shape(job.program)
             self.rows = {}
         return canonical_key(job, shape)
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.arch.config import ArrayConfig
+from repro.perf.analysis_cache import ProgramShape, default_entry
 from repro.sim.runtime import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.arch.links import Link
     from repro.core.program import ArrayProgram
     from repro.sim.result import SimulationResult
     from repro.sweep.summary import RunSummary
@@ -152,17 +152,20 @@ def _registers_repr(registers: dict[str, dict[str, float | None]] | None) -> str
 def job_fingerprint(job: SimJob) -> str:
     """A content fingerprint of one job: program + every run parameter.
 
-    Two jobs with equal fingerprints produce byte-identical rows
-    (simulations are deterministic), which is what lets a sweep
-    checkpoint (:mod:`repro.sweep.checkpoint`) assert it is resuming
-    *this* grid and not a lookalike.
+    Two jobs with equal fingerprints produce byte-identical rows:
+    simulations are deterministic, and the program's
+    :attr:`~repro.core.program.ArrayProgram.fingerprint` covers every
+    part of the program a row depends on, message declaration order
+    included (same-cycle requests are issued in that order); compute
+    callables and write values, which it leaves out, change no row
+    field. That is what lets a sweep checkpoint
+    (:mod:`repro.sweep.checkpoint`) assert it is resuming *this* grid
+    and not a lookalike.
     """
-    from repro.perf.analysis_cache import program_fingerprint
-
     config = job.config or ArrayConfig()
     return "|".join(
         (
-            program_fingerprint(job.program),
+            job.program.fingerprint,
             job.policy,
             repr(config),
             _registers_repr(job.registers),
@@ -173,67 +176,16 @@ def job_fingerprint(job: SimJob) -> str:
     )
 
 
-@dataclass(frozen=True)
-class ProgramShape:
-    """What :func:`canonical_key` needs of one program, computed once.
+def program_shape(program: "ArrayProgram") -> ProgramShape:
+    """The :class:`~repro.perf.analysis_cache.ProgramShape` of ``program``.
 
-    ``links`` pairs every link a message crosses with its number of
-    competing messages, sorted by link; ``widest`` is the largest of
-    those counts and ``longest`` the longest message, in words.
+    Read off the program's entry on a job's default array
+    (:func:`~repro.perf.analysis_cache.default_entry`), which computes
+    it once: the competing table does not depend on the config, and
+    every program with the program's fingerprint shares the entry, a
+    pickled copy included.
     """
-
-    fingerprint: str
-    links: tuple[tuple["Link", int], ...]
-    widest: int
-    longest: int
-
-
-#: Instance attribute :func:`program_shape` memoizes its result under.
-_SHAPE_ATTR = "_sweep_shape"
-
-
-def program_shape(
-    program: "ArrayProgram", config: ArrayConfig | None = None
-) -> ProgramShape:
-    """The :class:`ProgramShape` of ``program`` on a job's default array.
-
-    The competing table comes from an analysis entry of ``program``, and
-    message lengths from the intern table. The table does not depend on
-    the config, so ``config`` only chooses the lookup that computes it:
-    the one a job of ``program`` under ``config`` makes next in its own
-    simulator. The shape is memoized on the program instance, the way
-    :func:`~repro.perf.analysis_cache.program_fingerprint` memoizes its
-    digest (programs are immutable after construction); as an ordinary
-    instance attribute, a memoized shape travels with a pickled program.
-    """
-    shape = getattr(program, _SHAPE_ATTR, None)
-    if shape is not None:
-        return shape
-    from repro.arch.routing import default_router
-    from repro.arch.topology import ExplicitLinear
-    from repro.perf.analysis_cache import (
-        GLOBAL_ANALYSIS_CACHE,
-        program_fingerprint,
-    )
-
-    topology = ExplicitLinear(tuple(program.cells))
-    entry = GLOBAL_ANALYSIS_CACHE.lookup(
-        program, topology, default_router(topology), config or ArrayConfig()
-    )
-    links = tuple(
-        sorted((link, len(names)) for link, names in entry.competing.items())
-    )
-    shape = ProgramShape(
-        fingerprint=program_fingerprint(program),
-        links=links,
-        widest=max((count for _link, count in links), default=0),
-        longest=max(program.intern.lengths, default=0),
-    )
-    try:
-        setattr(program, _SHAPE_ATTR, shape)
-    except AttributeError:  # pragma: no cover - slotted subclass
-        pass
-    return shape
+    return default_entry(program).shape
 
 
 #: The ArrayConfig fields a canonical key carries as they are: all but
@@ -285,9 +237,14 @@ def canonical_key(job: SimJob, shape: ProgramShape) -> tuple:
     Summary rows of jobs with equal keys therefore differ only in their
     ``index``, ``policy``, ``queues`` and ``capacity`` columns. (Full
     results also differ in ``queue_stats``, which lists every configured
-    queue, and in the queue indices of ``assignment_trace``.) ``shape``
-    is the :func:`program_shape` of ``job.program``, computed once per
-    program, so keying a job makes no analysis lookup.
+    queue, and in the queue indices of ``assignment_trace``.) The
+    program enters the key through its fingerprint, which covers message
+    declaration order, so a program that re-declares the same messages
+    in another order never shares a key: under FCFS below a link's
+    competing count, the order same-cycle requests are issued in can
+    decide between deadlock and completion. ``shape`` is the
+    :func:`program_shape` of ``job.program``, read once per program, so
+    keying a job makes no analysis lookup.
     """
     config = job.config or ArrayConfig()
     if config.link_queue_overrides:

@@ -10,15 +10,20 @@ evaluates the rest in full:
 
 * **static policy** — the static policy needs a queue per competing
   message on every link, so a line below the widest competing count
-  (:attr:`~repro.sweep.jobs.ProgramShape.widest`) is infeasible and has
-  no frontier. Every feasible static run is decided by crossing-off
-  under the simulator's own buffer bound (the two-way property
-  ``test_simulator_capacities_verdict_matches_static_runs``), so
-  :func:`~repro.core.crossing.least_capacity` gives the least capacity
-  c* at which the program completes, and the frontier is the least axis
-  capacity at or above c*. Only that point is simulated. If its row
-  does not complete, analysis and simulator disagree, and the planner
-  raises :class:`~repro.errors.SimulationError` rather than answer;
+  (:attr:`~repro.perf.analysis_cache.ProgramShape.widest`) is
+  infeasible and has no frontier. Every feasible static run is decided
+  by crossing-off under the simulator's own buffer bound (the two-way
+  property ``test_simulator_capacities_verdict_matches_static_runs``),
+  so :func:`~repro.core.crossing.least_capacity` gives the least
+  capacity c* at which the program completes, and the frontier is the
+  least axis capacity at or above c*. Only that point is simulated. If
+  its row does not complete, analysis and simulator disagree, and the
+  planner raises :class:`~repro.errors.SimulationError` rather than
+  answer. c* is a fact of the program, so it is computed once on the
+  program's default-array analysis entry
+  (:attr:`~repro.perf.analysis_cache.AnalysisEntry.least_capacity`) and
+  shared by every query of the program, and of every program with its
+  fingerprint, while that entry is cached;
 * **fcfs at or past the widest count** — with a queue per competing
   message no request finds the pool empty, so FCFS grants every request
   at once, as the static policy does, and its run *is* the static run
@@ -59,9 +64,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.arch.config import ArrayConfig
 from repro.errors import ConfigError, SimulationError
+from repro.perf.analysis_cache import default_entry
 from repro.sim.queue_manager import check_policy_names
-from repro.sweep.grid import sweep_label
-from repro.sweep.jobs import SimJob, canonical_key, program_shape
+from repro.sweep.jobs import SimJob, canonical_key
 from repro.sweep.plan import SweepPlan, SweepSession
 from repro.sweep.reducers import StreamReducer
 from repro.sweep.summary import RunSummary
@@ -234,29 +239,6 @@ class FrontierReport:
         }
 
 
-#: Instance attribute :func:`_least_capacity` memoizes its result under.
-_LEAST_CAPACITY_ATTR = "_sweep_least_capacity"
-
-
-def _least_capacity(program: "ArrayProgram") -> int | None:
-    """c* of ``program`` on a job's default array, memoized on the
-    instance as :func:`~repro.sweep.jobs.program_shape` memoizes its
-    shape, so a program's narrow and wide queries compute it once."""
-    try:
-        return getattr(program, _LEAST_CAPACITY_ATTR)
-    except AttributeError:
-        pass
-    from repro.arch.routing import default_router
-    from repro.arch.topology import ExplicitLinear
-    from repro.core.crossing import least_capacity
-
-    c_star = least_capacity(
-        program, default_router(ExplicitLinear(tuple(program.cells)))
-    )
-    setattr(program, _LEAST_CAPACITY_ATTR, c_star)
-    return c_star
-
-
 class _LineSearch:
     """One search: the capacity indices it runs and their outcomes.
 
@@ -361,9 +343,8 @@ class FrontierPlanner:
             registers=self.spec.registers,
         )
 
-    def _frontier_index(self) -> int | None:
+    def _frontier_index(self, c_star: int | None) -> int | None:
         """Index of the least axis capacity at or above c*, or ``None``."""
-        c_star = _least_capacity(self.spec.program)
         if c_star is None:
             return None
         return next(
@@ -382,19 +363,21 @@ class FrontierPlanner:
         frontier point, keyed by its policy and that job's
         :func:`~repro.sweep.jobs.canonical_key`: lines whose keys agree
         perform the same run, and the first such line's search answers
-        them all. The program's shape is computed here when some line
-        is not exhaustive, and c* only when some line resolves by
-        crossing-off.
+        them all. The program's default-array analysis entry
+        (:func:`~repro.perf.analysis_cache.default_entry`) is looked up
+        once, when some line is not exhaustive; it computes the shape
+        then, and c* only when some line resolves by crossing-off.
         """
         spec = self.spec
         every = range(len(self.capacities))
-        shape = None
+        entry = shape = None
         by_key: dict[tuple, _LineSearch] = {}
         lines: list[tuple[int, _LineSearch]] = []
         for policy in spec.policies:
             for queues in spec.queues:
-                if shape is None and not spec.exhaustive and policy != "ordered":
-                    shape = program_shape(spec.program)
+                if entry is None and not spec.exhaustive and policy != "ordered":
+                    entry = default_entry(spec.program)
+                    shape = entry.shape
                 if (
                     spec.exhaustive
                     or policy == "ordered"
@@ -405,7 +388,7 @@ class FrontierPlanner:
                     )
                     lines.append((queues, search))
                     continue
-                frontier = self._frontier_index()
+                frontier = self._frontier_index(entry.least_capacity)
                 if queues < shape.widest or frontier is None:
                     search = _LineSearch(
                         policy, queues, len(lines), MODE_CROSSING_OFF, ()
@@ -505,8 +488,3 @@ def find_frontier(
             **knobs,
         )
     ).run()
-
-
-def probe_label(row: RunSummary) -> str:
-    """The grid label of one executed probe row (for CLI tables)."""
-    return sweep_label(row.policy, row.queues, row.capacity)

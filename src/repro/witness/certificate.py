@@ -267,8 +267,6 @@ def mine_witness(
     config = job.config or ArrayConfig()
     if config.allow_extension or config.link_queue_overrides:
         return None
-    from repro.perf.analysis_cache import program_fingerprint
-
     cycle = _canonical_cycle(result.wait_cycle)
     cells, messages = _cycle_members(cycle, result.blocked)
     peak = max(
@@ -277,7 +275,7 @@ def mine_witness(
     )
     return DeadlockWitness(
         scope=witness_scope(job),
-        program_fp=program_fingerprint(job.program),
+        program_fp=job.program.fingerprint,
         policy=job.policy,
         queues=config.queues_per_link,
         capacity=config.queue_capacity,

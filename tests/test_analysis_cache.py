@@ -8,7 +8,6 @@ from repro.perf import (
     GLOBAL_ANALYSIS_CACHE,
     analysis_cache_stats,
     clear_analysis_cache,
-    program_fingerprint,
     topology_fingerprint,
 )
 from repro.algorithms.figures import (
@@ -35,17 +34,15 @@ class TestFingerprints:
         a = fir_program(4, 8)
         b = fir_program(4, 8)
         assert a is not b
-        assert program_fingerprint(a) == program_fingerprint(b)
+        assert a.fingerprint == b.fingerprint
 
     def test_different_structure_differs(self):
-        assert program_fingerprint(fir_program(4, 8)) != program_fingerprint(
-            fir_program(4, 9)
-        )
+        assert fir_program(4, 8).fingerprint != fir_program(4, 9).fingerprint
 
     def test_fingerprint_memoized_on_instance(self):
         program = fir_program(4, 8)
-        first = program_fingerprint(program)
-        assert program_fingerprint(program) is first
+        first = program.fingerprint
+        assert program.fingerprint is first
 
     def test_topology_fingerprint_separates_shapes(self):
         cells = ("C1", "C2", "C3", "C4")
@@ -172,11 +169,9 @@ class TestBuildPlan:
             assert result.received["YA"] == list(fig2_expected_outputs(xs))
             sims.append(sim)
         first, second = sims
-        assert program_fingerprint(first.program) == program_fingerprint(
-            second.program
-        )
+        assert first.program.fingerprint == second.program.fingerprint
         assert first._analysis is second._analysis
-        assert first._plan() is second._plan() is first._analysis.plan
+        assert first._analysis.plan is second._analysis.plan
         assert analysis_cache_stats()["size"] == 1
 
     @pytest.mark.parametrize("policy", ["ordered", "static", "fcfs"])
@@ -203,25 +198,30 @@ class TestBuildPlan:
         assert fresh.queue_stats and fresh.assignment_trace
 
     def test_declaration_order_is_planned_per_program(self):
-        # The fingerprint hashes messages by name, so a program that
-        # declares the same messages in another order shares the entry;
-        # its flows and forwarders still follow its own order.
+        # The simulator issues same-cycle requests in declaration order,
+        # so the fingerprint covers it: a program that declares the same
+        # messages in another order gets its own fingerprint, entry and
+        # plan, and its flows and forwarders follow its own order.
         base = fig7_program()
         names = list(base.messages)
+        fingerprints = set()
         for order in (names, names[::-1]):
             program = ArrayProgram(
                 base.cells,
                 [base.messages[name] for name in order],
                 {cell: base.cell_programs[cell].ops for cell in base.cells},
             )
-            assert program_fingerprint(program) == program_fingerprint(base)
+            fingerprints.add(program.fingerprint)
             sim = Simulator(program, policy="fcfs", config=ArrayConfig())
             assert list(sim.flows) == order
+            assert sim._analysis.plan.messages == tuple(order)
             fresh = Simulator(
                 program, policy="fcfs", config=ArrayConfig(), reuse_analysis=False
             ).run()
             assert sim.run() == fresh
-        assert analysis_cache_stats()["size"] == 1
+        assert base.fingerprint in fingerprints
+        assert len(fingerprints) == 2
+        assert analysis_cache_stats()["size"] == 2
 
 
 class TestCustomSubclassSafety:

@@ -9,10 +9,12 @@ static run. :func:`~repro.sweep.jobs.canonical_key` clamps both counts
 and folds that FCFS case into the static key, and jobs with equal keys
 must give the same summary row up to its ``index``, ``policy``,
 ``queues`` and ``capacity`` columns. These tests pin that claim (on the
-golden corpus and over generated programs) and the row memo built on it
+golden corpus and over generated programs, re-declared in other message
+orders too) and the row memo built on it
 (:class:`~repro.sweep.backends.RowMemo`): every backend's rows stay
-equal to plain simulations, errors are never served, and mining sees
-every deadlock.
+equal to plain simulations, errors are never served, mining sees every
+deadlock, and a program that re-declares its messages in another order
+is never served the original's rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import dataclasses
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import ArrayConfig, Simulator
@@ -100,6 +102,16 @@ def representative(job: SimJob) -> SimJob:
         link_queue_overrides=overrides,
     )
     return dataclasses.replace(job, config=canonical)
+
+
+def redeclared(program: ArrayProgram, order) -> ArrayProgram:
+    """``program`` with its messages declared in ``order``."""
+    return ArrayProgram(
+        program.cells,
+        [program.messages[name] for name in order],
+        {cell: program.cell_programs[cell].ops for cell in program.cells},
+        name=program.name,
+    )
 
 
 def cross_read() -> ArrayProgram:
@@ -193,23 +205,37 @@ def test_fcfs_with_a_queue_per_competing_message_keys_as_static():
     )
 
 
-def test_shape_is_memoized_on_the_program_and_travels_with_it(monkeypatch):
+def test_shape_is_computed_once_per_entry_and_shared_by_copies(monkeypatch):
     import pickle
 
-    from repro.perf.analysis_cache import GLOBAL_ANALYSIS_CACHE
+    from repro.perf.analysis_cache import GLOBAL_ANALYSIS_CACHE, default_entry
 
     program = fig7_program()
     shape = program_shape(program)
+    assert default_entry(program).shape is shape
+    # A pickled copy has the program's fingerprint, so it reads the same
+    # entry and gets the same shape object.
     clone = pickle.loads(pickle.dumps(program))
+    assert program_shape(clone) is shape
 
-    def no_lookup(*_args, **_kwargs):
-        raise AssertionError("a memoized shape needs no analysis lookup")
+    lookups = []
+    lookup = GLOBAL_ANALYSIS_CACHE.lookup
 
-    monkeypatch.setattr(GLOBAL_ANALYSIS_CACHE, "lookup", no_lookup)
-    # The competing table does not depend on the config: any config
-    # returns the memoized shape.
-    assert program_shape(program, ArrayConfig(queue_capacity=9)) is shape
-    assert program_shape(clone) == shape
+    def counted(*args, **kwargs):
+        lookups.append(args[0])
+        return lookup(*args, **kwargs)
+
+    monkeypatch.setattr(GLOBAL_ANALYSIS_CACHE, "lookup", counted)
+    memo = RowMemo()
+    jobs = sweep_jobs(
+        program, policies=POLICIES, queues=(1, 2, 3), capacities=(0, 4, 9)
+    )
+    keys = [memo.key(job) for job in jobs]
+    # The memo reads the shape on its program switch; keying a job makes
+    # no lookup of its own.
+    assert memo.shape is shape
+    assert lookups == [program]
+    assert keys == [canonical_key(job, shape) for job in jobs]
 
 
 def _override_config(shape, draw_counts, queues, capacity, base):
@@ -230,7 +256,11 @@ def key_families(draw):
     event budget); half the families add per-link override configs
     beside the plain ones. A family runs either the ordered policy or
     both static and FCFS, so FCFS jobs with a queue per competing
-    message meet the static jobs whose key they share."""
+    message meet the static jobs whose key they share. Half the
+    families also list every job again for the program re-declared in a
+    drawn message order: the order same-cycle requests are issued in can
+    change an FCFS run, so each job is keyed with its own program's
+    shape."""
     spec = draw(
         st.builds(
             WorkloadSpec,
@@ -285,22 +315,44 @@ def key_families(draw):
         for config in configs
         for policy in policies
     ]
-    return shape, jobs
+    if draw(st.booleans()):
+        order = draw(st.permutations(list(program.messages)))
+        other = redeclared(program, order)
+        jobs += [dataclasses.replace(job, program=other) for job in jobs]
+    return jobs
+
+
+def order_sensitive_family() -> list[SimJob]:
+    """A family the property always checks, since few generated ones
+    are order-sensitive: FCFS at one queue per link completes this
+    program as declared and deadlocks it with its messages declared in
+    reverse."""
+    program = random_program(
+        WorkloadSpec(cells=4, messages=3, max_length=2, max_span=2, burst=2, seed=52)
+    )
+    reverse = redeclared(program, list(program.messages)[::-1])
+    return [
+        SimJob(each, config=ArrayConfig(queues_per_link=1), policy=policy)
+        for each in (program, reverse)
+        for policy in ("static", "fcfs")
+    ]
 
 
 @given(key_families())
+@example(order_sensitive_family())
 @settings(
     max_examples=100,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-def test_equal_keys_give_equal_rows(family):
-    """Equal keys give equal re-stamped rows (errors included); distinct
-    unsaturated queue counts give distinct keys."""
-    shape, jobs = family
+def test_equal_keys_give_equal_rows(jobs):
+    """Equal keys give equal re-stamped rows (errors included), across
+    declaration orders too; distinct unsaturated queue counts give
+    distinct keys."""
+    shape = program_shape(jobs[0].program)
     first: dict[tuple, tuple[SimJob, object]] = {}
     for index, job in enumerate(jobs):
-        key = canonical_key(job, shape)
+        key = key_of(job)
         row = simulated_row(index, job)
         if key in first:
             rep_job, rep_row = first[key]
@@ -315,7 +367,7 @@ def test_equal_keys_give_equal_rows(family):
             and config_a.queues_per_link != config_b.queues_per_link
             and min(config_a.queues_per_link, config_b.queues_per_link) < shape.widest
         ):
-            assert canonical_key(a, shape) != canonical_key(b, shape)
+            assert key_of(a) != key_of(b)
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +470,36 @@ def test_memo_forgets_the_previous_program():
         )
         assert not record.memo_hit
     assert list(memo.rows) == [key_of(fig7)]
+
+
+#: A program whose FCFS run at one queue per link deadlocks as declared
+#: and completes with its messages declared in reverse order: which
+#: competing message asks for the one queue first decides the run.
+ORDER_SENSITIVE = WorkloadSpec(cells=8, messages=12, max_length=3, seed=68)
+
+
+@pytest.mark.parametrize(
+    "backend,knobs",
+    [
+        ("serial", {}),
+        ("pool", {"workers": 2, "chunk_size": 2}),
+        ("pool", {"workers": 2, "chunk_size": 1}),
+    ],
+    ids=("serial", "pool-one-chunk", "pool-two-chunks"),
+)
+def test_redeclared_program_is_never_served_the_original_row(backend, knobs):
+    first = random_program(ORDER_SENSITIVE)
+    second = redeclared(first, list(first.messages)[::-1])
+    assert first.fingerprint != second.fingerprint
+    jobs = [
+        SimJob(program, config=ArrayConfig(queues_per_link=1), policy="fcfs")
+        for program in (first, second)
+    ]
+    expected = [summarize_result(i, job, job.run()) for i, job in enumerate(jobs)]
+    assert [row.outcome for row in expected] == ["deadlock", "completed"]
+    rows, session = stream(jobs, backend=backend, **knobs)
+    assert rows == expected
+    assert session.memo_hits == 0
 
 
 def mining_grid() -> list[SimJob]:

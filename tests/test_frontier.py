@@ -47,11 +47,12 @@ from repro.sweep import (
     exhaustive_spec,
     find_frontier,
     summarize_result,
+    sweep_label,
     sweep_labels,
 )
 from repro.sweep.backends.pool import PoolBackend
 from repro.sweep.jobs import program_shape
-from repro.sweep.planner import MODE_CROSSING_OFF, MODE_EXHAUSTIVE, probe_label
+from repro.sweep.planner import MODE_CROSSING_OFF, MODE_EXHAUSTIVE
 from repro.workloads import WorkloadSpec, hoist_writes, random_program
 
 #: The pinned FCFS non-monotonicity counterexample of
@@ -571,7 +572,9 @@ class TestPlannerMechanics:
         )
         report = FrontierPlanner(spec).run()
         for row in report.rows:
-            assert probe_label(row) == labels[row.index]
+            assert sweep_label(row.policy, row.queues, row.capacity) == (
+                labels[row.index]
+            )
 
     def test_reducers_fed_executed_rows_in_emission_order(self):
         outcomes = CompletedCount()
@@ -623,20 +626,31 @@ class TestCompletionCheck:
     """A frontier row that does not complete is an error, not an answer."""
 
     def test_lying_least_capacity_raises(self, monkeypatch):
+        from repro.perf import analysis_cache, clear_analysis_cache
+
         honest = crossing.least_capacity
 
         def one_too_low(program, router):
             return honest(program, router) - 1
 
-        monkeypatch.setattr(crossing, "least_capacity", one_too_low)
+        # c* lives on the program's analysis entry, which outlives any
+        # one program object: start from an empty cache so the lie is
+        # computed, and leave an empty one so no later query reads it.
+        clear_analysis_cache()
+        monkeypatch.setattr(analysis_cache, "least_capacity", one_too_low)
         planner = FrontierPlanner(
             PlanSpec(burst_exchange(3), queues=(1, 2), capacities=tuple(range(8)))
         )
-        with pytest.raises(SimulationError, match=r"static q=1: .*cap=2.*deadlock"):
-            planner.run()
+        try:
+            with pytest.raises(
+                SimulationError, match=r"static q=1: .*cap=2.*deadlock"
+            ):
+                planner.run()
+        finally:
+            clear_analysis_cache()
 
     def test_infeasible_frontier_row_names_its_error(self, monkeypatch):
-        from repro.sweep import planner as planner_mod
+        from repro.perf import AnalysisEntry
 
         prog = generated(7)
         widest = program_shape(prog).widest
@@ -644,7 +658,7 @@ class TestCompletionCheck:
         # A shape that hides the competing messages: the planner then
         # simulates a static line that has too few queues.
         narrow = dataclasses.replace(program_shape(prog), widest=1)
-        monkeypatch.setattr(planner_mod, "program_shape", lambda _p: narrow)
+        monkeypatch.setattr(AnalysisEntry, "shape", property(lambda _e: narrow))
         planner = FrontierPlanner(
             PlanSpec(prog, queues=(1,), capacities=SATURATING_CAPACITIES)
         )
