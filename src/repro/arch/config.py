@@ -70,6 +70,8 @@ class ArrayConfig:
             raise ValueError("op_latency must be >= 1")
         if self.memory_access_cycles < 0:
             raise ValueError("memory_access_cycles must be >= 0")
+        if self.extension_penalty < 0:
+            raise ValueError("extension_penalty must be >= 0")
 
     def queues_on(self, link: Link) -> int:
         """Number of physical queues provisioned on ``link``."""

@@ -19,7 +19,16 @@ blocked agent.
 The class sits on the simulator's per-word hot path, so it is slotted and
 its bookkeeping is all O(1) counter arithmetic: completion is tracked by
 ``words_remaining`` counting down to zero rather than recomparing totals,
-and stats accumulate into plain slotted integers.
+and stats accumulate into plain slotted integers. A waiter list exists
+only while someone waits: notifying detaches it and calls each waiter.
+
+The simulator's agents (:mod:`repro.sim.agents`) run the two common
+cases inline — a push into a buffer with room and no parked writer, a
+pop with no parked writer and no active extension — as copies of the
+branches of :meth:`HardwareQueue.try_push` and :meth:`HardwareQueue.pop`
+below. These methods define every other case (the capacity-0 handoff, a
+parked writer, an extension spill and its penalty) and are the queue's
+standalone API.
 """
 
 from __future__ import annotations
@@ -90,8 +99,9 @@ class HardwareQueue:
         self.words_remaining: int = 0
         self._buffer: deque[Word] = deque()
         self._parked: tuple[Word, Callback] | None = None
-        self._word_waiters: list[Callback] = []
-        self._space_waiters: list[Callback] = []
+        # Made by the first when_word/when_space, detached by notification.
+        self._word_waiters: list[Callback] | None = None
+        self._space_waiters: list[Callback] | None = None
         self.extended = False
         self.stats = QueueStats()
 
@@ -161,7 +171,9 @@ class HardwareQueue:
                 stats.peak_occupancy = occupancy
             waiters = self._word_waiters
             if waiters:
-                self._notify(waiters)
+                self._word_waiters = None
+                for poke in waiters:
+                    poke()
             return True
         if self.extension_allowed:
             if not self.extended:
@@ -178,7 +190,9 @@ class HardwareQueue:
         # readers must be woken to take it.
         waiters = self._word_waiters
         if waiters:
-            self._notify(waiters)
+            self._word_waiters = None
+            for poke in waiters:
+                poke()
         return False
 
     def _accept(self, word: Word) -> None:
@@ -190,7 +204,9 @@ class HardwareQueue:
             stats.peak_occupancy = occupancy
         waiters = self._word_waiters
         if waiters:
-            self._notify(waiters)
+            self._word_waiters = None
+            for poke in waiters:
+                poke()
 
     def peek(self) -> Word | None:
         """The word at the front, or None. Parked words are visible so that
@@ -235,7 +251,9 @@ class HardwareQueue:
         else:
             waiters = self._space_waiters
             if waiters:
-                self._notify(waiters)
+                self._space_waiters = None
+                for poke in waiters:
+                    poke()
         # Inlined _finish_pop (same statement order — callback ordering is
         # part of the determinism contract).
         stats = self.stats
@@ -246,7 +264,9 @@ class HardwareQueue:
             self.extended = False
         waiters = self._word_waiters
         if waiters:
-            self._notify(waiters)
+            self._word_waiters = None
+            for poke in waiters:
+                poke()
         return word, penalty
 
     def _finish_pop(self) -> None:
@@ -257,7 +277,9 @@ class HardwareQueue:
             self.extended = False
         waiters = self._word_waiters
         if waiters:
-            self._notify(waiters)
+            self._word_waiters = None
+            for poke in waiters:
+                poke()
 
     # ------------------------------------------------------------------
     # Waiting
@@ -265,26 +287,23 @@ class HardwareQueue:
 
     def when_word(self, poke: Callback) -> None:
         """Invoke ``poke`` next time a word becomes available."""
-        self._word_waiters.append(poke)
+        if self._word_waiters is None:
+            self._word_waiters = [poke]
+        else:
+            self._word_waiters.append(poke)
 
     def when_space(self, poke: Callback) -> None:
         """Invoke ``poke`` next time buffer space appears."""
-        self._space_waiters.append(poke)
+        if self._space_waiters is None:
+            self._space_waiters = [poke]
+        else:
+            self._space_waiters.append(poke)
 
     def drop_waiters(self) -> None:
         """Forget every waiter and the parked write: the run is over."""
-        self._word_waiters.clear()
-        self._space_waiters.clear()
+        self._word_waiters = None
+        self._space_waiters = None
         self._parked = None
-
-    @staticmethod
-    def _notify(waiters: list[Callback]) -> None:
-        if not waiters:
-            return
-        pending = waiters.copy()
-        waiters.clear()
-        for poke in pending:
-            poke()
 
     def __str__(self) -> str:
         return f"{self.link}#{self.index}"

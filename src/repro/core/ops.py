@@ -81,6 +81,8 @@ class Op:
             raise ValueError(f"{self.kind.value} operation requires a message name")
         if self.kind is OpKind.COMPUTE and self.message:
             raise ValueError("compute operations do not name a message")
+        if self.cycles < 0:
+            raise ValueError(f"operation cycles must be >= 0, got {self.cycles}")
 
     @property
     def is_transfer(self) -> bool:

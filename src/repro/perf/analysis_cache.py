@@ -30,9 +30,16 @@ equivalence harness, so a labeling computed under one backend is the
 labeling under the other — switching backends mid-process keeps every
 cache entry valid and shared.
 
+A job's default array — the linear array in the program's cell order
+under its default router — is made once per cell tuple and kept with the
+cache as a :class:`DefaultArray`, fingerprints included
+(:meth:`AnalysisCache.default_array`): every default build of a program
+shares one topology and router, and a lookup with them skips
+re-rendering their fingerprints.
+
 The cache is bounded LRU and process-global; :func:`clear_analysis_cache`
-resets it (useful in tests and long-lived services after memory
-pressure).
+resets it, default arrays included (useful in tests and long-lived
+services after memory pressure).
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from repro.arch.config import ArrayConfig
 from repro.arch.links import Link, Route
@@ -346,8 +353,19 @@ class AnalysisEntry:
         return self._ordered_groups
 
 
+class DefaultArray(NamedTuple):
+    """A job's default array over one cell tuple: the linear topology in
+    that order, its default router, and both fingerprints."""
+
+    topology: ExplicitLinear
+    router: Router
+    topology_fingerprint: str
+    router_fingerprint: str
+
+
 class AnalysisCache:
-    """Bounded, thread-safe LRU of :class:`AnalysisEntry` objects."""
+    """Bounded, thread-safe LRU of :class:`AnalysisEntry` objects, and of
+    the :class:`DefaultArray` of each cell tuple (bounded alike)."""
 
     def __init__(self, maxsize: int = 256) -> None:
         self.maxsize = maxsize
@@ -355,6 +373,33 @@ class AnalysisCache:
         self.misses = 0
         self._lock = threading.Lock()
         self._entries: OrderedDict[AnalysisKey, AnalysisEntry] = OrderedDict()
+        self._arrays: OrderedDict[tuple[str, ...], DefaultArray] = OrderedDict()
+
+    def default_array(self, cells: Sequence[str]) -> DefaultArray:
+        """The shared linear array over ``cells`` and its default router.
+
+        Made on first use per cell tuple; its topology and router are
+        immutable, so every default build over these cells shares them.
+        """
+        cells = tuple(cells)
+        with self._lock:
+            array = self._arrays.get(cells)
+            if array is not None:
+                self._arrays.move_to_end(cells)
+                return array
+        topology = ExplicitLinear(cells)
+        router = default_router(topology)
+        array = DefaultArray(
+            topology,
+            router,
+            topology_fingerprint(topology),
+            router_fingerprint(router),
+        )
+        with self._lock:
+            array = self._arrays.setdefault(cells, array)
+            while len(self._arrays) > self.maxsize:
+                self._arrays.popitem(last=False)
+        return array
 
     def lookup(
         self,
@@ -368,12 +413,23 @@ class AnalysisCache:
         Returns ``None`` when the topology or router cannot be
         fingerprinted (custom subclasses without an
         ``analysis_fingerprint`` token) — the caller must build a private
-        entry rather than risk sharing wrong routes.
+        entry rather than risk sharing wrong routes. A topology and
+        router that are a :class:`DefaultArray` of this cache use its
+        stored fingerprints.
         """
-        topology_fp = topology_fingerprint(topology)
-        router_fp = router_fingerprint(router)
-        if topology_fp is None or router_fp is None:
-            return None
+        array = (
+            self._arrays.get(topology.cells)
+            if type(topology) is ExplicitLinear
+            else None
+        )
+        if array is not None and array.topology is topology and array.router is router:
+            topology_fp = array.topology_fingerprint
+            router_fp = array.router_fingerprint
+        else:
+            topology_fp = topology_fingerprint(topology)
+            router_fp = router_fingerprint(router)
+            if topology_fp is None or router_fp is None:
+                return None
         key = AnalysisKey(
             program=program.fingerprint,
             topology=topology_fp,
@@ -397,9 +453,11 @@ class AnalysisCache:
         return entry
 
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
+        """Drop every entry and default array, and reset the hit/miss
+        counters."""
         with self._lock:
             self._entries.clear()
+            self._arrays.clear()
             self.hits = 0
             self.misses = 0
 
@@ -427,11 +485,12 @@ def default_entry(program: ArrayProgram) -> AnalysisEntry:
     """``program``'s shared entry at ``ArrayConfig()`` on a job's array.
 
     A sweep job has no topology field: it runs on the linear array in
-    the program's cell order under that array's default router.
+    the program's cell order under that array's default router, the
+    cache's :class:`DefaultArray` for those cells.
     """
-    topology = ExplicitLinear(tuple(program.cells))
+    array = GLOBAL_ANALYSIS_CACHE.default_array(program.cells)
     return GLOBAL_ANALYSIS_CACHE.lookup(
-        program, topology, default_router(topology), _DEFAULT_CONFIG
+        program, array.topology, array.router, _DEFAULT_CONFIG
     )
 
 

@@ -12,7 +12,26 @@ waiters are reusable bound methods created once per agent, and wait
 *reasons* are stored as cheap condition codes — the human-readable
 description is only formatted when deadlock diagnosis actually asks for
 it (see :meth:`_Agent.wait_reason`). A word transfer allocates no
-closures, no lists, and no strings.
+closures and no strings.
+
+In the common case one simulated event is one Python call: an agent's
+``_run`` dispatches on its op, moves the word, wakes the queue's waiters,
+clears its own wait and schedules its next step, all inline. Two queue
+cases are inlined, each a copy of the :class:`~repro.arch.queue.
+HardwareQueue` branch it names, in that method's statement order
+(callback order is part of determinism):
+
+* a push into a buffer with room and no parked writer (``try_push``);
+* a pop with no parked writer and no active extension (``pop``).
+
+Every other case — the capacity-0 handoff, a parked writer, an extension
+spill and its penalty — calls the queue method, which stays the one
+definition of those paths. An agent scheduling itself appends to the
+engine's FIFO (delay 0) or timing-wheel bucket as ``Engine.after`` would,
+and calls ``after`` when the fast lane is off or the delay is past the
+wheel's horizon. Agents reach the engine through their ``engine`` slot,
+which :meth:`~repro.sim.runtime.Simulator.execute` rebinds to the engine
+it runs.
 """
 
 from __future__ import annotations
@@ -28,6 +47,7 @@ from repro.sim.queue_manager import Request
 from repro.sim.words import Word
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Engine
     from repro.sim.runtime import Simulator
 
 Callback = Callable[[], None]
@@ -42,6 +62,9 @@ _F_UP_GRANT = "f-up-grant"
 _F_UP_EMPTY = "f-up-empty"
 _F_DOWN_GRANT = "f-down-grant"
 _F_DOWN_FULL = "f-down-full"
+
+_COMPUTE = OpKind.COMPUTE
+_WRITE = OpKind.WRITE
 
 
 class MessageFlow:
@@ -109,22 +132,29 @@ class MessageFlow:
 class _Agent:
     """Base: deduplicated scheduling plus wait bookkeeping for diagnosis.
 
-    Two hot-path idioms are inlined at their call sites rather than kept
-    as methods (one call frame per word adds up):
+    Each subclass's ``_run`` is one event, and in the common case one
+    call: it inlines the per-word steps the module docstring lists,
+    because a call frame per step was most of an event's cost. Three
+    idioms recur at the inlined sites:
 
     * *queue release after pop* — a queue is released exactly when its
-      ``words_remaining`` counter (kept by :meth:`HardwareQueue.pop`)
-      reaches zero while still assigned; only then may it carry another
-      message.
+      ``words_remaining`` counter (kept by the pop) reaches zero while
+      still assigned; only then may it carry another message.
     * *spend-and-continue scheduling* — after an operation, agents
       schedule ``_run`` directly (not via ``poke``): while an agent is
       spending cycles it is not registered as a waiter anywhere, so no
       poke can arrive mid-delay, and ``_scheduled`` stays True for the
-      window so a (hypothetical) stray poke cannot double-fire.
+      window so a (hypothetical) stray poke cannot double-fire. Every
+      such delay is at least one cycle (``op_latency`` and
+      ``hop_latency`` are >= 1 and no op or penalty is negative), so it
+      lands on the timing wheel or, past its horizon, the heap.
+    * *wait clearing* — the four stores of :meth:`_clear_wait`, guarded
+      by ``waiting is not None``.
     """
 
     __slots__ = (
         "sim",
+        "engine",
         "name",
         "done",
         "busy_cycles",
@@ -139,6 +169,7 @@ class _Agent:
 
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
+        self.engine: Engine = sim.engine
         self.name = name
         self.done = False
         self.busy_cycles = 0
@@ -157,11 +188,22 @@ class _Agent:
         if self._scheduled or self.done:
             return
         self._scheduled = True
-        engine = self.sim.engine
+        engine = self.engine
         if engine._fast:
             engine._fifo.append(self._run_cb)
         else:
             engine.after(0, self._run_cb)
+
+    def _schedule_after(self, cycles: int) -> None:
+        """Run the next step ``cycles`` (>= 1) from now: ``Engine.after``."""
+        engine = self.engine
+        if engine._fast and cycles <= engine._horizon:
+            slot = (engine.now + cycles) & engine._mask
+            engine._wheel[slot].append(self._run_cb)
+            engine._wheel_count += 1
+            engine._wheel_occupied |= 1 << slot
+        else:
+            engine.after(cycles, self._run_cb)
 
     def wait_reason(self) -> str | None:
         """Human-readable description of the current wait, or ``None``.
@@ -220,12 +262,6 @@ class _Agent:
         self.wait_grant = None
         self.wait_space = False
 
-    def _wait_word(self, queue: HardwareQueue, code: str) -> None:
-        self.waiting = code
-        self.wait_queue = queue
-        self.wait_space = False
-        queue.when_word(self.poke)
-
     def _wait_grant(self, flow: MessageFlow, hop: int, code: str) -> None:
         self.waiting = code
         self.wait_grant = (flow, hop)
@@ -237,9 +273,11 @@ class _Agent:
         self.sim.agent_finished(self)
 
     def close(self) -> None:
-        """Drop the simulator back-link and the cached bound-method
-        callbacks, each a reference cycle through this agent."""
+        """Drop the simulator and engine back-links and the cached
+        bound-method callbacks, each a reference cycle through this
+        agent."""
         self.sim = None
+        self.engine = None
         self.poke = None
         self._run_cb = None
 
@@ -260,7 +298,8 @@ class CellAgent(_Agent):
         "_n_ops",
         "_op_latency",
         "_m2m_overhead",
-        "_plan",
+        "_flow_ids",
+        "_flows",
     )
 
     def __init__(
@@ -287,19 +326,18 @@ class CellAgent(_Agent):
         cfg = sim.config
         self._op_latency = cfg.op_latency
         # Memory-to-memory staging cost per transfer, 0 under systolic.
+        # Each transfer stages through local memory twice (OS copy plus
+        # the program's own access) — half of the >= 4 accesses per word
+        # that flow through a cell (Section 1).
         self._m2m_overhead = (
             2 * cfg.memory_access_cycles
             if cfg.comm_model is CommModel.MEMORY_TO_MEMORY
             else 0
         )
-        # Pre-resolved execution plan: each op paired with its flow (None
-        # for computes), so the hot loop never does a by-name dict lookup.
-        # ``flow_ids`` gives each op's index into ``flows``, the run's
-        # flow list.
-        self._plan: list[tuple[Op, "MessageFlow | None"]] = [
-            (op, None if i is None else flows[i])
-            for op, i in zip(ops, flow_ids)
-        ]
+        # An R/W op's flow is ``flows[flow_ids[pc]]``: the plan's shared
+        # indices into the run's flow list, resolved when the op runs.
+        self._flow_ids = flow_ids
+        self._flows = flows
 
     def start(self) -> None:
         """Schedule the first step at t=0."""
@@ -313,79 +351,151 @@ class CellAgent(_Agent):
         self._write_complete_cb = None
 
     def _run(self) -> None:
-        # The hot path: the engine schedules this method directly, so one
-        # event is one call.
+        # The hot path: the engine schedules this method directly, and the
+        # common read and write run inline (see the module docstring).
         self._scheduled = False
         if self.done or self._write_parked:
             return
-        if self.pc >= self._n_ops:
+        pc = self.pc
+        if pc >= self._n_ops:
             self._finish()
             return
-        op, flow = self._plan[self.pc]
+        op = self.ops[pc]
         kind = op.kind
-        if kind is OpKind.COMPUTE:
-            self._compute(op)
-        elif kind is OpKind.WRITE:
-            self._write(op, flow)
-        else:
-            self._read(op, flow)
-
-    def _transfer_overhead(self) -> int:
-        """Extra cycles per R/W under the memory-to-memory model.
-
-        Each transfer stages through local memory twice (OS copy plus the
-        program's own access) — half of the >= 4 accesses per word that
-        flow through a cell (Section 1).
-        """
-        overhead = self._m2m_overhead
-        if overhead:
-            self.memory_accesses += 2
-        return overhead
-
-    def _compute(self, op: Op) -> None:
-        if self.waiting is not None:
-            self._clear_wait()
-        if op.func is not None and op.register is not None:
-            args = [self.registers.get(r) for r in op.operands]
-            if any(arg is None for arg in args):
-                # Structure-only runs carry no values; unknown in -> unknown out.
-                self.registers[op.register] = None
-            else:
-                self.registers[op.register] = op.func(*args)
-        self.pc += 1
-        cycles = op.cycles or 1
-        self.busy_cycles += cycles
-        self._scheduled = True
-        engine = self.sim.engine
-        if cycles:
-            engine.after(cycles, self._run_cb)
-        elif engine._fast:
-            engine._fifo.append(self._run_cb)
-        else:
-            engine.after(0, self._run_cb)
-
-    def _write(self, op: Op, flow: MessageFlow) -> None:
-        queue = flow.queues[0]
-        if queue is None:
-            flow.request(0)
+        if kind is _COMPUTE:
+            if self.waiting is not None:
+                self.waiting = None
+                self.wait_queue = None
+                self.wait_grant = None
+                self.wait_space = False
+            if op.func is not None and op.register is not None:
+                args = [self.registers.get(r) for r in op.operands]
+                if any(arg is None for arg in args):
+                    # Structure-only runs carry no values; unknown in -> unknown out.
+                    self.registers[op.register] = None
+                else:
+                    self.registers[op.register] = op.func(*args)
+            cycles = op.cycles or 1
+        elif kind is _WRITE:
+            flow = self._flows[self._flow_ids[pc]]
             queue = flow.queues[0]
             if queue is None:
-                self._wait_grant(flow, 0, _W_GRANT)
+                flow.request(0)
+                queue = flow.queues[0]
+                if queue is None:
+                    self._wait_grant(flow, 0, _W_GRANT)
+                    return
+            source = op.source
+            word = Word(
+                op.message,
+                flow.words_written,
+                source.resolve(self.registers) if source else None,
+            )
+            overhead = self._m2m_overhead
+            if overhead:
+                self.memory_accesses += 2
+            cycles = self._op_latency + op.cycles + overhead
+            buffer = queue._buffer
+            if queue._parked is not None or len(buffer) >= queue.capacity:
+                # The capacity-0 handoff, a full buffer or an extension
+                # spill: the queue's own try_push decides.
+                self._write_flow = flow
+                self._write_latency = cycles
+                if queue.try_push(word, blocked=self._write_complete_cb):
+                    self._write_complete()
+                else:
+                    self._write_parked = True
+                    self.waiting = _W_FULL
+                    self.wait_queue = queue
+                    self.wait_space = True
                 return
-        value = op.source.resolve(self.registers) if op.source else None
-        word = Word(op.message, flow.words_written, value)
-        self._write_flow = flow
-        overhead = self._m2m_overhead
-        if overhead:
-            self.memory_accesses += 2
-        self._write_latency = self._op_latency + op.cycles + overhead
-        if queue.try_push(word, blocked=self._write_complete_cb):
-            self._write_complete()
+            # HardwareQueue.try_push, buffered branch (a granted queue
+            # stays assigned until its last word is popped).
+            buffer.append(word)
+            stats = queue.stats
+            stats.words_pushed += 1
+            occupancy = len(buffer)
+            if occupancy > stats.peak_occupancy:
+                stats.peak_occupancy = occupancy
+            waiters = queue._word_waiters
+            if waiters:
+                queue._word_waiters = None
+                for poke in waiters:
+                    poke()
+            # _write_complete, up to its scheduling tail below.
+            if self.waiting is not None:
+                self.waiting = None
+                self.wait_queue = None
+                self.wait_grant = None
+                self.wait_space = False
+            flow.words_written += 1
         else:
-            self._write_parked = True
-            self.waiting = _W_FULL
-            self.wait_queue = queue
-            self.wait_space = True
+            flow = self._flows[self._flow_ids[pc]]
+            last = flow.last_hop
+            queue = flow.queues[last]
+            if queue is None:
+                self._wait_grant(flow, last, _R_GRANT)
+                return
+            buffer = queue._buffer
+            parked = queue._parked
+            if not (buffer or parked is not None):
+                # Wait for a word: HardwareQueue.when_word.
+                self.waiting = _R_EMPTY
+                self.wait_queue = queue
+                self.wait_space = False
+                waiters = queue._word_waiters
+                if waiters is None:
+                    queue._word_waiters = [self.poke]
+                else:
+                    waiters.append(self.poke)
+                return
+            if self.waiting is not None:
+                self.waiting = None
+                self.wait_queue = None
+                self.wait_grant = None
+                self.wait_space = False
+            if parked is None and not queue.extended:
+                # HardwareQueue.pop, a buffered word with no parked writer
+                # and no active extension (so no penalty).
+                word = buffer.popleft()
+                waiters = queue._space_waiters
+                if waiters:
+                    queue._space_waiters = None
+                    for poke in waiters:
+                        poke()
+                queue.stats.words_popped += 1
+                queue.words_passed += 1
+                queue.words_remaining -= 1
+                waiters = queue._word_waiters
+                if waiters:
+                    queue._word_waiters = None
+                    for poke in waiters:
+                        poke()
+                penalty = 0
+            else:
+                word, penalty = queue.pop()
+            if queue.words_remaining <= 0 and queue.assigned is not None:
+                self.sim.manager.release(queue)
+            flow.words_delivered += 1
+            self.sim.received[word.message].append(word.value)
+            if op.register is not None:
+                self.registers[op.register] = word.value
+            overhead = self._m2m_overhead
+            if overhead:
+                self.memory_accesses += 2
+            cycles = self._op_latency + op.cycles + penalty + overhead
+        self.pc = pc + 1
+        self.busy_cycles += cycles
+        self._scheduled = True
+        # _schedule_after.
+        engine = self.engine
+        if engine._fast and cycles <= engine._horizon:
+            slot = (engine.now + cycles) & engine._mask
+            engine._wheel[slot].append(self._run_cb)
+            engine._wheel_count += 1
+            engine._wheel_occupied |= 1 << slot
+        else:
+            engine.after(cycles, self._run_cb)
 
     def _write_complete(self) -> None:
         """A pushed (or unparked) word was accepted — advance the program."""
@@ -399,48 +509,7 @@ class CellAgent(_Agent):
         cycles = self._write_latency
         self.busy_cycles += cycles
         self._scheduled = True
-        engine = self.sim.engine
-        if cycles:
-            engine.after(cycles, self._run_cb)
-        elif engine._fast:
-            engine._fifo.append(self._run_cb)
-        else:
-            engine.after(0, self._run_cb)
-
-    def _read(self, op: Op, flow: MessageFlow) -> None:
-        last = flow.last_hop
-        queue = flow.queues[last]
-        if queue is None:
-            self._wait_grant(flow, last, _R_GRANT)
-            return
-        if not (queue._buffer or queue._parked is not None):
-            self._wait_word(queue, _R_EMPTY)
-            return
-        if self.waiting is not None:
-            self._clear_wait()
-        word, penalty = queue.pop()
-        # Release once the remaining-words counter runs dry (only then
-        # may the queue carry another message).
-        if queue.words_remaining <= 0 and queue.assigned is not None:
-            self.sim.manager.release(queue)
-        flow.words_delivered += 1
-        self.sim.received[word.message].append(word.value)
-        if op.register is not None:
-            self.registers[op.register] = word.value
-        overhead = self._m2m_overhead
-        if overhead:
-            self.memory_accesses += 2
-        self.pc += 1
-        cycles = self._op_latency + op.cycles + penalty + overhead
-        self.busy_cycles += cycles
-        self._scheduled = True
-        engine = self.sim.engine
-        if cycles:
-            engine.after(cycles, self._run_cb)
-        elif engine._fast:
-            engine._fifo.append(self._run_cb)
-        else:
-            engine.after(0, self._run_cb)
+        self._schedule_after(cycles)
 
 
 class ForwarderAgent(_Agent):
@@ -485,49 +554,77 @@ class ForwarderAgent(_Agent):
         self._push_complete_cb = None
 
     def _run(self) -> None:
-        # Specialised hot path mirroring CellAgent._run.
+        # The hot path, as in CellAgent._run: pop when empty-handed, else
+        # push the held word.
         self._scheduled = False
         if self.done or self._push_parked:
             return
-        if self.holding is None:
-            self._try_pop()
-        else:
-            self._try_push()
-
-    def _try_pop(self) -> None:
         flow = self.flow
-        if self.moved >= flow.message.length:
-            self._finish()
+        word = self.holding
+        if word is None:
+            if self.moved >= flow.message.length:
+                self._finish()
+                return
+            hop = self.hop
+            queue = flow.queues[hop]
+            if queue is None:
+                self._wait_grant(flow, hop, _F_UP_GRANT)
+                return
+            buffer = queue._buffer
+            parked = queue._parked
+            if not (buffer or parked is not None):
+                # Wait for a word: HardwareQueue.when_word.
+                self.waiting = _F_UP_EMPTY
+                self.wait_queue = queue
+                self.wait_space = False
+                waiters = queue._word_waiters
+                if waiters is None:
+                    queue._word_waiters = [self.poke]
+                else:
+                    waiters.append(self.poke)
+                return
+            if self.waiting is not None:
+                self.waiting = None
+                self.wait_queue = None
+                self.wait_grant = None
+                self.wait_space = False
+            if parked is None and not queue.extended:
+                # HardwareQueue.pop, a buffered word with no parked writer
+                # and no active extension (so no penalty).
+                word = buffer.popleft()
+                waiters = queue._space_waiters
+                if waiters:
+                    queue._space_waiters = None
+                    for poke in waiters:
+                        poke()
+                queue.stats.words_popped += 1
+                queue.words_passed += 1
+                queue.words_remaining -= 1
+                waiters = queue._word_waiters
+                if waiters:
+                    queue._word_waiters = None
+                    for poke in waiters:
+                        poke()
+                penalty = 0
+            else:
+                word, penalty = queue.pop()
+            if queue.words_remaining <= 0 and queue.assigned is not None:
+                self.sim.manager.release(queue)
+            self.holding = word
+            cycles = self._hop_latency + penalty
+            self.busy_cycles += cycles
+            self._scheduled = True
+            # _schedule_after.
+            engine = self.engine
+            if engine._fast and cycles <= engine._horizon:
+                slot = (engine.now + cycles) & engine._mask
+                engine._wheel[slot].append(self._run_cb)
+                engine._wheel_count += 1
+                engine._wheel_occupied |= 1 << slot
+            else:
+                engine.after(cycles, self._run_cb)
             return
-        queue = flow.queues[self.hop]
-        if queue is None:
-            self._wait_grant(flow, self.hop, _F_UP_GRANT)
-            return
-        if not (queue._buffer or queue._parked is not None):
-            self._wait_word(queue, _F_UP_EMPTY)
-            return
-        if self.waiting is not None:
-            self._clear_wait()
-        word, penalty = queue.pop()
-        # Release once the remaining-words counter runs dry (only then
-        # may the queue carry another message).
-        if queue.words_remaining <= 0 and queue.assigned is not None:
-            self.sim.manager.release(queue)
-        self.holding = word
-        cycles = self._hop_latency + penalty
-        self.busy_cycles += cycles
-        self._scheduled = True
-        engine = self.sim.engine
-        if cycles:
-            engine.after(cycles, self._run_cb)
-        elif engine._fast:
-            engine._fifo.append(self._run_cb)
-        else:
-            engine.after(0, self._run_cb)
-
-    def _try_push(self) -> None:
         nxt = self.hop + 1
-        flow = self.flow
         queue = flow.queues[nxt]
         if queue is None:
             flow.request(nxt)
@@ -535,13 +632,45 @@ class ForwarderAgent(_Agent):
             if queue is None:
                 self._wait_grant(flow, nxt, _F_DOWN_GRANT)
                 return
-        if queue.try_push(self.holding, blocked=self._push_complete_cb):
-            self._push_complete()
-        else:
-            self._push_parked = True
-            self.waiting = _F_DOWN_FULL
-            self.wait_queue = queue
-            self.wait_space = True
+        buffer = queue._buffer
+        if queue._parked is not None or len(buffer) >= queue.capacity:
+            # The capacity-0 handoff, a full buffer or an extension spill:
+            # the queue's own try_push decides.
+            if queue.try_push(word, blocked=self._push_complete_cb):
+                self._push_complete()
+            else:
+                self._push_parked = True
+                self.waiting = _F_DOWN_FULL
+                self.wait_queue = queue
+                self.wait_space = True
+            return
+        # HardwareQueue.try_push, buffered branch.
+        buffer.append(word)
+        stats = queue.stats
+        stats.words_pushed += 1
+        occupancy = len(buffer)
+        if occupancy > stats.peak_occupancy:
+            stats.peak_occupancy = occupancy
+        waiters = queue._word_waiters
+        if waiters:
+            queue._word_waiters = None
+            for poke in waiters:
+                poke()
+        # _push_complete, with its poke.
+        if self.waiting is not None:
+            self.waiting = None
+            self.wait_queue = None
+            self.wait_grant = None
+            self.wait_space = False
+        self.holding = None
+        self.moved += 1
+        if not (self._scheduled or self.done):
+            self._scheduled = True
+            engine = self.engine
+            if engine._fast:
+                engine._fifo.append(self._run_cb)
+            else:
+                engine.after(0, self._run_cb)
 
     def _push_complete(self) -> None:
         """The held word was accepted downstream — go pop the next one."""
@@ -550,4 +679,4 @@ class ForwarderAgent(_Agent):
             self._clear_wait()
         self.holding = None
         self.moved += 1
-        self.poke()
+        self._poke()

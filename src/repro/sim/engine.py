@@ -16,6 +16,14 @@ A minimal, deterministic event engine with a three-lane scheduler:
 * a **heap lane** — ``(time, sequence, callback)`` entries for
   timestamps beyond the wheel horizon only (overflow).
 
+The simulator's agents (:mod:`repro.sim.agents`) schedule their own next
+step without calling :meth:`Engine.after`: with the fast lane on they
+append to the FIFO (a poke, delay 0) or to the wheel bucket (a delay
+within the horizon), keeping ``_wheel_count`` and ``_wheel_occupied`` as
+``after`` does, and they call ``after`` for everything else. The lanes'
+invariants below therefore hold for those appends too; a heap-only
+engine (``fast_lane=False``) sends every agent event through ``after``.
+
 Determinism is preserved exactly: events at equal times fire in
 scheduling order. Three invariants make the lanes mergeable without
 comparing sequence numbers:

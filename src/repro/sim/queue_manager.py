@@ -33,7 +33,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from repro.arch.config import ArrayConfig
 from repro.arch.links import Link
@@ -49,12 +49,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 LabelGroups = Sequence[Sequence[str]]
 
 
-@dataclass(frozen=True, slots=True)
 class Request:
-    """A message (flow) asking for a queue on one hop of its route."""
+    """A message (flow) asking for a queue on one hop of its route.
 
-    flow: "MessageFlow"
-    hop: int
+    A plain slotted record (like :class:`~repro.sim.words.Word`): one is
+    made for every hop of every message, and its ``__init__`` costs well
+    under half a frozen dataclass's. Treat instances as immutable.
+    """
+
+    __slots__ = ("flow", "hop")
+
+    def __init__(self, flow: "MessageFlow", hop: int) -> None:
+        self.flow = flow
+        self.hop = hop
 
     @property
     def message(self) -> str:
@@ -88,7 +95,12 @@ class LinkState:
 
     def __init__(self, link: Link, config: ArrayConfig) -> None:
         self.link = link
-        self.count = config.queues_on(link)
+        # ArrayConfig.queues_on, called only when some link is overridden.
+        self.count = (
+            config.queues_on(link)
+            if config.link_queue_overrides
+            else config.queues_per_link
+        )
         self.queues: list[HardwareQueue] = []
         self.free: deque[HardwareQueue] = deque()
         self.policy_data: object = None
@@ -102,12 +114,13 @@ class LinkState:
     def build(self) -> HardwareQueue:
         """Build the lowest never-used queue; the caller now holds it."""
         cfg = self._config
+        # Positional: keyword passing costs a third of the constructor.
         queue = HardwareQueue(
             self.link,
             len(self.queues),
-            capacity=cfg.queue_capacity,
-            extension_allowed=cfg.allow_extension,
-            extension_penalty=cfg.extension_penalty,
+            cfg.queue_capacity,
+            cfg.allow_extension,
+            cfg.extension_penalty,
         )
         self.queues.append(queue)
         return queue
@@ -150,6 +163,19 @@ class AssignmentPolicy(ABC):
         sort; policies that ignore labels ignore it.
         """
 
+    def check_links(
+        self,
+        links: Sequence[tuple[Link, Sequence[str]]],
+        config: ArrayConfig,
+        groups_table: Mapping[Link, LabelGroups] | None = None,
+    ) -> None:
+        """Raise the :class:`ConfigError` :meth:`setup_link` would raise
+        first, setting up ``links`` (``(link, competing)`` pairs, in
+        set-up order) under ``config``, before any link state exists.
+
+        A policy whose set-up cannot fail checks nothing.
+        """
+
     @abstractmethod
     def on_request(self, manager: "QueueManager", state: LinkState, req: Request) -> None:
         """A flow requests a queue on ``state.link``."""
@@ -180,7 +206,9 @@ class FCFSPolicy(AssignmentPolicy):
 
     def _evaluate(self, manager, state) -> None:
         pending = state.policy_data
-        while pending and state.has_free:
+        queues, free = state.queues, state.free
+        # LinkState.has_free, re-tested after every grant.
+        while pending and (len(queues) < state.count or free):
             manager.grant(state, pending.popleft())
 
 
@@ -220,14 +248,17 @@ class OrderedPolicy(AssignmentPolicy):
                 raise ConfigError("OrderedPolicy requires a labeling")
             groups = label_groups(competing, labeling)
         if self.strict:
-            for group in groups:
-                if len(group) > state.count:
-                    raise ConfigError(
-                        f"link {state.link}: same-label group {list(group)} needs "
-                        f"{len(group)} queues, only {state.count} exist "
-                        f"(Theorem 1 assumption (ii))"
-                    )
+            _check_groups(state.link, groups, state.count)
         state.policy_data = _OrderedLinkData(groups)
+
+    def check_links(self, links, config, groups_table=None) -> None:
+        if not self.strict or groups_table is None:
+            return
+        for link, _competing in links:
+            groups = groups_table.get(link)
+            if groups is None:
+                return  # set-up groups this link itself, and checks it then
+            _check_groups(link, groups, config.queues_on(link))
 
     def on_request(self, manager, state, req) -> None:
         state.policy_data.pending[req.message] = req
@@ -241,12 +272,14 @@ class OrderedPolicy(AssignmentPolicy):
         groups = data.groups
         granted = data.granted
         pending = data.pending
+        queues, free = state.queues, state.free
         while data.gidx < len(groups):
             group = groups[data.gidx]
             fully_granted = True
             for name in group:
                 if name not in granted:
-                    if name in pending and state.has_free:
+                    # LinkState.has_free, re-tested after every grant.
+                    if name in pending and (len(queues) < state.count or free):
                         manager.grant(state, pending.pop(name))
                         granted.add(name)
                     else:
@@ -269,13 +302,12 @@ class StaticPolicy(AssignmentPolicy):
     name = "static"
 
     def setup_link(self, state, competing, labeling, groups=None) -> None:
-        if len(competing) > state.count:
-            raise ConfigError(
-                f"link {state.link}: static assignment needs "
-                f"{len(competing)} queues for {list(competing)}, only "
-                f"{state.count} exist"
-            )
+        _check_static(state.link, competing, state.count)
         state.policy_data = {name: state.build() for name in competing}
+
+    def check_links(self, links, config, groups_table=None) -> None:
+        for link, competing in links:
+            _check_static(link, competing, config.queues_on(link))
 
     def on_request(self, manager, state, req) -> None:
         queue = state.policy_data[req.message]
@@ -283,6 +315,28 @@ class StaticPolicy(AssignmentPolicy):
 
     def on_release(self, manager, state) -> None:
         pass  # reservations never move
+
+
+def _check_static(link: Link, competing: Sequence[str], count: int) -> None:
+    """Static set-up needs a queue per competing message on ``link``."""
+    if len(competing) > count:
+        raise ConfigError(
+            f"link {link}: static assignment needs "
+            f"{len(competing)} queues for {list(competing)}, only "
+            f"{count} exist"
+        )
+
+
+def _check_groups(link: Link, groups: LabelGroups, count: int) -> None:
+    """Theorem 1's assumption (ii): every same-label group on ``link``
+    fits in its ``count`` queues."""
+    for group in groups:
+        if len(group) > count:
+            raise ConfigError(
+                f"link {link}: same-label group {list(group)} needs "
+                f"{len(group)} queues, only {count} exist "
+                f"(Theorem 1 assumption (ii))"
+            )
 
 
 def label_groups(
@@ -349,7 +403,13 @@ class QueueManager:
         passing its own must have reserved it with :meth:`LinkState.build`.
         """
         if queue is None:
-            queue = state.take_free()
+            # LinkState.take_free.
+            if len(state.queues) < state.count:
+                queue = state.build()
+            elif state.free:
+                queue = state.free.popleft()
+            else:
+                raise SimulationError(f"no free queue on {state.link}")
         msg = req.flow.message
         queue.assign(msg.name, msg.length)
         self._log.append(

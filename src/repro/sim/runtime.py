@@ -13,7 +13,9 @@ once, and forked pool workers start with the parent's copies. Custom
 router/topology subclasses are excluded from sharing unless they expose
 an ``analysis_fingerprint`` token (see :mod:`repro.perf.analysis_cache`),
 and ``reuse_analysis=False`` shares nothing; such a simulator reads a
-private entry the same way.
+private entry the same way. A simulator on the default array (no
+topology or router given) also shares that array: the cache keeps one
+linear topology and router per cell tuple, with their fingerprints.
 
 A simulator builds from its entry's frozen :class:`BuildPlan`: the
 sorted link table with each link's competing messages, every message's
@@ -61,7 +63,9 @@ class BuildPlan(NamedTuple):
     * ``messages`` — message names in declaration order, and ``routes``
       their routes in that order (a build's flow list is indexed alike);
     * ``links`` — every link a route crosses, sorted, with the names of
-      its competing messages;
+      its competing messages, and ``widest`` the most names on any link
+      (a set-up with at least that many queues on every link is
+      feasible under the static and ordered policies);
     * ``cells`` — per cell in program order: the cell, its agent's name
       and, per op, the index of the op's flow (``None`` for a compute);
     * ``forwarders`` — per forwarder, by message then hop: its flow
@@ -77,6 +81,7 @@ class BuildPlan(NamedTuple):
     messages: tuple[str, ...]
     routes: tuple[Route, ...]
     links: tuple[tuple[Link, tuple[str, ...]], ...]
+    widest: int
     cells: tuple[tuple[str, str, tuple[int | None, ...]], ...]
     forwarders: tuple[tuple[int, int, str], ...]
 
@@ -106,13 +111,15 @@ def build_plan(
         if not route:
             raise SimulationError(f"message {name} has an empty route")
         used.update(route)
+    links = tuple(
+        (link, tuple(competing.get(link, ())))
+        for link in sorted(used, key=_LINK_ORDER)
+    )
     return BuildPlan(
         messages=names,
         routes=tuple(routes[name] for name in names),
-        links=tuple(
-            (link, tuple(competing.get(link, ())))
-            for link in sorted(used, key=_LINK_ORDER)
-        ),
+        links=links,
+        widest=max((len(names_on) for _link, names_on in links), default=0),
         cells=tuple(
             (
                 cell,
@@ -191,7 +198,11 @@ class Simulator:
     creates only what a run mutates: the link states with their policy
     data, one flow per message, the cell and forwarder agents, and the
     engine. Ops, messages and register values always come from this
-    simulator's own program.
+    simulator's own program. When some link may have fewer queues than
+    competing messages, the policy's ``check_links`` first reads the
+    plan's link table, so an infeasible static or strict ordered set-up
+    raises its :class:`~repro.errors.ConfigError` before any of that is
+    built.
 
     A simulator's life is build → :meth:`execute` → :meth:`result` →
     :meth:`close`; :meth:`run` is the first two in one call. After
@@ -223,6 +234,11 @@ class Simulator:
     ) -> None:
         self.program = program
         self.config = config = config or ArrayConfig()
+        if topology is None and router is None and reuse_analysis:
+            # The default array: one shared topology and router per cell
+            # tuple, whose fingerprints the cache already holds.
+            array = GLOBAL_ANALYSIS_CACHE.default_array(program.cells)
+            topology, router = array.topology, array.router
         self.topology = topology or ExplicitLinear(tuple(program.cells))
         self.router = router or default_router(self.topology)
         analysis = (
@@ -245,6 +261,16 @@ class Simulator:
             # repro.core.labeling for why the literal scheme is not used.
             labeling = analysis.labeling
         self.labeling = labeling
+        groups_table = (
+            analysis.ordered_groups(labeling)
+            if self.policy.name == "ordered"
+            else None
+        )
+        plan = analysis.plan
+        if config.link_queue_overrides or config.queues_per_link < plan.widest:
+            # A link may lack a queue per competing message: raise an
+            # infeasible static or ordered set-up before building anything.
+            self.policy.check_links(plan.links, config, groups_table)
 
         self.engine = Engine(horizon=wheel_horizon_for(program, self.config))
         self.manager = QueueManager(self.policy, self.engine)
@@ -259,18 +285,17 @@ class Simulator:
         self._started = False
         self._stop: StopReason | None = None
         self._closed = False
-        self._build(registers or {})
+        self._build(registers or {}, groups_table)
 
-    def _build(self, registers: dict[str, dict[str, float | None]]) -> None:
-        analysis = self._analysis
-        plan = analysis.plan
-        # Links first: an infeasible static/ordered config raises in
-        # link set-up, before any flow or agent is built.
-        groups_table = (
-            analysis.ordered_groups(self.labeling)
-            if self.policy.name == "ordered"
-            else None
-        )
+    def _build(
+        self,
+        registers: dict[str, dict[str, float | None]],
+        groups_table: dict | None,
+    ) -> None:
+        plan = self._analysis.plan
+        # Links first: a policy whose check_links does not cover it (a
+        # custom one) still raises in link set-up, before any flow or
+        # agent is built.
         manager, config, labeling = self.manager, self.config, self.labeling
         for link, competing in plan.links:
             manager.add_link(
@@ -340,8 +365,12 @@ class Simulator:
     ) -> StopReason:
         """Run until completion, deadlock, or a safety limit.
 
-        Sets ``completed``, ``deadlocked`` and ``timed_out``; returns why
-        the engine stopped.
+        Hands ``self.engine`` to the queue manager and to every agent
+        first: agents schedule themselves on their engine's lanes
+        directly, so an engine swapped in after the build (a heap-only
+        one, say) is the one the whole run goes through. Sets
+        ``completed``, ``deadlocked`` and ``timed_out``; returns why the
+        engine stopped.
         """
         if self._started or self._closed:
             raise SimulationError(
@@ -349,15 +378,14 @@ class Simulator:
                 "(or was closed); build a new Simulator"
             )
         self._started = True
-        # The manager stamps grants with its engine's time; re-bind it so
-        # an engine swapped in after set-up (determinism cross-checks
-        # run a heap-only engine) is the one it reads.
-        self.manager.engine = self.engine
+        engine = self.engine
+        self.manager.engine = engine
         agents = self.all_agents()
         self._unfinished = len(agents)
         for agent in agents:
+            agent.engine = engine
             agent.start()
-        reason = self.engine.run(max_events=max_events, max_time=max_time)
+        reason = engine.run(max_events=max_events, max_time=max_time)
         self.completed = self._unfinished == 0
         self.deadlocked = not self.completed and reason is StopReason.QUIESCENT
         self.timed_out = not self.completed and not self.deadlocked

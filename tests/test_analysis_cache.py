@@ -116,6 +116,68 @@ class TestCacheBehaviour:
         assert len(cache) == 2
 
 
+class TestDefaultArray:
+    """Default builds share one topology and router per cell tuple."""
+
+    def test_default_builds_share_topology_and_router(self):
+        program = fig7_program()
+        sim1 = Simulator(program, policy="fcfs")
+        sim2 = Simulator(fig7_program(), policy="ordered")
+        assert sim1.topology is sim2.topology
+        assert sim1.router is sim2.router
+        assert sim1.topology.cells == tuple(program.cells)
+
+    def test_warm_default_build_renders_no_fingerprint(self, monkeypatch):
+        import repro.perf.analysis_cache as analysis_cache
+
+        program = fig7_program()
+        Simulator(program)  # warm: the array and the entry exist
+        calls = []
+        original = analysis_cache.topology_fingerprint
+
+        def counted(topology):
+            calls.append(topology)
+            return original(topology)
+
+        monkeypatch.setattr(analysis_cache, "topology_fingerprint", counted)
+        Simulator(program, config=ArrayConfig(queues_per_link=2))
+        analysis_cache.default_entry(program)
+        assert calls == []
+        # A topology the cache did not make still renders its own.
+        topology = ExplicitLinear(tuple(program.cells))
+        Simulator(program, topology=topology)
+        assert calls == [topology]
+
+    def test_clear_drops_the_shared_array(self):
+        program = fig7_program()
+        before = Simulator(program)
+        clear_analysis_cache()
+        after = Simulator(program)
+        assert after.topology is not before.topology
+        assert after.router is not before.router
+        assert after.topology.cells == before.topology.cells
+
+    def test_arrays_are_bounded_like_entries(self):
+        cache = AnalysisCache(maxsize=2)
+        arrays = [cache.default_array((f"A{i}", f"B{i}")) for i in range(3)]
+        assert cache.default_array(("A2", "B2")) is arrays[2]
+        assert cache.default_array(("A0", "B0")) is not arrays[0]
+
+    def test_uncached_and_custom_builds_keep_their_own_array(self):
+        program = fig7_program()
+        shared = Simulator(program)
+        private = Simulator(program, reuse_analysis=False)
+        assert private.topology is not shared.topology
+        assert private.router is not shared.router
+        topology = ExplicitLinear(tuple(program.cells))
+        custom = Simulator(program, topology=topology)
+        assert custom.topology is topology
+        assert custom.router is not shared.router
+        # Equal content still shares the analysis entry.
+        assert custom._analysis is shared._analysis
+        assert private.run() == shared.run() == custom.run()
+
+
 class TestCachedEqualsFresh:
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("capacity", [0, 2])

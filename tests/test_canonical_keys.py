@@ -143,12 +143,12 @@ def test_golden_jobs_equal_their_canonical_representatives():
         clamped += rep.config != job.config
         served = restamp(simulated_row(0, rep), index, job)
         assert served == simulated_row(index, job), job_id
-    assert index == 383
+    assert index == 539
     assert clamped > 100  # the corpus exercises both clamps
 
 
 def test_golden_corpus_streams_through_the_memo_unchanged():
-    """One serial stream of all 384 golden jobs, plain and override
+    """One serial stream of all 540 golden jobs, plain and override
     configs of a program mixed in one memo, equals plain simulations."""
     jobs = [
         SimJob(program, config=config, policy=policy, registers=registers, strict=strict)

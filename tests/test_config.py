@@ -21,6 +21,7 @@ class TestValidation:
             {"hop_latency": 0},
             {"op_latency": 0},
             {"memory_access_cycles": -1},
+            {"extension_penalty": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -13,11 +13,15 @@ inside some downstream consumer.
 The run-time half is pinned the same way: ``sim_results.json`` holds one
 digest per simulation job of a fixed corpus (the Fig. 2 and Fig. 7-9
 programs plus seeded random, write-hoisted and read-cycle programs, under
-every policy, queue count and capacity of a small provisioning grid). A
-digest covers the *complete* :class:`SimulationResult` — every field,
-every dict in insertion order, every ``queue_stats`` entry — so a change
-to how the simulator builds or reports its queues must leave every
-result byte-identical, not just the summary rows a sweep keeps.
+every policy, queue count and capacity of a small provisioning grid, some
+also with slower hops and ops, memory-to-memory staging, queue extension
+and a compute longer than any timing wheel). A digest covers the
+*complete* :class:`SimulationResult` — every field, every dict in
+insertion order, every ``queue_stats`` entry — so a change to how the
+simulator builds or reports its queues must leave every result
+byte-identical, not just the summary rows a sweep keeps. The corpus runs
+twice: once as built, once on a heap-only engine swapped in after the
+build.
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -36,13 +40,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.arch.config import ArrayConfig
+from repro.arch.config import ArrayConfig, CommModel
 from repro.arch.links import Link
 from repro.core.crossing import CrossingResult, cross_off, uniform_lookahead
 from repro.core.labeling import constraint_labeling
 from repro.core.program import ArrayProgram
 from repro.core.schedule import analyze_schedule
 from repro.errors import ReproError
+from repro.sim.engine import MAX_WHEEL_HORIZON, Engine
 from repro.sim.result import SimulationResult
 from repro.sim.runtime import Simulator
 
@@ -235,14 +240,53 @@ def _sim_programs() -> dict[str, tuple[ArrayProgram, dict | None]]:
     return programs
 
 
+#: Corpus programs that also run :func:`_timing_configs`.
+TIMING_PROGRAMS = ("fig2", "fig7", "random2", "random-wide8", "hoisted5", "cycle7")
+
+#: A compute this long overflows the engine's largest timing wheel.
+LONG_COMPUTE_CYCLES = MAX_WHEEL_HORIZON + 44
+
+
+def _timing_configs():
+    """``(suffix, config)`` pairs off the unit-latency systolic grid.
+
+    Memory-to-memory staging, slower hops and ops, and queue extension at
+    capacities 0 and 2 with a large spill penalty: together they reach
+    every delay shape the agents schedule and every branch of a queue's
+    push and pop.
+    """
+    for queues in (2, 8):
+        yield f"q{queues}/m2m", ArrayConfig(
+            queues_per_link=queues,
+            queue_capacity=2,
+            comm_model=CommModel.MEMORY_TO_MEMORY,
+            memory_access_cycles=2,
+        )
+        yield f"q{queues}/latency", ArrayConfig(
+            queues_per_link=queues, queue_capacity=1, hop_latency=3, op_latency=2
+        )
+        for capacity in (0, 2):
+            yield f"q{queues}/extension-c{capacity}", ArrayConfig(
+                queues_per_link=queues,
+                queue_capacity=capacity,
+                allow_extension=True,
+                extension_penalty=7,
+            )
+
+
 def _sim_jobs():
     """``(job_id, program, registers, config, policy, strict)`` per job.
 
     The provisioning grid runs every program; the extras add one
     queue-extension config and one per-link override config (each under
     every policy) and non-strict ordered runs, whose oversized label
-    groups deadlock instead of being rejected at set-up.
+    groups deadlock instead of being rejected at set-up. A few programs
+    also run :func:`_timing_configs`, and Fig. 7 with a compute longer
+    than the largest timing wheel runs a small grid, so some delays
+    overflow to the engine's heap.
     """
+    from repro.algorithms.figures import fig7_program
+
     extension = ArrayConfig(queues_per_link=2, queue_capacity=1, allow_extension=True)
     for name, (program, registers) in _sim_programs().items():
         for policy in POLICIES:
@@ -268,6 +312,17 @@ def _sim_jobs():
             config = ArrayConfig(queues_per_link=queues)
             job_id = f"{name}/ordered-lenient/q{queues}/c0"
             yield job_id, program, registers, config, "ordered", False
+        if name in TIMING_PROGRAMS:
+            for suffix, config in _timing_configs():
+                for policy in POLICIES:
+                    yield f"{name}/{policy}/{suffix}", program, registers, config, policy, True
+    long_compute = fig7_program(think_cycles=LONG_COMPUTE_CYCLES)
+    for policy in POLICIES:
+        for queues in (1, 2):
+            for capacity in CAPACITIES:
+                config = ArrayConfig(queues_per_link=queues, queue_capacity=capacity)
+                job_id = f"fig7-think{LONG_COMPUTE_CYCLES}/{policy}/q{queues}/c{capacity}"
+                yield job_id, long_compute, None, config, policy, True
 
 
 def canonical_result(result: SimulationResult) -> dict:
@@ -301,8 +356,12 @@ def canonical_result(result: SimulationResult) -> dict:
     return doc
 
 
-def sim_digest(program, registers, config, policy, strict) -> str:
-    """sha256 of one job's canonical result, or of its set-up error."""
+def sim_digest(program, registers, config, policy, strict, heap_only=False) -> str:
+    """sha256 of one job's canonical result, or of its set-up error.
+
+    With ``heap_only`` the simulator runs on a heap-only engine swapped in
+    after the build, as the determinism cross-checks do.
+    """
     try:
         sim = Simulator(
             program, config=config, policy=policy, registers=registers, strict=strict
@@ -310,6 +369,8 @@ def sim_digest(program, registers, config, policy, strict) -> str:
     except ReproError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
     else:
+        if heap_only:
+            sim.engine = Engine(fast_lane=False)
         doc = canonical_result(sim.run())
     raw = json.dumps(doc, separators=(",", ":")).encode()
     return hashlib.sha256(raw).hexdigest()
@@ -334,6 +395,23 @@ def test_golden_simulation_results():
         f"{len(diverged)} of {len(expected)} simulation results diverged from "
         f"{SIM_GOLDEN.name}, e.g. {diverged[:5]}; if the change is intentional, "
         f"regenerate with REPRO_UPDATE_GOLDEN=1 and review the diff"
+    )
+
+
+def test_golden_simulation_results_on_the_heap_only_engine():
+    """The whole corpus gives the same digests when every event goes
+    through the heap: the lanes the agents append to directly change no
+    event's order, and a swapped-in engine is the one the run uses."""
+    expected = json.loads(SIM_GOLDEN.read_text())
+    produced = {
+        job_id: sim_digest(program, registers, config, policy, strict, heap_only=True)
+        for job_id, program, registers, config, policy, strict in _sim_jobs()
+    }
+    assert sorted(produced) == sorted(expected), "simulation corpus changed"
+    diverged = sorted(k for k in expected if produced[k] != expected[k])
+    assert not diverged, (
+        f"{len(diverged)} of {len(expected)} heap-only simulation results "
+        f"diverged from {SIM_GOLDEN.name}, e.g. {diverged[:5]}"
     )
 
 

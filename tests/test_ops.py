@@ -63,6 +63,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             ValueSource(register="x", constant=1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Op(OpKind.WRITE, "X", cycles=-1),
+            lambda: W("X", constant=1.0, cycles=-1),
+            lambda: W("X", cycles=-5),
+            lambda: R("X", cycles=-1),
+            lambda: COMPUTE("y", lambda: 0.0, [], cycles=-1),
+        ],
+        ids=["op", "write-constant", "write", "read", "compute"],
+    )
+    def test_rejects_negative_cycles(self, make):
+        # Every op's cycles become a scheduling delay in the simulator,
+        # where a negative one has no meaning.
+        with pytest.raises(ValueError, match="cycles must be >= 0"):
+            make()
+
+    def test_builder_delay_rejects_negative_cycles(self):
+        from repro.lang.builder import ProgramBuilder
+
+        builder = ProgramBuilder("neg", cells=["C1", "C2"])
+        with pytest.raises(ValueError, match="cycles must be >= 0"):
+            builder.cell("C1").delay(-1)
+
+    def test_zero_cycles_accepted(self):
+        assert W("X", cycles=0).cycles == 0
+        assert COMPUTE("y", lambda: 0.0, [], cycles=0).cycles == 0
+
 
 class TestViews:
     def test_str_forms(self):
