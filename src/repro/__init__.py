@@ -32,10 +32,14 @@ waiters are reusable bound methods. In the common case one event is one
 Python call: an agent's step pushes or pops its word, wakes the queue's
 waiters and appends its next step to the engine's FIFO or wheel inline
 (:mod:`repro.sim.agents`). Over the 263 distinct runs of a 20-program
-provisioning grid (16 cells, 32 messages) on a 2-vCPU host that took
-1,570 ns per event and a 179 µs build per run, against 1,992 ns and
-214 µs with a call per queue, wake-up and scheduling step. The
-compile-time half is an
+provisioning grid (16 cells, 32 messages, capacities 0, 2 and 8) on a
+2-vCPU host, that cut engine time per event by 18-19% (2,333 to 1,907
+ns in one round) and build time per run by 14-15%, against a call per
+queue, wake-up and scheduling step. The inline queue steps serve
+buffered queues only: on the 170 buffered runs ~99% of pushes and pops
+take them and engine time fell 22-23%; at capacity 0 (``ArrayConfig()``'s
+default, 93 runs) the queue's own methods hand every word over and it
+fell 12-13%. The compile-time half is an
 incremental crossing-off engine (:mod:`repro.core.crossing`) with one
 drive loop per stepping mode: each crossing rescans only the cells it
 touched, and an end located under the Section 8.1 rules stays located

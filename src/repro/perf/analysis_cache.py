@@ -417,11 +417,10 @@ class AnalysisCache:
         router that are a :class:`DefaultArray` of this cache use its
         stored fingerprints.
         """
-        array = (
-            self._arrays.get(topology.cells)
-            if type(topology) is ExplicitLinear
-            else None
-        )
+        cells = topology.cells if type(topology) is ExplicitLinear else None
+        # A caller may build an ExplicitLinear over a list: only a tuple
+        # of cells can name a default array.
+        array = self._arrays.get(cells) if type(cells) is tuple else None
         if array is not None and array.topology is topology and array.router is router:
             topology_fp = array.topology_fingerprint
             router_fp = array.router_fingerprint

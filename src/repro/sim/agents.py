@@ -26,12 +26,18 @@ HardwareQueue` branch it names, in that method's statement order
 
 Every other case — the capacity-0 handoff, a parked writer, an extension
 spill and its penalty — calls the queue method, which stays the one
-definition of those paths. An agent scheduling itself appends to the
-engine's FIFO (delay 0) or timing-wheel bucket as ``Engine.after`` would,
-and calls ``after`` when the fast lane is off or the delay is past the
-wheel's horizon. Agents reach the engine through their ``engine`` slot,
-which :meth:`~repro.sim.runtime.Simulator.execute` rebinds to the engine
-it runs.
+definition of those paths. So the inline queue steps serve buffered
+queues only: at capacity 0 (``ArrayConfig()``'s default, the unbuffered
+model of Sections 3-7) every write parks in ``try_push`` and every read
+takes it through ``pop``, and only the dispatch, wait clearing and
+scheduling are inline. Over a provisioning grid at capacities 0, 2 and
+8, ~99% of buffered pushes and pops took the inline branch, none at
+capacity 0. An agent scheduling itself appends to the engine's FIFO
+(delay 0) or timing-wheel bucket as ``Engine.after`` would, and calls
+``after`` when the fast lane is off or the delay is past the wheel's
+horizon. Agents reach the engine through their ``engine`` slot, which
+:meth:`~repro.sim.runtime.Simulator.execute` rebinds to the engine it
+runs.
 """
 
 from __future__ import annotations
@@ -188,22 +194,12 @@ class _Agent:
         if self._scheduled or self.done:
             return
         self._scheduled = True
+        # Engine.after, its FIFO branch (delay 0).
         engine = self.engine
         if engine._fast:
             engine._fifo.append(self._run_cb)
         else:
             engine.after(0, self._run_cb)
-
-    def _schedule_after(self, cycles: int) -> None:
-        """Run the next step ``cycles`` (>= 1) from now: ``Engine.after``."""
-        engine = self.engine
-        if engine._fast and cycles <= engine._horizon:
-            slot = (engine.now + cycles) & engine._mask
-            engine._wheel[slot].append(self._run_cb)
-            engine._wheel_count += 1
-            engine._wheel_occupied |= 1 << slot
-        else:
-            engine.after(cycles, self._run_cb)
 
     def wait_reason(self) -> str | None:
         """Human-readable description of the current wait, or ``None``.
@@ -487,7 +483,7 @@ class CellAgent(_Agent):
         self.pc = pc + 1
         self.busy_cycles += cycles
         self._scheduled = True
-        # _schedule_after.
+        # Engine.after, its wheel branch (cycles >= 1).
         engine = self.engine
         if engine._fast and cycles <= engine._horizon:
             slot = (engine.now + cycles) & engine._mask
@@ -509,7 +505,7 @@ class CellAgent(_Agent):
         cycles = self._write_latency
         self.busy_cycles += cycles
         self._scheduled = True
-        self._schedule_after(cycles)
+        self.engine.after(cycles, self._run_cb)
 
 
 class ForwarderAgent(_Agent):
@@ -614,7 +610,7 @@ class ForwarderAgent(_Agent):
             cycles = self._hop_latency + penalty
             self.busy_cycles += cycles
             self._scheduled = True
-            # _schedule_after.
+            # Engine.after, its wheel branch (cycles >= 1).
             engine = self.engine
             if engine._fast and cycles <= engine._horizon:
                 slot = (engine.now + cycles) & engine._mask
@@ -656,7 +652,7 @@ class ForwarderAgent(_Agent):
             queue._word_waiters = None
             for poke in waiters:
                 poke()
-        # _push_complete, with its poke.
+        # _push_complete, with its _poke.
         if self.waiting is not None:
             self.waiting = None
             self.wait_queue = None

@@ -206,9 +206,7 @@ class FCFSPolicy(AssignmentPolicy):
 
     def _evaluate(self, manager, state) -> None:
         pending = state.policy_data
-        queues, free = state.queues, state.free
-        # LinkState.has_free, re-tested after every grant.
-        while pending and (len(queues) < state.count or free):
+        while pending and state.has_free:
             manager.grant(state, pending.popleft())
 
 
@@ -272,14 +270,12 @@ class OrderedPolicy(AssignmentPolicy):
         groups = data.groups
         granted = data.granted
         pending = data.pending
-        queues, free = state.queues, state.free
         while data.gidx < len(groups):
             group = groups[data.gidx]
             fully_granted = True
             for name in group:
                 if name not in granted:
-                    # LinkState.has_free, re-tested after every grant.
-                    if name in pending and (len(queues) < state.count or free):
+                    if name in pending and state.has_free:
                         manager.grant(state, pending.pop(name))
                         granted.add(name)
                     else:
@@ -403,13 +399,7 @@ class QueueManager:
         passing its own must have reserved it with :meth:`LinkState.build`.
         """
         if queue is None:
-            # LinkState.take_free.
-            if len(state.queues) < state.count:
-                queue = state.build()
-            elif state.free:
-                queue = state.free.popleft()
-            else:
-                raise SimulationError(f"no free queue on {state.link}")
+            queue = state.take_free()
         msg = req.flow.message
         queue.assign(msg.name, msg.length)
         self._log.append(

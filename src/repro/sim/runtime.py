@@ -63,9 +63,7 @@ class BuildPlan(NamedTuple):
     * ``messages`` — message names in declaration order, and ``routes``
       their routes in that order (a build's flow list is indexed alike);
     * ``links`` — every link a route crosses, sorted, with the names of
-      its competing messages, and ``widest`` the most names on any link
-      (a set-up with at least that many queues on every link is
-      feasible under the static and ordered policies);
+      its competing messages;
     * ``cells`` — per cell in program order: the cell, its agent's name
       and, per op, the index of the op's flow (``None`` for a compute);
     * ``forwarders`` — per forwarder, by message then hop: its flow
@@ -81,7 +79,6 @@ class BuildPlan(NamedTuple):
     messages: tuple[str, ...]
     routes: tuple[Route, ...]
     links: tuple[tuple[Link, tuple[str, ...]], ...]
-    widest: int
     cells: tuple[tuple[str, str, tuple[int | None, ...]], ...]
     forwarders: tuple[tuple[int, int, str], ...]
 
@@ -111,15 +108,13 @@ def build_plan(
         if not route:
             raise SimulationError(f"message {name} has an empty route")
         used.update(route)
-    links = tuple(
-        (link, tuple(competing.get(link, ())))
-        for link in sorted(used, key=_LINK_ORDER)
-    )
     return BuildPlan(
         messages=names,
         routes=tuple(routes[name] for name in names),
-        links=links,
-        widest=max((len(names_on) for _link, names_on in links), default=0),
+        links=tuple(
+            (link, tuple(competing.get(link, ())))
+            for link in sorted(used, key=_LINK_ORDER)
+        ),
         cells=tuple(
             (
                 cell,
@@ -266,11 +261,13 @@ class Simulator:
             if self.policy.name == "ordered"
             else None
         )
-        plan = analysis.plan
-        if config.link_queue_overrides or config.queues_per_link < plan.widest:
+        if (
+            config.link_queue_overrides
+            or config.queues_per_link < analysis.shape.widest
+        ):
             # A link may lack a queue per competing message: raise an
             # infeasible static or ordered set-up before building anything.
-            self.policy.check_links(plan.links, config, groups_table)
+            self.policy.check_links(analysis.plan.links, config, groups_table)
 
         self.engine = Engine(horizon=wheel_horizon_for(program, self.config))
         self.manager = QueueManager(self.policy, self.engine)

@@ -18,6 +18,7 @@ from repro.algorithms.figures import (
 )
 from repro.algorithms.fir import fir_program, fir_registers
 from repro.core.program import ArrayProgram
+from repro.arch.routing import default_router
 from repro.arch.topology import ExplicitLinear, LinearArray, Mesh2D
 from repro.workloads import WorkloadSpec, random_program
 
@@ -176,6 +177,19 @@ class TestDefaultArray:
         # Equal content still shares the analysis entry.
         assert custom._analysis is shared._analysis
         assert private.run() == shared.run() == custom.run()
+
+    def test_list_built_topology_builds_and_runs(self):
+        program = fig7_program()
+        shared = Simulator(program)  # the tuple's default array exists
+        topology = ExplicitLinear(list(program.cells))
+        sim = Simulator(program, topology=topology)
+        assert sim.topology is topology
+        assert sim.run() == Simulator(program).run()
+        entry = GLOBAL_ANALYSIS_CACHE.lookup(
+            program, topology, default_router(topology), ArrayConfig()
+        )
+        assert entry is not None
+        assert shared.topology.cells == tuple(topology.cells)
 
 
 class TestCachedEqualsFresh:
