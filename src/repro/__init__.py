@@ -69,17 +69,17 @@ that matter at scale:
   competing message performs the static run, so
   :func:`repro.sweep.jobs.canonical_key` gives such jobs one key and
   the runner's row memo serves the repeats re-stamped.
-* **Pluggable sweep execution** — ensemble sweeps run through the
-  :mod:`repro.sweep` package: a :class:`repro.sweep.SweepPlan` (jobs +
-  reducers + backend choice) executed by a
-  :class:`repro.sweep.SweepSession` over the ``serial`` or ``pool``
-  backend — the latter runs chunks on supervised worker processes
-  that send each chunk's :class:`repro.sweep.RunSummary` rows back
-  over their own pipe, and recovers from worker crashes and hangs.
-  :meth:`repro.sweep.SweepSession.stream` yields one O(1) summary row
-  per job, lazily and in job order; a job's full result is
+* **Sweep execution** — ensemble sweeps run through the
+  :mod:`repro.sweep` package: a :class:`repro.sweep.SweepSession`
+  runs a :class:`repro.sweep.SweepPlan` (jobs + reducers + knobs)
+  through one runner, in process for one worker or on a one-CPU host
+  and otherwise on supervised worker processes that send each chunk's
+  :class:`repro.sweep.RunSummary` rows back over their own pipe and
+  recover from worker crashes and hangs; the rows are the same either
+  way. :meth:`repro.sweep.SweepSession.stream` yields one O(1) summary
+  row per job, lazily and in job order; a job's full result is
   :meth:`repro.SimJob.run`. ``repro sweep`` exposes the whole
-  subsystem on the command line (``--backend``, ``--stream``).
+  subsystem on the command line (``--workers``, ``--stream``).
 * **Streaming reducers with a merge contract** — completed counts,
   makespan histograms, deadlock rate by config, per-config makespan
   stats and t-digest makespan quantiles

@@ -67,13 +67,10 @@ class HardwareQueue:
         "extension_allowed",
         "extension_penalty",
         "assigned",
-        "expected_words",
-        "words_passed",
         "words_remaining",
         "_buffer",
         "_parked",
         "_word_waiters",
-        "_space_waiters",
         "extended",
         "stats",
     )
@@ -94,14 +91,12 @@ class HardwareQueue:
         self.extension_allowed = extension_allowed
         self.extension_penalty = extension_penalty
         self.assigned: str | None = None
-        self.expected_words: int = 0
-        self.words_passed: int = 0
         self.words_remaining: int = 0
         self._buffer: deque[Word] = deque()
         self._parked: tuple[Word, Callback] | None = None
-        # Made by the first when_word/when_space, detached by notification.
+        # Made by the first when_word, detached by notification. A
+        # writer facing a full queue parks its word instead (try_push).
         self._word_waiters: list[Callback] | None = None
-        self._space_waiters: list[Callback] | None = None
         self.extended = False
         self.stats = QueueStats()
 
@@ -118,8 +113,6 @@ class HardwareQueue:
         if self._buffer or self._parked:
             raise SimulationError(f"queue {self} assigned while non-empty")
         self.assigned = message
-        self.expected_words = expected_words
-        self.words_passed = 0
         self.words_remaining = expected_words
         self.extended = False
         self.stats.assignments += 1
@@ -136,8 +129,6 @@ class HardwareQueue:
                 f"queue {self} released before message {self.assigned!r} passed"
             )
         self.assigned = None
-        self.expected_words = 0
-        self.words_passed = 0
         self.words_remaining = 0
         self.extended = False
 
@@ -248,17 +239,10 @@ class HardwareQueue:
             self._parked = None
             self._accept(parked_word)
             resume()
-        else:
-            waiters = self._space_waiters
-            if waiters:
-                self._space_waiters = None
-                for poke in waiters:
-                    poke()
         # Inlined _finish_pop (same statement order — callback ordering is
         # part of the determinism contract).
         stats = self.stats
         stats.words_popped += 1
-        self.words_passed += 1
         self.words_remaining -= 1
         if self.extended and len(buffer) <= self.capacity:
             self.extended = False
@@ -271,7 +255,6 @@ class HardwareQueue:
 
     def _finish_pop(self) -> None:
         self.stats.words_popped += 1
-        self.words_passed += 1
         self.words_remaining -= 1
         if self.extended and len(self._buffer) <= self.capacity:
             self.extended = False
@@ -292,17 +275,9 @@ class HardwareQueue:
         else:
             self._word_waiters.append(poke)
 
-    def when_space(self, poke: Callback) -> None:
-        """Invoke ``poke`` next time buffer space appears."""
-        if self._space_waiters is None:
-            self._space_waiters = [poke]
-        else:
-            self._space_waiters.append(poke)
-
     def drop_waiters(self) -> None:
         """Forget every waiter and the parked write: the run is over."""
         self._word_waiters = None
-        self._space_waiters = None
         self._parked = None
 
     def __str__(self) -> str:

@@ -18,9 +18,12 @@ decided by one crossing-off pass and confirmed by a single simulation
 of the frontier point; other FCFS lines and ordered lines are fully
 evaluated.
 
-Multiprocess sweeps always recover from worker deaths: crashed
-workers are replaced and their jobs retried (``--max-retries``), and
-with ``--job-timeout`` hung jobs are killed and recorded as timeouts.
+``--workers N`` runs a sweep or frontier query on N worker processes;
+one worker, or a one-CPU host, runs it in-process. Either way prints
+the same rows. Multiprocess sweeps always recover from worker deaths:
+crashed workers are replaced and their jobs retried
+(``--max-retries``), and with ``--job-timeout`` hung jobs are killed
+and recorded as timeouts.
 Long sweeps also run resumably (``--checkpoint PATH`` snapshots
 progress atomically; ``--resume`` skips finished jobs after a crash or
 Ctrl-C and reports aggregates byte-identical to an uninterrupted run).
@@ -165,10 +168,6 @@ def _quantile_reducers(args) -> tuple:
     return (QuantileReducer(fractions), PerConfigMakespan())
 
 
-def _sweep_backend(args) -> str | None:
-    return None if args.backend == "auto" else args.backend
-
-
 def _fault_tolerance_kwargs(args) -> dict:
     """The :class:`SweepPlan` knobs carried by the fault-tolerance flags."""
     return dict(
@@ -220,8 +219,8 @@ def _witness_report(store: WitnessStore | None, session) -> None:
 def _witness_json_fields(store: WitnessStore | None, session) -> dict:
     """Witness counters for ``--json`` payloads (empty without a store).
 
-    Mining happens inside pool workers too, so the counters are
-    meaningful on every backend, not just serial.
+    Mining happens inside worker processes too, so the counters are
+    meaningful with ``--workers`` as well as in process.
     """
     if store is None:
         return {}
@@ -269,7 +268,6 @@ def _cmd_sweep_stream(args, program, policies, queues, capacities) -> int:
     plan = SweepPlan(
         jobs=jobs,
         reducers=reducers,
-        backend=_sweep_backend(args),
         workers=args.workers,
         chunk_size=32,
         witness_store=store,
@@ -356,9 +354,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     plan = SweepPlan(
         jobs=jobs,
         reducers=((outcomes,) if outcomes else ()) + extra_reducers,
-        backend=_sweep_backend(args),
         workers=args.workers,
-        on_error="collect",
         witness_store=store,
         **_fault_tolerance_kwargs(args),
     )
@@ -427,7 +423,6 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         policies=policies,
         queues=queues,
         capacities=capacities,
-        backend=_sweep_backend(args),
         workers=args.workers,
     )
     if args.exhaustive:
@@ -560,14 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes (1 = in-process with shared analysis cache)",
-    )
-    sweep.add_argument(
-        "--backend", choices=("auto", "serial", "pool"), default="auto",
-        help="execution backend: serial (in-process) or pool (chunked "
-             "multiprocessing, rows sent back over each worker's pipe); "
-             "auto picks serial for --workers 1 or on a one-CPU host, "
-             "pool otherwise",
+        help="worker processes (1, or any value on a one-CPU host, runs "
+             "in-process with the shared analysis cache)",
     )
     sweep.add_argument(
         "--stream", action="store_true",
@@ -586,13 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--job-timeout", dest="job_timeout", type=float, default=None,
         metavar="SEC",
-        help="per-job wall-clock limit on the pool backend: a job "
+        help="per-job wall-clock limit on worker processes: a job "
              "running longer has its worker killed and is retried, then "
              "recorded as a timeout row (default: no limit)",
     )
     sweep.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
-        help="extra attempts a job gets on the pool backend after "
+        help="extra attempts a job gets on worker processes after "
              "crashing or hanging its worker before being quarantined "
              "as a WorkerCrash or timeout row (default: 2)",
     )
@@ -664,13 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     frontier.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for the query's simulations (a single "
-             "one runs in-process unless --backend names a backend)",
-    )
-    frontier.add_argument(
-        "--backend", choices=("auto", "serial", "pool"), default="auto",
-        help="execution backend for the query's simulations (see "
-             "'repro sweep')",
+        help="worker processes for the query's simulations (a query "
+             "that runs a single one runs it in-process)",
     )
     frontier.add_argument(
         "--exhaustive", action="store_true",

@@ -50,16 +50,6 @@ class SimulationError(ReproError):
     expected outcome; run-time deadlock is reported in results, not raised)."""
 
 
-class WorkerCrashError(ReproError):
-    """A sweep job crashed its worker process past the retry budget.
-
-    Raised only under ``on_error="raise"``; with ``on_error="collect"``
-    the poison job is quarantined as a
-    :class:`~repro.sweep.jobs.BatchError` row of kind ``"WorkerCrash"``
-    and the sweep continues.
-    """
-
-
 class CheckpointError(ReproError):
     """A sweep checkpoint cannot be used, or could not be written.
 

@@ -18,6 +18,15 @@ from repro.core.program import ArrayProgram
 from repro.errors import ProgramError
 
 
+def _idle() -> float:
+    """A delay's compute: no operands and no effect.
+
+    A module-level function, not a lambda, so a program with a delay
+    pickles and can run on sweep worker processes.
+    """
+    return 0.0
+
+
 class CellBuilder:
     """Accumulates one cell's statements; returned by ``builder.cell()``."""
 
@@ -61,7 +70,7 @@ class CellBuilder:
 
     def delay(self, cycles: int) -> "CellBuilder":
         """Append a pure time delay (compute with no effect)."""
-        self.ops.append(COMPUTE("_", lambda: 0.0, [], cycles=cycles))
+        self.ops.append(COMPUTE("_", _idle, [], cycles=cycles))
         return self
 
 

@@ -20,6 +20,12 @@ optional explicit block pins them down for cross-checking::
 
     message A C1 -> C2 length 1
 
+and fixes declaration order: the messages it lists are declared first,
+in the order listed, then any other message in sorted-name order.
+Declaration order decides which competing message an FCFS run serves
+first, so ``print_program`` writes one ``message`` line per message, in
+declaration order, and a printed program parses back to the same runs.
+
 Reads/writes may name registers — ``R(A) -> x`` stores into register x,
 ``W(A) <- x`` sources from it, ``W(A) <- 3.5`` writes a constant.
 """
@@ -27,6 +33,7 @@ Reads/writes may name registers — ``R(A) -> x`` stores into register x,
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from repro.core.message import Message
 from repro.core.ops import Op, R, W
@@ -49,7 +56,7 @@ def parse_program(text: str) -> ArrayProgram:
     """Parse the textual format into a validated :class:`ArrayProgram`."""
     name = "program"
     cells: list[str] = []
-    declared: list[Message] = []
+    declared: dict[str, Message] = {}
     builder: ProgramBuilder | None = None
     current: str | None = None
 
@@ -68,13 +75,11 @@ def parse_program(text: str) -> ArrayProgram:
             builder = ProgramBuilder(name, cells)
             continue
         if match := _MESSAGE_RE.match(line):
-            declared.append(
-                Message(
-                    match.group(1),
-                    match.group(2),
-                    match.group(3),
-                    int(match.group(4)),
-                )
+            message = match.group(1)
+            if message in declared:
+                raise ParseError(f"line {lineno}: message {message!r} declared twice")
+            declared[message] = Message(
+                message, match.group(2), match.group(3), int(match.group(4))
             )
             continue
         if match := _CELL_RE.match(line):
@@ -106,11 +111,19 @@ def parse_program(text: str) -> ArrayProgram:
     if builder is None:
         raise ParseError("no cells declaration found")
     program = builder.build()
-    _check_declared(program, declared)
+    _check_declared(program, declared.values())
+    order = list(dict.fromkeys([*declared, *program.messages]))
+    if order != list(program.messages):
+        program = ArrayProgram(
+            program.cells,
+            [program.messages[name] for name in order],
+            {cell: prog.ops for cell, prog in program.cell_programs.items()},
+            name=program.name,
+        )
     return program
 
 
-def _check_declared(program: ArrayProgram, declared: list[Message]) -> None:
+def _check_declared(program: ArrayProgram, declared: Iterable[Message]) -> None:
     for msg in declared:
         actual = program.messages.get(msg.name)
         if actual is None:

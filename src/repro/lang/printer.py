@@ -28,9 +28,12 @@ def print_program(program: ArrayProgram) -> str:
     Compute statements survive only as delays — their functions are Python
     callables with no textual form, which is fine for the round-trip
     property the analyses need (transfer sequences are preserved exactly).
+    ``message`` lines list the messages in declaration order, which the
+    parser keeps: it decides which competing message an FCFS run serves
+    first.
     """
     lines = [f"program {program.name}", "cells " + " ".join(program.cells), ""]
-    for msg in sorted(program.messages.values()):
+    for msg in program.messages.values():
         lines.append(
             f"message {msg.name} {msg.sender} -> {msg.receiver} length {msg.length}"
         )

@@ -154,7 +154,7 @@ class _Agent:
       such delay is at least one cycle (``op_latency`` and
       ``hop_latency`` are >= 1 and no op or penalty is negative), so it
       lands on the timing wheel or, past its horizon, the heap.
-    * *wait clearing* — the four stores of :meth:`_clear_wait`, guarded
+    * *wait clearing* — the three stores of :meth:`_clear_wait`, guarded
       by ``waiting is not None``.
     """
 
@@ -168,7 +168,6 @@ class _Agent:
         "waiting",
         "wait_queue",
         "wait_grant",
-        "wait_space",
         "poke",
         "_run_cb",
     )
@@ -183,7 +182,6 @@ class _Agent:
         self.waiting: str | None = None
         self.wait_queue: HardwareQueue | None = None
         self.wait_grant: tuple[MessageFlow, int] | None = None
-        self.wait_space = False
         # Reusable bound-method waiters: one allocation per agent, not one
         # per wait/poke. Each subclass defines ``_run``, its one-event step.
         self.poke: Callback = self._poke
@@ -256,7 +254,6 @@ class _Agent:
         self.waiting = None
         self.wait_queue = None
         self.wait_grant = None
-        self.wait_space = False
 
     def _wait_grant(self, flow: MessageFlow, hop: int, code: str) -> None:
         self.waiting = code
@@ -363,7 +360,6 @@ class CellAgent(_Agent):
                 self.waiting = None
                 self.wait_queue = None
                 self.wait_grant = None
-                self.wait_space = False
             if op.func is not None and op.register is not None:
                 args = [self.registers.get(r) for r in op.operands]
                 if any(arg is None for arg in args):
@@ -403,7 +399,6 @@ class CellAgent(_Agent):
                     self._write_parked = True
                     self.waiting = _W_FULL
                     self.wait_queue = queue
-                    self.wait_space = True
                 return
             # HardwareQueue.try_push, buffered branch (a granted queue
             # stays assigned until its last word is popped).
@@ -423,7 +418,6 @@ class CellAgent(_Agent):
                 self.waiting = None
                 self.wait_queue = None
                 self.wait_grant = None
-                self.wait_space = False
             flow.words_written += 1
         else:
             flow = self._flows[self._flow_ids[pc]]
@@ -438,7 +432,6 @@ class CellAgent(_Agent):
                 # Wait for a word: HardwareQueue.when_word.
                 self.waiting = _R_EMPTY
                 self.wait_queue = queue
-                self.wait_space = False
                 waiters = queue._word_waiters
                 if waiters is None:
                     queue._word_waiters = [self.poke]
@@ -449,18 +442,11 @@ class CellAgent(_Agent):
                 self.waiting = None
                 self.wait_queue = None
                 self.wait_grant = None
-                self.wait_space = False
             if parked is None and not queue.extended:
                 # HardwareQueue.pop, a buffered word with no parked writer
                 # and no active extension (so no penalty).
                 word = buffer.popleft()
-                waiters = queue._space_waiters
-                if waiters:
-                    queue._space_waiters = None
-                    for poke in waiters:
-                        poke()
                 queue.stats.words_popped += 1
-                queue.words_passed += 1
                 queue.words_remaining -= 1
                 waiters = queue._word_waiters
                 if waiters:
@@ -572,7 +558,6 @@ class ForwarderAgent(_Agent):
                 # Wait for a word: HardwareQueue.when_word.
                 self.waiting = _F_UP_EMPTY
                 self.wait_queue = queue
-                self.wait_space = False
                 waiters = queue._word_waiters
                 if waiters is None:
                     queue._word_waiters = [self.poke]
@@ -583,18 +568,11 @@ class ForwarderAgent(_Agent):
                 self.waiting = None
                 self.wait_queue = None
                 self.wait_grant = None
-                self.wait_space = False
             if parked is None and not queue.extended:
                 # HardwareQueue.pop, a buffered word with no parked writer
                 # and no active extension (so no penalty).
                 word = buffer.popleft()
-                waiters = queue._space_waiters
-                if waiters:
-                    queue._space_waiters = None
-                    for poke in waiters:
-                        poke()
                 queue.stats.words_popped += 1
-                queue.words_passed += 1
                 queue.words_remaining -= 1
                 waiters = queue._word_waiters
                 if waiters:
@@ -638,7 +616,6 @@ class ForwarderAgent(_Agent):
                 self._push_parked = True
                 self.waiting = _F_DOWN_FULL
                 self.wait_queue = queue
-                self.wait_space = True
             return
         # HardwareQueue.try_push, buffered branch.
         buffer.append(word)
@@ -657,7 +634,6 @@ class ForwarderAgent(_Agent):
             self.waiting = None
             self.wait_queue = None
             self.wait_grant = None
-            self.wait_space = False
         self.holding = None
         self.moved += 1
         if not (self._scheduled or self.done):

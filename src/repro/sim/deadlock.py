@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sim.agents import CellAgent, ForwarderAgent, MessageFlow, _Agent
+from repro.sim.agents import (
+    _F_DOWN_FULL,
+    _W_FULL,
+    CellAgent,
+    ForwarderAgent,
+    MessageFlow,
+    _Agent,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.runtime import Simulator
@@ -61,7 +68,7 @@ def build_wait_graph(sim: "Simulator") -> dict[str, set[str]]:
             if hop is not None:
                 other = (
                     _consumer(sim, flow, hop)
-                    if agent.wait_space
+                    if agent.waiting in (_W_FULL, _F_DOWN_FULL)
                     else _pusher(sim, flow, hop)
                 )
                 if other is not None and not other.done:

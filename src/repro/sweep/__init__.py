@@ -1,4 +1,4 @@
-"""Pluggable sweep execution: ensemble simulation at provisioning scale.
+"""Sweep execution: ensemble simulation at provisioning scale.
 
 The paper's provisioning question — how many queues and how much
 buffering does a link need before a program class deadlocks (Sections
@@ -11,57 +11,26 @@ is the execution subsystem for those sweeps, split along three axes:
   :func:`~repro.sweep.grid.sweep_jobs` /
   :func:`~repro.sweep.grid.iter_sweep_jobs` (the canonical
   policy x queues x capacity grid with aligned labels);
-* **how to run it** — an execution *backend*
-  (:mod:`repro.sweep.backends`), chosen per
-  :class:`~repro.sweep.plan.SweepPlan` and driven by a
-  :class:`~repro.sweep.plan.SweepSession`;
+* **how to run it** — a :class:`~repro.sweep.plan.SweepSession` runs a
+  :class:`~repro.sweep.plan.SweepPlan`'s jobs through the one runner,
+  :func:`~repro.sweep.backends.execute`: in process for one worker or
+  on a one-CPU host, else on supervised worker processes. Which way
+  never changes a row: the sweep contract in
+  :mod:`repro.sweep.backends` (job order, byte-identical rows, where
+  deadlocks are mined, the row memo, what becomes an error row and
+  what propagates) holds both ways;
 * **what to keep** — flat :class:`~repro.sweep.summary.RunSummary` rows
   (one per job, constant size) and streaming reducers
   (:mod:`repro.sweep.reducers`) with an exact ``merge`` contract. Rows
   are all a sweep returns; a job's full result is
   :meth:`~repro.sweep.jobs.SimJob.run`.
 
-The backend contract
---------------------
-
-A backend (see :class:`repro.sweep.backends.ExecutionBackend`) maps an
-iterable of jobs to an *ordered* stream of
-``(index, row, witness, memo_hit)`` records
-(:class:`~repro.sweep.backends.JobRecord`):
-
-* records arrive in job order, whatever the worker scheduling;
-* ``row`` — the job's :class:`~repro.sweep.summary.RunSummary` — must
-  be **byte-identical across backends** for the same job list; it may
-  come from this process or over a worker's pipe, but never differ. A
-  job builds its full result only to mine a deadlock;
-* ``witness`` is a compact deadlock-certificate dict
-  (:meth:`~repro.witness.DeadlockWitness.as_dict`) mined *where the
-  job ran* — in process or inside the worker — when the session asked
-  for it (the backend's ``mine`` flag) and the job deadlocked, else
-  ``None`` — so streams warm the witness store at full speed without
-  shipping full results; the parent merges under the store's
-  subsumption rules;
-* ``memo_hit`` is set when the row came from the runner's memo (see
-  *Repeated runs* below) instead of a simulation;
-* workers are forked, so they start with the parent's in-memory
-  analysis cache and any crossing-engine pin; the fault plan travels
-  on the :class:`~repro.sweep.fault.Tolerance`.
-
-Built-in backends:
-
-======== ==============================================================
-serial   In-process, in order. The reference implementation: every
-         other backend's rows are differential-tested against it.
-pool     Chunks of jobs run on supervised worker processes
-         (:mod:`repro.sweep.backends.supervise`), one pipe per worker
-         and one message per chunk. Rows and mined certificates are
-         pickled back through the pipe.
-======== ==============================================================
-
-The pool backend pulls lazy job streams incrementally — a generator is
-never materialized — and recovers from worker deaths (see below).
-``backend=None`` picks ``serial`` for one worker or on a one-CPU host,
-``pool`` otherwise.
+Workers are forked, so they start with the parent's in-memory analysis
+cache and any crossing-engine pin; the fault plan travels on the
+:class:`~repro.sweep.fault.Tolerance`. Chunks of jobs go to them one
+pipe per worker and one message per chunk, pulled lazily (a generator
+of jobs is never materialized), and rows and mined certificates come
+back the same way.
 
 Reducers and quantiles
 ----------------------
@@ -80,9 +49,9 @@ Fault tolerance and checkpointing
 ---------------------------------
 
 A sweep that runs for hours meets real failures: workers die (OOM
-kills), corners hang, the whole process gets SIGKILLed. The ``pool``
-backend always runs under the supervisor
-(:mod:`repro.sweep.backends.supervise`), which owns worker lifecycles
+kills), corners hang, the whole process gets SIGKILLed. Worker
+processes always run under the supervisor
+(:mod:`repro.sweep.backends.supervise`), which owns their lifecycles
 directly — one duplex pipe per worker, so a dead worker is an EOF, not
 a deadlock — and blames a death on the job its worker was running.
 ``max_retries`` (default 2) and ``job_timeout_s`` (default none) on a
@@ -94,8 +63,8 @@ a deadlock — and blames a death on the job its worker was running.
   backoff, and the rest of its chunk is requeued without penalty; a job
   that keeps killing workers is quarantined as a
   :class:`~repro.sweep.jobs.BatchError` row of kind
-  :data:`~repro.sweep.jobs.WORKER_CRASH_KIND` (under
-  ``on_error="collect"``) instead of aborting the sweep;
+  :data:`~repro.sweep.jobs.WORKER_CRASH_KIND` instead of aborting the
+  sweep;
 * a **hung job** is killed at ``job_timeout_s`` and retried; a
   persistent hang becomes a ``timeout``-outcome row — a hung corner is
   data, same as a deadlock;
@@ -131,9 +100,9 @@ witnessed trace. Pruning is restricted to
 :data:`~repro.sweep.planner.MONOTONE_POLICIES` (static); FCFS — where
 extra buffering can change the outcome, a pinned counterexample — is
 exempt by construction: no certificate ever prunes an FCFS row. Mining
-runs in-process on the serial backend and *inside the workers* on pool
-(the ``witness`` field of the backend contract), so cold multiprocess
-sweeps grow the store too. Skips and newly mined certificates are
+runs where the job ran, in process or *inside the workers* (the
+``witness`` field of the sweep contract), so cold multiprocess sweeps
+grow the store too. Skips and newly mined certificates are
 counted on the session (``witness_pruned`` / ``witness_mined``; both
 surface in ``repro sweep --json``) and compose with
 ``--checkpoint``/``--resume``. A frontier query without
@@ -176,13 +145,13 @@ buffering can *introduce* deadlock — a pinned counterexample) and
 ordered lines are evaluated in full. A query is one
 :class:`~repro.sweep.plan.SweepPlan` whose
 :class:`~repro.sweep.summary.RunSummary` rows carry their
-exhaustive-grid indices, so reducers and backends compose unchanged and
-a planner row is byte-identical to the grid's row at the same
-coordinates. CLI: ``repro frontier`` (``--exhaustive`` forces the full
-evaluation baseline).
+exhaustive-grid indices, so reducers compose unchanged and a planner
+row is byte-identical to the grid's row at the same coordinates. CLI:
+``repro frontier`` (``--exhaustive`` forces the full evaluation
+baseline).
 """
 
-from repro.sweep.backends import available_backends, get_backend
+from repro.sweep.backends import available_backends
 from repro.sweep.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.sweep.fault import FaultPlan, Tolerance
 from repro.sweep.grid import (
@@ -241,7 +210,6 @@ __all__ = [
     "available_backends",
     "exhaustive_spec",
     "find_frontier",
-    "get_backend",
     "iter_sweep_jobs",
     "iter_sweep_labels",
     "job_fingerprint",

@@ -1,52 +1,46 @@
-"""Execution backends: how a sweep's jobs actually run.
+"""How a sweep's jobs run: in process, or on supervised workers.
 
-The backend contract
---------------------
+The sweep contract
+------------------
 
-A backend turns an iterable of :class:`~repro.sweep.jobs.SimJob` into an
-ordered stream of :class:`JobRecord` tuples ``(index, row, witness,
-memo_hit)``:
+:func:`execute` turns an iterable of :class:`~repro.sweep.jobs.SimJob`
+into an ordered stream of :class:`JobRecord` tuples ``(index, row,
+witness, memo_hit)``. It runs the jobs one of two ways, ``serial`` (a
+loop in this process) or ``pool`` (the supervised workers of
+:mod:`repro.sweep.backends.supervise`), and both keep every clause
+below, so which one ran a sweep never changes its answer:
 
-* records MUST be yielded in job order (index 0, 1, 2, ...);
-* ``row`` is the job's :class:`~repro.sweep.summary.RunSummary` and MUST
-  be byte-identical across backends for the same job list — a backend
-  moves rows (in process, or over its workers' pipes) but never alters
-  them. Rows come straight off the stopped simulator; a full result is
-  built only to mine a deadlock;
-* ``witness`` is the mining hook: with ``mine`` set, every backend
-  mines each deadlocked job *where it ran* — in process for the serial
-  backend, in the worker for pool — via
-  :func:`~repro.sweep.jobs.mine_witness_payload` and attaches the
-  compact certificate dict; the parent merges it into the witness store
-  under the usual two-way subsumption;
-* a row MAY come from the runner's memo (:class:`RowMemo`) instead of a
+* records are yielded in job order (index 0, 1, 2, ...);
+* ``row`` is the job's :class:`~repro.sweep.summary.RunSummary`, read
+  off the stopped simulator by :func:`run_record`, the one per-job
+  runner both ways share. It is byte-identical whichever way the job
+  ran: a row crosses a worker's pipe but never changes. A full result
+  is built only to mine a deadlock;
+* ``witness`` is the mining hook: with ``mine`` set, each deadlocked
+  job is mined *where it ran*, in process or in the worker, via
+  :func:`~repro.sweep.jobs.mine_witness_payload`, and its record
+  carries the compact certificate dict; the parent merges it into the
+  witness store under the usual two-way subsumption;
+* a row may come from the runner's memo (:class:`RowMemo`) instead of a
   simulation: a job whose :func:`~repro.sweep.jobs.canonical_key`
   repeats an earlier job of the same program, in the same memo, gets
   that job's row with its own ``index``, ``policy``, ``queues`` and
   ``capacity`` stamped in, and ``memo_hit`` set (an FCFS job with a
   queue per competing message keys as the static run, so it may be
-  served a static job's row). Two kinds of row are never served
-  from the memo: error rows, and deadlocked rows while mining is on. A
-  backend creates one memo per serial ``execute()`` and per worker, so
-  which repeats hit depends on chunking and scheduling, but the rows do
-  not;
-* with ``collect_errors`` unset, the first failing job's exception MUST
-  propagate to the consumer (no silent loss);
-* the ``tolerance`` argument tunes fault recovery and carries the
-  fault plan — the pool backend runs every job under the supervisor
-  (:mod:`repro.sweep.backends.supervise`: crash recovery, per-job
-  wall-clock timeouts, bounded retries with backoff, poison-job
-  quarantine, injected faults in the worker loop only), which satisfies
-  every clause above; the serial backend, which has no worker processes
-  to lose, ignores it.
-
-Every backend runs a job through the one shared runner,
-:func:`run_record`, so rows and witnesses come from the same code in
-process and in a worker.
-
-The built-in backends go by a short name (``serial``, ``pool``);
-:func:`get_backend` resolves names for
-:class:`~repro.sweep.plan.SweepSession`.
+  served a static job's row). Two kinds of row are never served from
+  the memo: error rows, and deadlocked rows while mining is on. The
+  serial loop keeps one memo and each worker its own, so which repeats
+  hit depends on chunking and scheduling, but the rows do not;
+* a :class:`~repro.errors.ReproError` in a job (an infeasible corner,
+  say) is data: a :class:`~repro.sweep.jobs.BatchError` row. Any other
+  exception propagates to the consumer at its job's position, after
+  every earlier row, and the workers are reaped;
+* on ``pool`` a worker that dies is replaced and the job it was running
+  is retried; past ``Tolerance.max_retries`` that job becomes a
+  ``WorkerCrash`` row, and a job past ``Tolerance.job_timeout_s`` a
+  timeout row. The :class:`~repro.sweep.fault.Tolerance` tunes this and
+  carries the injected-fault plan; the serial loop has no worker to
+  lose and ignores it.
 """
 
 from __future__ import annotations
@@ -55,7 +49,7 @@ import dataclasses
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.arch.config import ArrayConfig
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.perf.analysis_cache import ProgramShape
 from repro.sweep.fault import Tolerance
 from repro.sweep.jobs import (
@@ -67,13 +61,16 @@ from repro.sweep.jobs import (
 )
 from repro.sweep.summary import RunSummary, summarize_result
 
+#: The two ways :func:`execute` runs a sweep, sorted.
+BACKENDS = ("pool", "serial")
+
 
 class JobRecord(NamedTuple):
     """One finished job: index, summary row and its mining payload.
 
     ``witness`` is a compact :meth:`~repro.witness.certificate.
     DeadlockWitness.as_dict` payload mined where the job ran (see the
-    backend contract above); ``None`` whenever mining is off or the job
+    sweep contract above); ``None`` whenever mining is off or the job
     left nothing to mine. ``memo_hit`` is set when the row came from the
     runner's :class:`RowMemo` instead of a simulation.
     """
@@ -98,8 +95,8 @@ class RowMemo:
     On a switch the memo reads the program's
     :class:`~repro.perf.analysis_cache.ProgramShape` off its
     default-array analysis entry (one lookup), so keying a job needs no
-    lookup. Backends create one per serial ``execute()`` and per worker;
-    nothing outlives them.
+    lookup. The serial loop and each worker keep one; nothing outlives
+    them.
     """
 
     __slots__ = ("shape", "rows")
@@ -121,27 +118,26 @@ def run_record(
     index: int,
     job: SimJob,
     *,
-    collect_errors: bool,
     mine: bool,
     memo: RowMemo | None = None,
 ) -> JobRecord:
     """Run one job and reduce it to its :class:`JobRecord`.
 
-    The one per-job runner every backend shares. The row is read off
-    the stopped simulator; the full result is built only when a
-    deadlock is to be mined (``mine``), and the simulator is closed
-    before returning, so reference counting frees the whole run at
-    once. With ``collect_errors`` a :class:`~repro.errors.ReproError`
-    from set-up or the run becomes a
-    :class:`~repro.sweep.jobs.BatchError` row; otherwise it propagates.
+    The one per-job runner of every sweep. The row is read off the
+    stopped simulator; the full result is built only when a deadlock is
+    to be mined (``mine``), and the simulator is closed before
+    returning, so reference counting frees the whole run at once. A
+    :class:`~repro.errors.ReproError` from set-up or the run becomes a
+    :class:`~repro.sweep.jobs.BatchError` row; any other exception
+    propagates.
 
     With a ``memo``, a job whose canonical key already has a row is not
     run: the record carries that row with this job's ``index``,
     ``policy``, ``queues`` and ``capacity`` stamped in, and ``memo_hit``
     set. The memo never stores an error row (a job whose representative
-    raised runs again and raises or collects its own error) or, while
-    mining, a deadlocked row (a certificate's scope carries the job's
-    own queue count).
+    raised runs again and gets its own error row) or, while mining, a
+    deadlocked row (a certificate's scope carries the job's own queue
+    count).
     """
     result = None
     key = None
@@ -168,8 +164,6 @@ def run_record(
         finally:
             sim.close()
     except ReproError as exc:
-        if not collect_errors:
-            raise
         result = BatchError(kind=type(exc).__name__, error=str(exc))
         row = summarize_result(index, job, result)
     else:
@@ -179,52 +173,41 @@ def run_record(
     return JobRecord(index, row, witness)
 
 
-class ExecutionBackend:
-    """Base class every execution backend implements."""
+def execute(
+    jobs: Iterable[SimJob],
+    backend: str,
+    *,
+    workers: int,
+    chunk_size: int,
+    mine: bool,
+    tolerance: Tolerance,
+) -> Iterator[JobRecord]:
+    """Run every job on ``backend``; yield :class:`JobRecord` in job order.
 
-    name = "backend"
+    ``serial`` runs each job through :func:`run_record` here, in order,
+    with one memo; ``workers``, ``chunk_size`` and ``tolerance`` do not
+    apply. ``pool`` hands the jobs to the
+    :class:`~repro.sweep.backends.supervise.Supervisor`. Closing the
+    returned generator reaps the workers at once.
+    """
+    if backend == "pool":
+        from repro.sweep.backends.supervise import Supervisor
 
-    def execute(
-        self,
-        jobs: Iterable[SimJob],
-        *,
-        collect_errors: bool,
-        workers: int,
-        chunk_size: int,
-        mine: bool,
-        tolerance: Tolerance,
-    ) -> Iterator[JobRecord]:  # pragma: no cover - abstract
-        """Run every job; yield :class:`JobRecord` in job order.
-
-        ``mine`` attaches a mined certificate to each deadlocked job's
-        record. ``tolerance`` tunes the supervisor's crash recovery,
-        per-job timeouts and retries on the pool backend and carries
-        its fault plan; the serial backend ignores it.
-        """
-        raise NotImplementedError
-
-
-def _builtin_backends() -> dict[str, type[ExecutionBackend]]:
-    """The built-in backends by name, imported on first use."""
-    from repro.sweep.backends.pool import PoolBackend
-    from repro.sweep.backends.serial import SerialBackend
-
-    return {cls.name: cls for cls in (SerialBackend, PoolBackend)}
+        yield from Supervisor(
+            jobs,
+            workers=workers,
+            chunk_size=chunk_size,
+            mine=mine,
+            tolerance=tolerance,
+        ).run()
+        return
+    memo = RowMemo()
+    for index, job in enumerate(jobs):
+        yield run_record(index, job, mine=mine, memo=memo)
 
 
 def available_backends() -> tuple[str, ...]:
-    """Built-in backend names, sorted (importing every backend)."""
-    return tuple(sorted(_builtin_backends()))
+    """:data:`BACKENDS`, with the multiprocess code imported."""
+    import repro.sweep.backends.supervise  # noqa: F401
 
-
-def get_backend(name: str) -> ExecutionBackend:
-    """Instantiate the backend called ``name``."""
-    backends = _builtin_backends()
-    try:
-        cls = backends[name]
-    except KeyError:
-        known = ", ".join(sorted(backends))
-        raise ConfigError(
-            f"unknown execution backend {name!r} (known: {known})"
-        ) from None
-    return cls()
+    return BACKENDS

@@ -1,4 +1,4 @@
-"""The one worker lifecycle behind the pool backend.
+"""The one worker lifecycle behind a ``pool`` sweep.
 
 Every multiprocess sweep runs here, whether it is a short grid or a
 million-job provisioning run where a single OOM-killed worker or one
@@ -36,18 +36,17 @@ processes, each spawned on first use and connected by its own duplex
 * **bounded retries with exponential backoff** — a blamed job is
   requeued as a singleton chunk after ``Tolerance.backoff(attempt)``
   seconds; past ``max_retries`` it is quarantined: a crash becomes a
-  :class:`~repro.sweep.jobs.BatchError` row of kind ``"WorkerCrash"``
-  (or raises :class:`~repro.errors.WorkerCrashError` under
-  ``on_error="raise"``), a hang becomes a timeout-class row — a hung
-  corner is data, same as a deadlock;
+  :class:`~repro.sweep.jobs.BatchError` row of kind ``"WorkerCrash"``,
+  a hang becomes a timeout-class row — a hung corner is data, same as
+  a deadlock;
 * **per-job wall-clock timeouts** — the timeout check reads each
   worker's progress slot and times a job from when it is first seen
   there; a worker whose job exceeds ``Tolerance.job_timeout_s`` is
   killed, after first taking any chunk message it already sent;
 * **ordered emission** — finished records enter a reorder buffer and
-  are yielded strictly in job order, preserving the backend contract
-  (rows byte-identical to the serial backend, reducers fold in job
-  order).
+  are yielded strictly in job order, preserving the sweep contract of
+  :mod:`repro.sweep.backends` (rows byte-identical to a serial run,
+  reducers fold in job order).
 
 A chunk whose programs cannot pickle (lambda or closure compute ops)
 fails in ``Connection.send``, which pickles the whole message before it
@@ -65,7 +64,6 @@ import time
 from multiprocessing.connection import wait as _conn_wait
 from typing import Iterable, Iterator
 
-from repro.errors import WorkerCrashError
 from repro.sweep.backends import JobRecord, RowMemo, run_record
 from repro.sweep.fault import FaultPlan, Tolerance
 from repro.sweep.jobs import WORKER_CRASH_KIND, BatchError, SimJob, iter_chunks
@@ -106,7 +104,6 @@ def _worker_main(
     parent_conn,
     progress,
     fault_plan: FaultPlan | None,
-    collect_errors: bool,
     mine: bool,
 ) -> None:
     """Child process loop: run chunks from the pipe until it closes.
@@ -119,17 +116,17 @@ def _worker_main(
         ("done", records)             every job ran; records are the
                                       chunk's JobRecords in order
         ("error", records, index, exc, dropped)
-                                      job `index` raised (collect_errors
-                                      off, or a non-Repro bug); records
-                                      are the jobs before it, the rest of
-                                      the chunk is skipped (emission
-                                      raises at `index`, before any later
-                                      job), and the parent re-raises in
-                                      job order. dropped is True when the
-                                      original exception could not pickle
-                                      and a summary RuntimeError rides in
-                                      its place (counted in
-                                      Supervisor.payload_drops)
+                                      job `index` raised something other
+                                      than a ReproError (which is a row);
+                                      records are the jobs before it, the
+                                      rest of the chunk is skipped
+                                      (emission raises at `index`, before
+                                      any later job), and the parent
+                                      re-raises in job order. dropped is
+                                      True when the original exception
+                                      could not pickle and a summary
+                                      RuntimeError rides in its place
+                                      (counted in Supervisor.payload_drops)
 
     One worker memo (:class:`~repro.sweep.backends.RowMemo`) lives
     across all of its chunks.
@@ -150,13 +147,7 @@ def _worker_main(
                     fault_plan.maybe_crash(index)
                     fault_plan.maybe_hang(index)
                 try:
-                    record = run_record(
-                        index,
-                        job,
-                        collect_errors=collect_errors,
-                        mine=mine,
-                        memo=memo,
-                    )
+                    record = run_record(index, job, mine=mine, memo=memo)
                 except MemoryError:
                     # Bug-class, not data: let the worker die — crash
                     # recovery requeues the job with bounded retries
@@ -223,13 +214,11 @@ class Supervisor:
         self,
         jobs: Iterable[SimJob],
         *,
-        collect_errors: bool,
         workers: int,
         chunk_size: int,
         mine: bool,
         tolerance: Tolerance,
     ) -> None:
-        self.collect_errors = collect_errors
         self.n_workers = max(1, workers)
         self.chunk_size = max(1, chunk_size)
         self.mine = mine
@@ -264,7 +253,6 @@ class Supervisor:
                 conn,
                 self._progress,
                 self.tol.fault_plan,
-                self.collect_errors,
                 self.mine,
             ),
             daemon=True,
@@ -326,9 +314,6 @@ class Supervisor:
             f"running job {index} ({detail}); quarantined after "
             f"max_retries={self.tol.max_retries}"
         )
-        if not self.collect_errors:
-            self._completed[index] = _Raise(WorkerCrashError(message))
-            return
         error = BatchError(kind=WORKER_CRASH_KIND, error=message)
         row = summarize_result(index, job, error)
         self._completed[index] = JobRecord(index, row)
@@ -410,11 +395,7 @@ class Supervisor:
         for index, job in items:
             try:
                 self._completed[index] = run_record(
-                    index,
-                    job,
-                    collect_errors=self.collect_errors,
-                    mine=self.mine,
-                    memo=memo,
+                    index, job, mine=self.mine, memo=memo
                 )
             except Exception as exc:
                 self._completed[index] = _Raise(exc)

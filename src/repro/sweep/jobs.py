@@ -1,11 +1,11 @@
-"""Sweep jobs: the unit of work every execution backend runs.
+"""Sweep jobs: the unit of work a sweep runs.
 
 A :class:`SimJob` is one simulation to execute — program, config,
-policy, registers, limits. The backends' shared runner
-(:func:`repro.sweep.backends.run_record`) executes one job, optionally
-trapping :class:`~repro.errors.ReproError` into a :class:`BatchError`
-so infeasible sweep corners stay data instead of aborting the batch.
-Chunking lives here too: the supervisor behind the pool backend splits
+policy, registers, limits. The sweep's one runner
+(:func:`repro.sweep.backends.run_record`) executes one job, trapping
+:class:`~repro.errors.ReproError` into a :class:`BatchError` so
+infeasible sweep corners stay data instead of aborting the batch.
+Chunking lives here too: the supervisor behind a ``pool`` sweep splits
 the job stream with it. :func:`canonical_key` names the run a job
 performs, so the runner can simulate each distinct run of a program
 once.
@@ -36,11 +36,11 @@ WORKER_CRASH_KIND = "WorkerCrash"
 class BatchError:
     """A job that raised instead of producing a result.
 
-    Returned in place of a :class:`~repro.sim.result.SimulationResult`
-    when a sweep runs with ``on_error="collect"`` — sweeps over queue
-    provisioning legitimately contain infeasible corners (e.g. a static
-    assignment with too few queues) and one such corner must not abort
-    the batch. The supervisor also quarantines poison jobs
+    A sweep job's :class:`~repro.errors.ReproError` becomes one of
+    these in place of a :class:`~repro.sim.result.SimulationResult` —
+    sweeps over queue provisioning legitimately contain infeasible
+    corners (e.g. a static assignment with too few queues) and one such
+    corner must not abort the batch. The supervisor also quarantines poison jobs
     (those that crash their worker past the retry budget) as rows of
     kind :data:`WORKER_CRASH_KIND` instead of aborting the sweep.
     """
@@ -95,7 +95,7 @@ def witness_row(index: int, job: SimJob, witness) -> "RunSummary":
     covers_capacity`), config fields from *this* job's config, and the
     error fields left at their defaults exactly as a simulated deadlock
     leaves them. Byte-equality of pruned vs simulated rows is pinned by
-    differential tests across every backend.
+    differential tests, in process and on workers.
     """
     # Imported lazily: summary.py imports this module at module scope.
     from repro.sweep.summary import RunSummary

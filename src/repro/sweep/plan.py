@@ -1,17 +1,17 @@
-"""Sweep plans and sessions: declare what to run, pick how to run it.
+"""Sweep plans and sessions: declare what to run, then run it.
 
 A :class:`SweepPlan` is a declarative bundle — jobs, streaming
-reducers, backend choice and execution knobs. A
-:class:`SweepSession` validates it, resolves the execution backend and
-runs it: :meth:`SweepSession.stream` lazily yields one
-:class:`~repro.sweep.summary.RunSummary` per job, in job order, feeding
-every reducer along the way. Rows are all a sweep returns; a job's full
-result is :meth:`~repro.sweep.jobs.SimJob.run`.
+reducers and execution knobs. A :class:`SweepSession` validates it,
+decides how its jobs run and runs them through
+:func:`~repro.sweep.backends.execute`: :meth:`SweepSession.stream`
+lazily yields one :class:`~repro.sweep.summary.RunSummary` per job, in
+job order, feeding every reducer along the way. Rows are all a sweep
+returns; a job's full result is :meth:`~repro.sweep.jobs.SimJob.run`.
 
 Reducers are always folded in the parent, in job order, so their
-summaries are byte-identical no matter which backend ran the jobs; the
-reducers' ``merge`` contract additionally lets *separate* sessions — a
-sweep sharded over machines or sessions — combine their aggregates.
+summaries are byte-identical however the jobs ran; the reducers'
+``merge`` contract additionally lets *separate* sessions — a sweep
+sharded over machines or sessions — combine their aggregates.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.errors import CheckpointError, ConfigError
-from repro.sweep.backends import ExecutionBackend, JobRecord, get_backend
+from repro.sweep.backends import BACKENDS, JobRecord, execute
 from repro.sweep.fault import FaultPlan, Tolerance
 from repro.sweep.jobs import SimJob, default_chunk_size, witness_row
 from repro.sweep.reducers import StreamReducer
@@ -32,8 +32,6 @@ from repro.sweep.summary import RunSummary
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.witness.store import WitnessStore
-
-_VALID_ON_ERROR = ("raise", "collect")
 
 
 def _auto_backend(workers: int) -> str:
@@ -47,18 +45,22 @@ def _auto_backend(workers: int) -> str:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Everything a sweep needs: jobs, reducers, backend, knobs.
+    """Everything a sweep needs: jobs, reducers, knobs.
 
     ``jobs`` may be any iterable (a lazy generator feeds
-    :meth:`SweepSession.stream` without materializing, on every
-    backend). ``backend`` ``None`` resolves to ``serial`` when
-    ``workers == 1`` or the host has one CPU, and ``pool`` otherwise.
+    :meth:`SweepSession.stream` without materializing, in process or
+    on workers). The session runs them in process when ``workers == 1``
+    or the host has one CPU, and on ``workers`` supervised worker
+    processes (:mod:`repro.sweep.backends.supervise`) otherwise; the
+    rows are the same either way (see the sweep contract in
+    :mod:`repro.sweep.backends`). ``backend`` pins that choice to
+    ``"serial"`` or ``"pool"``, for the differential tests and
+    reference runs that compare the two; ``None``, the default, leaves
+    it to the session.
 
-    The pool backend always runs under the supervisor
-    (:mod:`repro.sweep.backends.supervise`): a crashed worker is
-    replaced and its job retried. ``max_retries`` (default 2) and
-    ``job_timeout_s`` (default none) tune that recovery; ``fault_plan``
-    injects faults to test it.
+    On workers, a crashed worker is replaced and its job retried.
+    ``max_retries`` (default 2) and ``job_timeout_s`` (default none)
+    tune that recovery; ``fault_plan`` injects faults to test it.
 
     ``checkpoint`` names a file for periodic atomic progress snapshots
     (:mod:`repro.sweep.checkpoint`); with ``resume`` a sweep restarted
@@ -71,18 +73,18 @@ class SweepPlan:
     covers it row-exactly, its deadlock row is synthesized
     (:func:`~repro.sweep.jobs.witness_row`) instead of simulated —
     counted in :attr:`SweepSession.witness_pruned`. Every deadlocked
-    job is mined into a new certificate where it ran — in process on
-    the serial backend, inside the workers on ``pool`` — and only the
-    compact certificate dict travels back on its record, so the store
-    warms at full speed on every backend (a job builds its full result
-    only to be mined). Only monotone policies are ever pruned or mined
-    (FCFS is exempt by construction — see
-    :mod:`repro.witness.certificate`); composing with ``checkpoint`` is
-    safe because pruned jobs are marked done like simulated ones and
-    the grid fingerprint does not depend on the store.
+    job is mined into a new certificate where it ran — in process or
+    inside a worker — and only the compact certificate dict travels
+    back on its record, so the store warms at full speed either way (a
+    job builds its full result only to be mined). Only monotone
+    policies are ever pruned or mined (FCFS is exempt by construction —
+    see :mod:`repro.witness.certificate`); composing with
+    ``checkpoint`` is safe because pruned jobs are marked done like
+    simulated ones and the grid fingerprint does not depend on the
+    store.
 
-    A sweep also skips repeated runs with no knob to set: the backends'
-    shared runner serves a job whose
+    A sweep also skips repeated runs with no knob to set: the shared
+    runner serves a job whose
     :func:`~repro.sweep.jobs.canonical_key` repeats an earlier job of
     the same program from a per-program row memo
     (:class:`~repro.sweep.backends.RowMemo`), re-stamped with the job's
@@ -96,7 +98,6 @@ class SweepPlan:
     backend: str | None = None
     workers: int = 1
     chunk_size: int | None = None
-    on_error: str = "collect"
     job_timeout_s: float | None = None
     max_retries: int = 2
     fault_plan: FaultPlan | None = None
@@ -123,20 +124,18 @@ class SweepSession:
     witness_mined: int
 
     #: Rows the runner's memo served instead of simulating (see
-    #: :class:`~repro.sweep.backends.RowMemo`). Exact on the serial
-    #: backend; the pool backend counts its workers' hits, which depend
-    #: on chunking.
+    #: :class:`~repro.sweep.backends.RowMemo`). Exact in process; on
+    #: workers it counts their hits, which depend on chunking.
     memo_hits: int
+
+    #: How the jobs run: ``"serial"`` or ``"pool"``.
+    backend: str
 
     def __init__(self, plan: SweepPlan) -> None:
         self.checkpoint_error = None
         self.witness_pruned = 0
         self.witness_mined = 0
         self.memo_hits = 0
-        if plan.on_error not in _VALID_ON_ERROR:
-            raise ConfigError(
-                f"on_error must be 'raise' or 'collect', got {plan.on_error!r}"
-            )
         if plan.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {plan.workers}")
         if plan.chunk_size is not None and plan.chunk_size < 1:
@@ -149,12 +148,16 @@ class SweepSession:
             )
         if plan.resume and plan.checkpoint is None:
             raise ConfigError("resume=True requires a checkpoint path")
+        backend = plan.backend
+        if backend is None:
+            backend = _auto_backend(plan.workers)
+        elif backend not in BACKENDS:
+            raise ConfigError(
+                f"unknown execution backend {backend!r} "
+                f"(known: {', '.join(BACKENDS)})"
+            )
         self.plan = plan
-        self.backend: ExecutionBackend = get_backend(
-            plan.backend
-            if plan.backend is not None
-            else _auto_backend(plan.workers)
-        )
+        self.backend = backend
         # Constructing the Tolerance up front validates the knobs
         # (negative retries, non-positive timeouts) at session creation.
         self.tolerance = Tolerance(
@@ -162,9 +165,9 @@ class SweepSession:
             job_timeout_s=plan.job_timeout_s,
             fault_plan=plan.fault_plan,
         )
-        # With a store attached, every backend mines each deadlock
-        # where the job ran and ships a compact certificate on its
-        # record; the parent merges them (see _witness_records).
+        # With a store attached, each deadlock is mined where the job
+        # ran and its record carries a compact certificate; the parent
+        # merges them (see _witness_records).
         self.mine = plan.witness_store is not None
 
     def _chunk_size(self, jobs: Iterable[SimJob]) -> int:
@@ -177,9 +180,9 @@ class SweepSession:
         return default_chunk_size(n, self.plan.workers)
 
     def _execute(self, jobs: Iterable[SimJob]) -> Iterator[JobRecord]:
-        records = self.backend.execute(
+        records = execute(
             jobs,
-            collect_errors=self.plan.on_error == "collect",
+            self.backend,
             workers=self.plan.workers,
             chunk_size=self._chunk_size(jobs),
             mine=self.mine,
@@ -191,15 +194,15 @@ class SweepSession:
                     self.memo_hits += 1
                 yield record
         finally:
-            # Closing this stream must tear the backend down now (reap
-            # its workers), not when the GC gets to it.
+            # Closing this stream must reap the workers now, not when
+            # the GC gets to it.
             records.close()
 
     def _witness_records(self, jobs: Iterable[SimJob]) -> Iterator[JobRecord]:
-        """Backend records merged with store-synthesized rows, in order.
+        """Executed records merged with store-synthesized rows, in order.
 
         Each job is checked against ``plan.witness_store`` as the
-        backend pulls it: covered jobs are withheld from execution and
+        runner pulls it: covered jobs are withheld from execution and
         their deadlock rows synthesized (:func:`~repro.sweep.jobs.
         witness_row`, byte-identical to the simulated row inside the
         certificate's capacity band); the rest run normally and their
@@ -208,8 +211,8 @@ class SweepSession:
         original index, so downstream consumers (reducers, checkpoints,
         the CLI tables) cannot tell a pruned row from a simulated one.
 
-        Mining rides the same pass: every backend mines each deadlocked
-        job where it ran (the ``mine`` flag of the backend contract) and
+        Mining rides the same pass: each deadlocked job is mined where
+        it ran (the ``mine`` flag of the sweep contract), which
         attaches the compact certificate dict to its record; the parent
         rehydrates and merges it under the store's usual two-way
         subsumption.
@@ -285,7 +288,7 @@ class SweepSession:
     def _stream_checkpointed(self) -> Iterator[RunSummary]:
         """The checkpointed stream: resume, run the remainder, snapshot.
 
-        Backends enumerate whatever job list they are handed from index
+        The runner enumerates whatever job list it is handed from index
         0, so the remaining jobs run as a *compacted* list and each
         row's index is mapped back to its original grid position before
         reducers see it. Because the plain stream also folds rows in

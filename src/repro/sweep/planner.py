@@ -45,15 +45,16 @@ still execute in one sweep, where the runner's row memo serves the
 second from the first. Exhaustive lines never share, which keeps
 :func:`exhaustive_spec` the differential oracle.
 
-A query runs its jobs as one :class:`~repro.sweep.plan.SweepPlan` on the
-backend the :class:`PlanSpec` names. Each row is a standard
+A query runs its jobs as one :class:`~repro.sweep.plan.SweepPlan`, with
+the :class:`PlanSpec`'s ``workers``. Each row is a standard
 :class:`~repro.sweep.summary.RunSummary` whose ``index`` is the job's
 position in the *exhaustive* grid (policy-major, then queues, then
 ascending capacity, as :func:`repro.sweep.grid.sweep_jobs` orders the
 sorted axis), on the searching line. Only executed jobs become rows, so
-reducers fold them unchanged and each is byte-identical to the grid's
-row at the same index. Checkpointing is not offered: the jobs depend on
-c*, so there is no fixed grid to fingerprint.
+a caller folds :attr:`FrontierReport.rows` into reducers unchanged, and
+each is byte-identical to the grid's row at the same index.
+Checkpointing is not offered: the jobs depend on c*, so there is no
+fixed grid to fingerprint.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from repro.perf.analysis_cache import default_entry
 from repro.sim.queue_manager import check_policy_names
 from repro.sweep.jobs import SimJob, canonical_key
 from repro.sweep.plan import SweepPlan, SweepSession
-from repro.sweep.reducers import StreamReducer
 from repro.sweep.summary import RunSummary
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -105,8 +105,7 @@ class PlanSpec:
     ascending by the planner). A value repeated on any axis is rejected,
     so the exhaustive grid it is compared against is unambiguous.
     ``exhaustive`` evaluates every line in full, static lines included
-    (see :func:`exhaustive_spec`). ``reducers`` are fed every executed
-    row, in emission order, exactly as a sweep session would feed them.
+    (see :func:`exhaustive_spec`).
 
     ``witness_store`` rides into the query's
     :class:`~repro.sweep.plan.SweepPlan`, so covered jobs are answered
@@ -114,10 +113,9 @@ class PlanSpec:
     ``exhaustive`` it changes nothing: a crossing-off frontier row
     completes, and FCFS and ordered rows are never pruned or mined.
 
-    ``backend`` and ``workers`` run the query's jobs. A round of one
-    job (a static-only query has no other kind) runs in-process unless
-    ``backend`` names a backend: one job never needs worker processes,
-    since forking them for one simulation costs more than the
+    ``workers`` run the query's jobs. A round of one job (a static-only
+    query has no other kind) runs in-process whatever ``workers`` says:
+    forking worker processes for one simulation costs more than the
     simulation.
     """
 
@@ -125,9 +123,6 @@ class PlanSpec:
     policies: Sequence[str] = ("static",)
     queues: Sequence[int] = (1,)
     capacities: Sequence[int] = (0,)
-    registers: dict[str, dict[str, float | None]] | None = None
-    reducers: Sequence[StreamReducer] = ()
-    backend: str | None = None
     workers: int = 1
     exhaustive: bool = False
     witness_store: "WitnessStore | None" = None
@@ -293,11 +288,10 @@ class FrontierPlanner:
 
     The query's jobs — one frontier point per distinct crossing-off
     search, plus every exhaustive line's whole axis — run as a single
-    :class:`~repro.sweep.plan.SweepPlan`, so line-level parallelism is
-    available to the pool backend; errors are collected
-    (``on_error="collect"``) — an infeasible corner of an exhaustive
-    line is a not-completed data point, exactly as in an exhaustive
-    sweep.
+    :class:`~repro.sweep.plan.SweepPlan`, so its lines can run in
+    parallel on workers. An infeasible corner of an exhaustive line is
+    a not-completed data point (an error row), exactly as in an
+    exhaustive sweep.
     """
 
     def __init__(self, spec: PlanSpec) -> None:
@@ -340,7 +334,6 @@ class FrontierPlanner:
                 queue_capacity=self.capacities[cap_index],
             ),
             policy=policy,
-            registers=self.spec.registers,
         )
 
     def _frontier_index(self, c_star: int | None) -> int | None:
@@ -425,19 +418,13 @@ class FrontierPlanner:
         if probes:
             plan = SweepPlan(
                 jobs=[self._job(s.policy, s.queues, i) for s, i in probes],
-                backend=spec.backend,
                 # One job never needs worker processes.
-                workers=(
-                    1 if spec.backend is None and len(probes) == 1
-                    else spec.workers
-                ),
-                on_error="collect",
+                workers=1 if len(probes) == 1 else spec.workers,
                 witness_store=spec.witness_store,
             )
             session = SweepSession(plan)
             round_rows = list(session.stream())
             pruned, mined = session.witness_pruned, session.witness_mined
-            reducers = tuple(spec.reducers)
             for (search, i), row in zip(probes, round_rows):
                 row = dataclasses.replace(
                     row, index=self._grid_index(search, i)
@@ -453,8 +440,6 @@ class FrontierPlanner:
                         f"but that run ended {ended}"
                     )
                 search.outcomes[i] = row.outcome
-                for reducer in reducers:
-                    reducer.update(row)
                 rows.append(row)
         return FrontierReport(
             lines=[

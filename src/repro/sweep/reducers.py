@@ -6,9 +6,8 @@ Every reducer implements three methods:
   into the aggregate (called in job order by
   :class:`~repro.sweep.plan.SweepSession`);
 * ``merge(other)`` — absorb another reducer of the same type and
-  parameters, so partial aggregates computed independently (worker-local
-  reduction inside a backend, or sharded sweeps run in separate
-  sessions/processes) combine into one. For the counting reducers the
+  parameters, so partial aggregates computed independently (sharded
+  sweeps run in separate sessions/processes) combine into one. For the counting reducers the
   merge is *exact*: merged state equals the single-pass state over the
   concatenated rows, regardless of how the rows were partitioned. For
   :class:`QuantileReducer` the merge combines t-digest centroids — exact
@@ -363,7 +362,7 @@ class QuantileReducer(StreamReducer):
     *exact*; past that the estimate carries the digest's usual rank
     error of a few parts per ``compression``. ``merge`` combines two
     digests by pooling centroids and recompressing — the mechanism that
-    lets backends or sharded sweeps reduce locally and combine.
+    lets sharded sweeps reduce locally and combine.
     """
 
     name = "quantiles"

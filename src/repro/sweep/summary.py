@@ -3,8 +3,9 @@
 A :class:`RunSummary` is one job's outcome reduced to a constant-size
 row — never the full :class:`~repro.sim.result.SimulationResult` with
 its traces and register files. Rows are what streaming reducers consume,
-what pool workers send back over their pipes, and what every backend
-must reproduce byte-identically for the same job list.
+what pool workers send back over their pipes, and what a sweep must
+reproduce byte-identically for the same job list, in process or on
+workers.
 """
 
 from __future__ import annotations

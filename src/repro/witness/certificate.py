@@ -21,8 +21,8 @@ A certificate licenses skipping future jobs on two levels:
   count, same words. :meth:`DeadlockWitness.covers_capacity` is that
   band — the witnessed capacity itself, plus the open ray above the
   peak when the queues never filled. Rows synthesized inside the band
-  are byte-identical to simulated ones (differential-tested across
-  backends).
+  are byte-identical to simulated ones (differential-tested in
+  process and on workers).
 * **Monotone dominance (outcome-only).** Static-policy completion is
   monotone in capacity (hypothesis-pinned in
   ``tests/test_properties.py``), so any capacity ``<=`` the witnessed

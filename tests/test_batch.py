@@ -3,7 +3,6 @@
 import pytest
 
 from repro import ArrayConfig, SimJob, SweepPlan, SweepSession
-from repro.errors import ConfigError
 from repro.sweep import sweep_jobs, sweep_labels
 from repro.workloads import ensemble_programs
 
@@ -65,11 +64,9 @@ class TestErrorCollection:
         jobs = sweep_jobs(
             program, policies=("static", "ordered"), queues=(1, 8), capacities=(0,)
         )
-        rows = sweep_rows(jobs, on_error="collect")
+        rows = sweep_rows(jobs)
         assert len(rows) == 4
         errors = [row for row in rows if row.error_kind is not None]
         assert errors and errors[0].error_kind == "ConfigError"
         assert not errors[0].completed
         assert any(row.completed for row in rows)
-        with pytest.raises(ConfigError):
-            sweep_rows(jobs, on_error="raise")

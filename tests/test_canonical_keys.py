@@ -32,7 +32,7 @@ from repro.arch.config import CommModel
 from repro.core.message import Message
 from repro.core.ops import R, W
 from repro.core.program import ArrayProgram
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.sweep import (
     BatchError,
     SimJob,
@@ -444,20 +444,14 @@ def test_error_rows_are_never_served():
         fig7_program(), config=ArrayConfig(queues_per_link=1), policy="static"
     )
     memo = RowMemo()
-    first = run_record(
-        0, job, collect_errors=True, mine=False, memo=memo
-    )
-    assert first.row.error_kind == "ConfigError"
-    assert not memo.rows
-    with pytest.raises(ConfigError):
-        run_record(
-            1, job, collect_errors=False, mine=False, memo=memo
-        )
-    rows, session = stream([job, job], on_error="collect")
+    for index in (0, 1):
+        record = run_record(index, job, mine=False, memo=memo)
+        assert record.row.error_kind == "ConfigError"
+        assert not record.memo_hit
+        assert not memo.rows
+    rows, session = stream([job, job])
     assert [row.error_kind for row in rows] == ["ConfigError"] * 2
     assert session.memo_hits == 0
-    with pytest.raises(ConfigError):
-        stream([job, job], on_error="raise")
 
 
 def test_memo_forgets_the_previous_program():
@@ -465,9 +459,7 @@ def test_memo_forgets_the_previous_program():
     fig7 = SimJob(fig7_program(), config=ArrayConfig(queues_per_link=2))
     other = SimJob(cross_read(), config=ArrayConfig(queues_per_link=2))
     for index, job in enumerate((fig7, other, fig7)):
-        record = run_record(
-            index, job, collect_errors=True, mine=False, memo=memo
-        )
+        record = run_record(index, job, mine=False, memo=memo)
         assert not record.memo_hit
     assert list(memo.rows) == [key_of(fig7)]
 
@@ -528,9 +520,7 @@ def test_mining_sees_every_deadlock(backend, knobs):
     reference = WitnessStore()
     for index, job in enumerate(jobs):
         if reference.find(job) is None:
-            record = run_record(
-                index, job, collect_errors=True, mine=True
-            )
+            record = run_record(index, job, mine=True)
             if record.witness is not None:
                 reference.add(DeadlockWitness.from_dict(record.witness))
     store = WitnessStore()

@@ -175,19 +175,16 @@ class TestSweepQuantiles:
         assert main(["sweep", fig7_file, "--quantiles", "pfoo"]) == 2
         assert "quantiles expect" in capsys.readouterr().err
 
-    def test_backend_flag_accepted(self, fig7_file, capsys):
-        code = main([
-            "sweep", fig7_file, "--queues", "1,2",
-            "--backend", "pool", "--workers", "2",
-        ])
+    def test_backend_flag_is_gone(self, fig7_file, capsys):
+        # --workers decides how a sweep runs; no flag picks the path.
+        code = main(["sweep", fig7_file, "--queues", "1,2", "--workers", "2"])
         assert code == 0
         assert "2/2 runs completed" in capsys.readouterr().out
-        # Only the built-in backends are choices; the parser refuses
-        # anything else before a sweep starts.
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", fig7_file, "--backend", "shm"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'shm'" in capsys.readouterr().err
+        for backend in ("pool", "shm"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", fig7_file, "--backend", backend])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSweepStream:
@@ -454,11 +451,14 @@ class TestFrontier:
 
     def test_workers_and_backend_flags(self, burst_file, capsys):
         code = main([
-            "frontier", burst_file, "--capacity", "0,1,2,3",
-            "--workers", "2", "--backend", "pool",
+            "frontier", burst_file, "--capacity", "0,1,2,3", "--workers", "2",
         ])
         assert code == 0
         assert "frontier static q=1: cap=2" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["frontier", burst_file, "--backend", "pool"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_witness_store_flag_is_gone(self, burst_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -616,13 +616,20 @@ class TestWitnessCli:
 
     @pytest.mark.parametrize("backend", ("pool",))
     def test_json_carries_witness_counters_per_backend(
-        self, crossread_file, tmp_path, capsys, backend
+        self, crossread_file, tmp_path, capsys, monkeypatch, backend
     ):
-        # Worker-side mining makes the counters meaningful on every
-        # backend: a cold multiprocess sweep must report nonzero mined.
+        # Worker-side mining makes the counters meaningful with workers
+        # too: a cold multiprocess sweep must report nonzero mined. Two
+        # CPUs make --workers 2 run on the pool on any host.
+        import os
+
+        from repro.sweep import SweepPlan, SweepSession
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert SweepSession(SweepPlan(jobs=[], workers=2)).backend == backend
         store = str(tmp_path / "w.json")
         out_path = tmp_path / "sweep.json"
-        multiproc = ["--backend", backend, "--workers", "2"]
+        multiproc = ["--workers", "2"]
         assert main(
             ["sweep", crossread_file, "--witness-store", store,
              "--json", str(out_path)] + self.GRID + multiproc

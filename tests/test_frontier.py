@@ -40,7 +40,6 @@ from repro.core.program import ArrayProgram
 from repro.errors import ConfigError, SimulationError
 from repro.sweep import (
     MONOTONE_POLICIES,
-    CompletedCount,
     FrontierPlanner,
     PlanSpec,
     SimJob,
@@ -50,7 +49,7 @@ from repro.sweep import (
     sweep_label,
     sweep_labels,
 )
-from repro.sweep.backends.pool import PoolBackend
+from repro.sweep.backends.supervise import Supervisor
 from repro.sweep.jobs import program_shape
 from repro.sweep.planner import MODE_CROSSING_OFF, MODE_EXHAUSTIVE
 from repro.workloads import WorkloadSpec, hoist_writes, random_program
@@ -413,11 +412,11 @@ class TestSingleJobRounds:
     def pool_raises(self, monkeypatch):
         import os
 
-        def execute(*_args, **_kwargs):
+        def run(*_args, **_kwargs):
             raise self.PoolUsed
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(PoolBackend, "execute", execute)
+        monkeypatch.setattr(Supervisor, "run", run)
 
     def test_shared_search_never_starts_workers(self, pool_raises):
         report = find_frontier(
@@ -575,21 +574,6 @@ class TestPlannerMechanics:
             assert sweep_label(row.policy, row.queues, row.capacity) == (
                 labels[row.index]
             )
-
-    def test_reducers_fed_executed_rows_in_emission_order(self):
-        outcomes = CompletedCount()
-        spec = PlanSpec(
-            burst_exchange(2),
-            policies=("static",),
-            queues=(1,),
-            capacities=(0, 1, 2, 3, 4),
-            reducers=(outcomes,),
-        )
-        report = FrontierPlanner(spec).run()
-        assert outcomes.total == report.jobs_executed
-        assert outcomes.completed == sum(
-            1 for row in report.rows if row.completed
-        )
 
     def test_report_as_dict_round_trips_through_json(self):
         import json

@@ -441,7 +441,7 @@ def test_run_record_matches_simulated_results(mine):
             ).run(max_events=job.max_events, max_time=job.max_time)
         except ReproError as exc:
             expected = BatchError(kind=type(exc).__name__, error=str(exc))
-        record = run_record(index, job, collect_errors=True, mine=mine)
+        record = run_record(index, job, mine=mine)
         assert record.index == index
         assert record.row == summarize_result(index, job, expected), job_id
         witness = mine_witness_payload(job, expected) if mine else None

@@ -1,10 +1,16 @@
 """DSL tests: builder, parser, printer, round-trips."""
 
+import pickle
+
 import pytest
 
-from repro.algorithms.figures import all_figures
+from repro.algorithms.figures import all_figures, fig2_fir
+from repro.arch.config import ArrayConfig
+from repro.core.program import ArrayProgram
 from repro.errors import ParseError, ProgramError
 from repro.lang import ProgramBuilder, parse_program, print_program, side_by_side
+from repro.sweep import SimJob, summarize_result
+from repro.workloads import WorkloadSpec, random_program
 
 
 class TestBuilder:
@@ -121,6 +127,34 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_program(src)
 
+    def test_message_lines_fix_declaration_order(self):
+        names = [f"M{i}" for i in range(9, -1, -1)]
+        src = "cells C1 C2\n"
+        src += "".join(f"message {name} C1 -> C2 length 1\n" for name in names)
+        src += "cell C1:\n" + "".join(f"    W({name})\n" for name in sorted(names))
+        src += "cell C2:\n" + "".join(f"    R({name})\n" for name in sorted(names))
+        assert list(parse_program(src).messages) == names
+
+    def test_unlisted_messages_follow_in_sorted_order(self):
+        src = (
+            "cells C1 C2\n"
+            "message B C1 -> C2 length 1\n"
+            "cell C1:\n    W(C)\n    W(A)\n    W(B)\n"
+            "cell C2:\n    R(C)\n    R(A)\n    R(B)\n"
+        )
+        assert list(parse_program(src).messages) == ["B", "A", "C"]
+
+    def test_message_declared_twice_rejected(self):
+        src = (
+            "cells C1 C2\n"
+            "message A C1 -> C2 length 1\n"
+            "message A C1 -> C2 length 1\n"
+            "cell C1:\n    W(A)\n"
+            "cell C2:\n    R(A)\n"
+        )
+        with pytest.raises(ParseError, match="declared twice"):
+            parse_program(src)
+
     def test_duplicate_cells_line(self):
         with pytest.raises(ParseError):
             parse_program("cells C1\ncells C2")
@@ -140,6 +174,52 @@ class TestRoundTrip:
             assert [str(o) for o in parsed.transfers(cell)] == [
                 str(o) for o in original.transfers(cell)
             ]
+
+
+#: A program whose FCFS run at one queue per link deadlocks as declared
+#: and completes with its messages declared in reverse order.
+ORDER_SENSITIVE = WorkloadSpec(cells=8, messages=12, max_length=3, seed=68)
+
+
+def _reversed(program: ArrayProgram) -> ArrayProgram:
+    return ArrayProgram(
+        program.cells,
+        [program.messages[name] for name in reversed(program.messages)],
+        {cell: program.cell_programs[cell].ops for cell in program.cells},
+        name=program.name,
+    )
+
+
+class TestDeclarationOrderRoundTrip:
+    """The text format keeps declaration order, which FCFS runs read."""
+
+    @pytest.mark.parametrize("reverse", (False, True), ids=("declared", "reversed"))
+    def test_round_trip_keeps_fingerprint_and_fcfs_row(self, reverse):
+        program = random_program(ORDER_SENSITIVE)
+        if reverse:
+            program = _reversed(program)
+        parsed = parse_program(print_program(program))
+        assert list(parsed.messages) == list(program.messages)
+        assert parsed.fingerprint == program.fingerprint
+        rows = [
+            summarize_result(0, job, job.run())
+            for job in (
+                SimJob(p, config=ArrayConfig(queues_per_link=1), policy="fcfs")
+                for p in (program, parsed)
+            )
+        ]
+        assert rows[0] == rows[1]
+        assert rows[0].outcome == ("completed" if reverse else "deadlock")
+
+
+class TestDelayPickles:
+    def test_parsed_program_with_delays_pickles(self):
+        text = print_program(fig2_fir())
+        assert "delay" in text
+        program = parse_program(text)
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone.fingerprint == program.fingerprint
+        assert SimJob(clone).run() == SimJob(program).run()
 
 
 class TestPrinter:

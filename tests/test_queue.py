@@ -71,14 +71,6 @@ class TestBuffered:
             q.try_push(f"w{i}", blocked=lambda: None)
         assert [q.pop()[0] for _ in range(3)] == ["w0", "w1", "w2"]
 
-    def test_space_waiters_notified_on_pop(self):
-        q = make_queue(1)
-        q.try_push("w0", blocked=lambda: None)
-        pokes = []
-        q.when_space(lambda: pokes.append(1))
-        q.pop()
-        assert pokes == [1]
-
     def test_pop_empty_raises(self):
         with pytest.raises(SimulationError):
             make_queue(1).pop()

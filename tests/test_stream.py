@@ -99,19 +99,12 @@ class TestSimulateStream:
         infeasible = [r for r in rows if r.outcome == "infeasible"]
         assert all(r.error_kind == "ConfigError" for r in infeasible)
 
-    def test_on_error_raise_propagates(self, ensemble):
-        jobs = sweep_jobs(ensemble[0], policies=("static",), queues=(1,))
-        with pytest.raises(ConfigError):
-            list(stream(iter(jobs), on_error="raise"))
-
     def test_invalid_arguments_rejected(self, ensemble):
         jobs = [SimJob(ensemble[0], config=CONFIG)]
         with pytest.raises(ConfigError):
             list(stream(iter(jobs), workers=0))
         with pytest.raises(ConfigError):
             list(stream(iter(jobs), chunk_size=0))
-        with pytest.raises(ConfigError):
-            list(stream(iter(jobs), on_error="bogus"))
 
     def test_unpicklable_chunk_runs_in_process(self, ensemble):
         from repro import COMPUTE, ArrayProgram, Message, R, W

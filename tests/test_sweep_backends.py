@@ -1,16 +1,18 @@
-"""Backend-differential harness: serial and pool must agree.
+"""Differential harness: a sweep run in process and on workers agree.
 
-The backend contract (see :mod:`repro.sweep.backends`) promises that
-every execution backend produces *byte-identical* RunSummary rows and
-reducer summaries for the same job list — a row may be built in
-process or cross a worker's pipe, but the data may not differ. This
-harness pins that contract on a seed sweep corpus spanning every
-outcome class (completed, deadlock, timeout, infeasible), plus the
-in-process fallback for chunks that cannot pickle.
+The sweep contract (see :mod:`repro.sweep.backends`) promises that the
+serial loop and the pool of supervised workers produce *byte-identical*
+RunSummary rows and reducer summaries for the same job list — a row may
+be built in process or cross a worker's pipe, but the data may not
+differ. This harness pins each side with ``SweepPlan.backend`` and
+checks that contract on a seed sweep corpus spanning every outcome
+class (completed, deadlock, timeout, infeasible), plus the in-process
+fallback for chunks that cannot pickle.
 """
 
 import gc
 import json
+import multiprocessing
 
 import pytest
 
@@ -27,7 +29,6 @@ from repro.sweep import (
     SweepPlan,
     SweepSession,
     available_backends,
-    get_backend,
     sweep_jobs,
 )
 from repro.sweep.backends import run_record
@@ -139,24 +140,19 @@ class TestSessionValidation:
             SweepSession(SweepPlan(jobs=[SimJob(fig7)], workers=0))
         with pytest.raises(ConfigError):
             SweepSession(SweepPlan(jobs=[SimJob(fig7)], chunk_size=0))
-        with pytest.raises(ConfigError):
-            SweepSession(SweepPlan(jobs=[SimJob(fig7)], on_error="bogus"))
 
     def test_backend_registry_lists_builtins(self):
         assert available_backends() == ("pool", "serial")
-        assert get_backend("serial").name == "serial"
 
     def test_auto_backend_resolution(self, fig7):
-        assert SweepSession(SweepPlan(jobs=[])).backend.name == "serial"
-        assert (
-            SweepSession(SweepPlan(jobs=[], workers=3)).backend.name == "pool"
-        )
+        assert SweepSession(SweepPlan(jobs=[])).backend == "serial"
+        assert SweepSession(SweepPlan(jobs=[], workers=3)).backend == "pool"
 
     def test_auto_backend_is_serial_on_one_cpu(self, monkeypatch):
         import os
 
         def auto_backend():
-            return SweepSession(SweepPlan(jobs=[], workers=3)).backend.name
+            return SweepSession(SweepPlan(jobs=[], workers=3)).backend
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert auto_backend() == "serial"
@@ -169,14 +165,19 @@ class TestSessionValidation:
             plan = SweepPlan(jobs=[], backend=backend, workers=2)
             assert list(SweepSession(plan).stream()) == []
 
-    def test_on_error_raise_propagates_from_every_backend(self, fig8):
-        jobs = sweep_jobs(fig8, policies=("static",), queues=(1,))
+    def test_errors_are_rows_or_raised_on_every_backend(self, fig7, fig8):
+        """A ReproError is a row; anything else propagates in job order."""
+        infeasible = sweep_jobs(fig8, policies=("static",), queues=(1,))
+        # max_events="bad" makes the engine raise a TypeError.
+        jobs = infeasible + [SimJob(fig7, max_events="bad"), SimJob(fig7)]
         for backend in BACKENDS:
-            plan = SweepPlan(
-                jobs=jobs, backend=backend, workers=2, on_error="raise"
-            )
-            with pytest.raises(ConfigError):
-                list(SweepSession(plan).stream())
+            plan = SweepPlan(jobs=jobs, backend=backend, workers=2, chunk_size=1)
+            rows = []
+            with pytest.raises(TypeError):
+                for row in SweepSession(plan).stream():
+                    rows.append(row)
+            assert [row.error_kind for row in rows] == ["ConfigError"]
+            assert multiprocessing.active_children() == []
 
 
 class TestPoolFallback:
@@ -198,6 +199,38 @@ class TestPoolFallback:
         rows = list(SweepSession(plan).stream())
         assert [row.index for row in rows] == [0, 1]
         assert all(row.completed for row in rows)
+
+    def test_parsed_program_with_delays_runs_in_the_workers(self, monkeypatch):
+        from repro.algorithms.figures import fig2_fir
+        from repro.lang import parse_program, print_program
+        from repro.sweep.backends.supervise import Supervisor
+
+        inline = []
+        real_run_inline = Supervisor._run_inline
+
+        def recording_run_inline(self, items):
+            inline.append(len(items))
+            real_run_inline(self, items)
+
+        monkeypatch.setattr(Supervisor, "_run_inline", recording_run_inline)
+        program = parse_program(print_program(fig2_fir()))
+        jobs = sweep_jobs(
+            program,
+            policies=("ordered", "static", "fcfs"),
+            queues=(1, 2, 3),
+            capacities=(0, 2),
+            repeat=2,
+        )
+        rows = {
+            backend: list(
+                SweepSession(
+                    SweepPlan(jobs=jobs, backend=backend, workers=2, chunk_size=4)
+                ).stream()
+            )
+            for backend in BACKENDS
+        }
+        assert inline == []
+        assert rows["pool"] == rows["serial"]
 
 
 def _explode(value):
@@ -251,7 +284,7 @@ class TestRunRecordTeardown:
         job = _teardown_job(policy, case)
         modes = [{"mine": False}, {"mine": True}]
         # Warm the analysis cache first: only the run itself is on trial.
-        first = run_record(0, job, collect_errors=True, **modes[0])
+        first = run_record(0, job, **modes[0])
         expected = {
             "setup_error": "infeasible",
             "run_error": "infeasible",
@@ -263,7 +296,7 @@ class TestRunRecordTeardown:
         gc.disable()
         try:
             for mode in modes:
-                record = run_record(0, job, collect_errors=True, **mode)
+                record = run_record(0, job, **mode)
                 assert record.row == first.row
                 assert gc.collect() == 0, mode
             if not case.endswith("error"):

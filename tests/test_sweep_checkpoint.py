@@ -357,7 +357,6 @@ class TestFinalSnapshotFailure:
             plan_for(
                 jobs,
                 fresh_reducers(),
-                on_error="raise",
                 checkpoint=self._blocked_checkpoint_path(tmp_path),
                 checkpoint_every=10_000,
             )

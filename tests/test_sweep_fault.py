@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms.figures import fig7_program, fig8_program
-from repro.errors import ConfigError, WorkerCrashError
+from repro.algorithms.figures import fig7_program
+from repro.errors import ConfigError
 from repro.sweep import (
     WORKER_CRASH_KIND,
     CompletedCount,
@@ -142,23 +142,6 @@ class TestCrashRecovery:
         assert [r for i, r in enumerate(rows) if i != 2] == [
             r for i, r in enumerate(base_rows) if i != 2
         ]
-
-    def test_poison_job_raises_under_on_error_raise(self, tmp_path):
-        jobs = corpus_jobs()
-        plan = FaultPlan(spool=str(tmp_path), crash={0: 99})
-        session = SweepSession(
-            SweepPlan(
-                jobs=jobs,
-                backend="pool",
-                workers=2,
-                chunk_size=3,
-                on_error="raise",
-                fault_plan=plan,
-                max_retries=1,
-            )
-        )
-        with pytest.raises(WorkerCrashError, match="job 0"):
-            list(session.stream())
 
 
 class TestExactAttributionAndLazyPulls:
@@ -318,7 +301,6 @@ class TestWorkerErrorNarrowing:
 
         return Supervisor(
             jobs,
-            collect_errors=True,
             workers=1,
             chunk_size=1,
             mine=False,
@@ -389,18 +371,6 @@ class TestDefaultSweepSurvivesWorkerDeath:
             dataclasses.replace(row, index=index)
             for row, index in zip(base_rows, shifted)
         ]
-
-    @pytest.mark.parametrize("backend", SUPERVISED)
-    def test_crash_raises_under_on_error_raise(self, backend):
-        plan = SweepPlan(
-            jobs=self.jobs(),
-            backend=backend,
-            workers=2,
-            chunk_size=3,
-            on_error="raise",
-        )
-        with pytest.raises(WorkerCrashError, match=f"job {self.CRASH_AT}"):
-            list(SweepSession(plan).stream())
 
 
 class TestKnobValidation:
@@ -549,11 +519,13 @@ class TestWorkerReaping:
         self.assert_reaped(spawned)
 
     def test_reaped_after_error_raise(self, spawned):
-        jobs = sweep_jobs(fig8_program(), policies=("static",), queues=(1,))
+        # max_events="bad" makes the engine raise a TypeError, which is
+        # not a ReproError and so propagates instead of becoming a row.
+        jobs = corpus_jobs()[:3] + [SimJob(fig7_program(), max_events="bad")]
         session = SweepSession(
-            SweepPlan(jobs=jobs, backend="pool", workers=2, on_error="raise")
+            SweepPlan(jobs=jobs, backend="pool", workers=2, chunk_size=1)
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
             list(session.stream())
         self.assert_reaped(spawned)
 

@@ -133,8 +133,10 @@ class TestMergeContract:
 
     def test_per_config_makespan_merges_a_shared_config(self):
         """Shards that share a config fold its count, total and extrema;
-        a config in one shard only is copied. Merged either way round,
-        they equal one reducer fed both shards' rows."""
+        a config in one shard only is copied. The second shard holds both
+        a lower minimum and a higher maximum of the shared config, so
+        each extremum comparison takes its replacing branch. Merged
+        either way round, they equal one reducer fed both shards' rows."""
         left_rows = [
             make_row(0, True, False, 20, "static", 2, 0, False),
             make_row(1, True, False, 30, "static", 2, 0, False),
@@ -152,6 +154,7 @@ class TestMergeContract:
         for first, second in ((left_rows, right_rows), (right_rows, left_rows)):
             merged = single_pass(PerConfigMakespan, first)
             merged.merge(single_pass(PerConfigMakespan, second))
+            assert merged.groups == both.groups
             assert merged.summary() == both.summary()
 
     def test_merge_reducers_helper_folds_left(self):
