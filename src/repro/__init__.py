@@ -27,22 +27,23 @@ Performance
 The simulator hot path is a zero-allocation event engine: same-time
 events ride a FIFO fast lane, near-future delays ride a timing wheel
 sized per program to its longest delay (8 to 256 cycles), and the heap
-only sees far-future overflow; agents/queues/words are slotted and
-waiters are reusable bound methods. In the common case one event is one
-Python call: an agent's step pushes or pops its word, wakes the queue's
-waiters and appends its next step to the engine's FIFO or wheel inline
-(:mod:`repro.sim.agents`). Over the 263 distinct runs of a 20-program
-provisioning grid (16 cells, 32 messages, capacities 0, 2 and 8) on a
-2-vCPU host, that cut engine time per event by 18-19% (2,333 to 1,907
-ns in one round) and build time per run by 14-15%, against a call per
-queue, wake-up and scheduling step. The inline queue steps serve
-buffered queues only: on the 170 buffered runs ~99% of pushes and pops
-take them and engine time fell 22-23%; at capacity 0 (``ArrayConfig()``'s
-default, 93 runs) the queue's own methods hand every word over and it
-fell 12-13%. The compile-time half is an
-incremental crossing-off engine (:mod:`repro.core.crossing`) with one
-drive loop per stepping mode: each crossing rescans only the cells it
-touched, and an end located under the Section 8.1 rules stays located
+only sees far-future overflow; agents, flows and queues are slotted, a
+word is its bare value (no wrapper object) and a queue request its
+``(flow, hop)`` pair, and waiters are reusable bound methods. In the
+common case one event is one Python call: an agent's step pushes or pops
+its word, wakes the queue's waiters and appends its next step to the
+engine's FIFO or wheel inline (:mod:`repro.sim.agents`). Over the 263
+distinct runs of a 20-program provisioning grid (16 cells, 32 messages,
+capacities 0, 2 and 8) on a 2-vCPU host, that cut engine time per event
+by 18-19% (2,333 to 1,907 ns in one round) and build time per run by
+14-15%, against a call per queue, wake-up and scheduling step. The
+inline queue steps serve buffered queues only: on the 170 buffered runs
+~99% of pushes and pops take them and engine time fell 22-23%; at
+capacity 0 (``ArrayConfig()``'s default, 93 runs) the queue's own
+methods hand every word over and it fell 12-13%. The compile-time half
+is an incremental crossing-off engine (:mod:`repro.core.crossing`) with
+one drive loop per stepping mode: each crossing rescans only the cells
+it touched, and an end located under the Section 8.1 rules stays located
 until it crosses. On a 2-vCPU host it classifies fir16x32 (capacity 2)
 3.5x (parallel) to 13x (sequential) faster than the literal op-by-op
 procedure, and a 1,000-cell program ~480x faster (sequential). The knobs
@@ -136,15 +137,7 @@ from repro.algorithms.figures import (
     fig9_program,
 )
 from repro.perf import analysis_cache_stats, clear_analysis_cache
-from repro.sim import (
-    FCFSPolicy,
-    OrderedPolicy,
-    SimulationResult,
-    Simulator,
-    StaticPolicy,
-    compare_models,
-    simulate,
-)
+from repro.sim import SimulationResult, Simulator, compare_models, simulate
 from repro.sweep import SimJob, SweepPlan, SweepSession
 
 __version__ = "1.0.0"
@@ -155,7 +148,6 @@ __all__ = [
     "COMPUTE",
     "CommModel",
     "CrossingResult",
-    "FCFSPolicy",
     "Labeling",
     "LinearArray",
     "Link",
@@ -164,13 +156,11 @@ __all__ = [
     "Message",
     "Op",
     "OpKind",
-    "OrderedPolicy",
     "R",
     "RingArray",
     "SimJob",
     "SimulationResult",
     "Simulator",
-    "StaticPolicy",
     "SweepPlan",
     "SweepSession",
     "Torus2D",

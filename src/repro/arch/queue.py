@@ -22,13 +22,21 @@ its bookkeeping is all O(1) counter arithmetic: completion is tracked by
 and stats accumulate into plain slotted integers. A waiter list exists
 only while someone waits: notifying detaches it and calls each waiter.
 
-The simulator's agents (:mod:`repro.sim.agents`) run the two common
-cases inline — a push into a buffer with room and no parked writer, a
-pop with no parked writer and no active extension — as copies of the
-branches of :meth:`HardwareQueue.try_push` and :meth:`HardwareQueue.pop`
-below. These methods define every other case (the capacity-0 handoff, a
-parked writer, an extension spill and its penalty) and are the queue's
-standalone API.
+A word is whatever the writer pushes; the simulator pushes the word's
+value, since the queue carries one message's words at a time.
+
+Each queue step has one definition: :meth:`HardwareQueue._accept`
+stores a word (the buffered branch of :meth:`~HardwareQueue.try_push`,
+an extension spill and a parked writer unparked by a pop all call it),
+and :meth:`HardwareQueue._finish_pop` counts a pop and wakes readers
+(the tail of every :meth:`~HardwareQueue.pop`). The simulator's agents
+(:mod:`repro.sim.agents`) run the two common cases inline — a push into
+a buffer with room and no parked writer, a pop with no parked writer and
+no active extension — as copies of ``_accept`` and of ``popleft`` plus
+``_finish_pop``. Every other case (the capacity-0 handoff, a parked
+writer, an extension spill and its penalty) goes through
+:meth:`~HardwareQueue.try_push` and :meth:`~HardwareQueue.pop`, the
+queue's standalone API.
 """
 
 from __future__ import annotations
@@ -152,41 +160,30 @@ class HardwareQueue:
             raise SimulationError(f"push on unassigned queue {self}")
         if self._parked is not None:
             raise SimulationError(f"queue {self} already has a parked writer")
-        buffer = self._buffer
-        if len(buffer) < self.capacity:
-            buffer.append(word)
+        if len(self._buffer) >= self.capacity:
+            if not self.extension_allowed:
+                self._parked = (word, blocked)
+                # A parked word is pop-visible (capacity-0 handoff), so
+                # waiting readers must be woken to take it.
+                waiters = self._word_waiters
+                if waiters:
+                    self._word_waiters = None
+                    for poke in waiters:
+                        poke()
+                return False
             stats = self.stats
-            stats.words_pushed += 1
-            occupancy = len(buffer)
-            if occupancy > stats.peak_occupancy:
-                stats.peak_occupancy = occupancy
-            waiters = self._word_waiters
-            if waiters:
-                self._word_waiters = None
-                for poke in waiters:
-                    poke()
-            return True
-        if self.extension_allowed:
             if not self.extended:
                 self.extended = True
-                self.stats.extension_invocations += 1
-            self.stats.spilled_words += 1
-            overflow = len(buffer) + 1 - self.capacity
-            if overflow > self.stats.extension_peak_words:
-                self.stats.extension_peak_words = overflow
-            self._accept(word)
-            return True
-        self._parked = (word, blocked)
-        # A parked word is pop-visible (capacity-0 handoff), so waiting
-        # readers must be woken to take it.
-        waiters = self._word_waiters
-        if waiters:
-            self._word_waiters = None
-            for poke in waiters:
-                poke()
-        return False
+                stats.extension_invocations += 1
+            stats.spilled_words += 1
+            overflow = len(self._buffer) + 1 - self.capacity
+            if overflow > stats.extension_peak_words:
+                stats.extension_peak_words = overflow
+        self._accept(word)
+        return True
 
     def _accept(self, word: Word) -> None:
+        """Store ``word`` and wake waiting readers."""
         self._buffer.append(word)
         stats = self.stats
         stats.words_pushed += 1
@@ -239,21 +236,11 @@ class HardwareQueue:
             self._parked = None
             self._accept(parked_word)
             resume()
-        # Inlined _finish_pop (same statement order — callback ordering is
-        # part of the determinism contract).
-        stats = self.stats
-        stats.words_popped += 1
-        self.words_remaining -= 1
-        if self.extended and len(buffer) <= self.capacity:
-            self.extended = False
-        waiters = self._word_waiters
-        if waiters:
-            self._word_waiters = None
-            for poke in waiters:
-                poke()
+        self._finish_pop()
         return word, penalty
 
     def _finish_pop(self) -> None:
+        """Count a pop, end a drained extension and wake waiting readers."""
         self.stats.words_popped += 1
         self.words_remaining -= 1
         if self.extended and len(self._buffer) <= self.capacity:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.crossing import (
     CrossingState,
@@ -93,6 +93,19 @@ class Labeling:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+
+def label_groups(
+    names: Sequence[str], labeling: Labeling
+) -> tuple[tuple[str, ...], ...]:
+    """Group ``names`` (a link's competing messages) by label, ascending;
+    names sorted."""
+    by_label: dict[Fraction, list[str]] = {}
+    for name in names:
+        by_label.setdefault(labeling.label(name), []).append(name)
+    return tuple(
+        tuple(sorted(group)) for _lab, group in sorted(by_label.items())
+    )
 
 
 def trivial_labeling(program: ArrayProgram) -> Labeling:

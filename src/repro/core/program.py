@@ -364,17 +364,6 @@ class InternTable:
         return tables
 
 
-@dataclass(frozen=True)
-class OpRef:
-    """A reference to one transfer operation: (cell, index into transfers)."""
-
-    cell: str
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.cell}#{self.index}"
-
-
 @dataclass
 class ProgramStats:
     """Summary statistics of an array program."""

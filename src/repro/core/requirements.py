@@ -25,7 +25,7 @@ from repro.arch.config import ArrayConfig
 from repro.arch.links import Link, Route
 from repro.arch.routing import Router
 from repro.core.crossing import LookaheadConfig, cross_off
-from repro.core.labeling import Labeling
+from repro.core.labeling import Labeling, label_groups
 from repro.core.program import ArrayProgram
 from repro.errors import ConfigError
 
@@ -65,14 +65,10 @@ def dynamic_queue_demand(
     program: ArrayProgram, router: Router, labeling: Labeling
 ) -> dict[Link, int]:
     """Largest same-label competing group per link (assumption (ii))."""
-    demand: dict[Link, int] = {}
-    for link, names in competing_messages(program, router).items():
-        by_label: dict[object, int] = {}
-        for name in names:
-            lab = labeling.label(name)
-            by_label[lab] = by_label.get(lab, 0) + 1
-        demand[link] = max(by_label.values(), default=0)
-    return demand
+    return {
+        link: max(map(len, label_groups(names, labeling)), default=0)
+        for link, names in competing_messages(program, router).items()
+    }
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ from repro.arch.topology import (
     Torus2D,
 )
 from repro.core.crossing import LookaheadConfig, least_capacity, route_capacities
-from repro.core.labeling import Labeling, constraint_labeling
+from repro.core.labeling import Labeling, constraint_labeling, label_groups
 from repro.core.program import ArrayProgram
 from repro.core.requirements import competing_messages
 from repro.errors import DeadlockedProgramError
@@ -335,8 +335,6 @@ class AnalysisEntry:
         Only cached when ``labeling`` is this entry's own auto-computed
         labeling — a caller-supplied labeling gets fresh groups.
         """
-        from repro.sim.queue_manager import label_groups
-
         if labeling is not self._labeling:
             return {
                 link: label_groups(names, labeling)

@@ -7,22 +7,31 @@ that are transparent to cell programs (Section 2.3) — here, one
 :class:`MessageFlow` tracks the queue granted on each hop of a message's
 route and wakes parties waiting on grants.
 
+A word is its value. A queue carries one message at a time (Section
+2.3), so nothing in it needs a message tag: a write pushes the value,
+and a read appends it to ``received[op.message]``. A forwarder marks
+empty hands with the module sentinel ``_EMPTY``, because a value may be
+``None`` (every structure-only program) or ``0.0``.
+
 Everything here is on the per-word hot path, so the classes are slotted,
 waiters are reusable bound methods created once per agent, and wait
 *reasons* are stored as cheap condition codes — the human-readable
 description is only formatted when deadlock diagnosis actually asks for
 it (see :meth:`_Agent.wait_reason`). A word transfer allocates no
-closures and no strings.
+closures, no strings and no wrapper objects.
 
 In the common case one simulated event is one Python call: an agent's
 ``_run`` dispatches on its op, moves the word, wakes the queue's waiters,
 clears its own wait and schedules its next step, all inline. Two queue
-cases are inlined, each a copy of the :class:`~repro.arch.queue.
-HardwareQueue` branch it names, in that method's statement order
+steps are inlined, each a copy of the :class:`~repro.arch.queue.
+HardwareQueue` helper it names, in that helper's statement order
 (callback order is part of determinism):
 
-* a push into a buffer with room and no parked writer (``try_push``);
-* a pop with no parked writer and no active extension (``pop``).
+* a push into a buffer with room and no parked writer (``_accept``, the
+  buffered branch of ``try_push``);
+* a pop with no parked writer and no active extension (``popleft`` then
+  ``_finish_pop``, the tail of ``pop``, with no penalty and no extension
+  to clear).
 
 Every other case — the capacity-0 handoff, a parked writer, an extension
 spill and its penalty — calls the queue method, which stays the one
@@ -49,8 +58,6 @@ from repro.arch.links import Route
 from repro.arch.queue import HardwareQueue
 from repro.core.message import Message
 from repro.core.ops import Op, OpKind
-from repro.sim.queue_manager import Request
-from repro.sim.words import Word
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
@@ -72,6 +79,9 @@ _F_DOWN_FULL = "f-down-full"
 _COMPUTE = OpKind.COMPUTE
 _WRITE = OpKind.WRITE
 
+#: A forwarder's empty hands (a held value may be ``None`` or ``0.0``).
+_EMPTY = object()
+
 
 class MessageFlow:
     """Run-time state of one message across its route."""
@@ -84,7 +94,6 @@ class MessageFlow:
         "queues",
         "requested",
         "_grant_waiters",
-        "words_written",
         "words_delivered",
     )
 
@@ -97,7 +106,6 @@ class MessageFlow:
         self.requested: list[bool] = [False] * len(route)
         # A hop's waiter list is made when the first party waits on it.
         self._grant_waiters: list[list[Callback] | None] = [None] * len(route)
-        self.words_written = 0
         self.words_delivered = 0
 
     @property
@@ -109,7 +117,7 @@ class MessageFlow:
         """Ask the manager for a queue on ``hop`` (idempotent)."""
         if not self.requested[hop]:
             self.requested[hop] = True
-            self.sim.manager.request(Request(self, hop))
+            self.sim.manager.request(self, hop)
 
     def granted(self, hop: int, queue: HardwareQueue) -> None:
         """Manager callback: ``queue`` now carries this message on ``hop``."""
@@ -139,9 +147,10 @@ class _Agent:
     """Base: deduplicated scheduling plus wait bookkeeping for diagnosis.
 
     Each subclass's ``_run`` is one event, and in the common case one
-    call: it inlines the per-word steps the module docstring lists,
-    because a call frame per step was most of an event's cost. Three
-    idioms recur at the inlined sites:
+    call: it inlines the per-word steps the module docstring lists (the
+    queue's ``_accept`` and ``_finish_pop``, the engine's FIFO and wheel
+    appends), because a call frame per step was most of an event's
+    cost. Three idioms recur at the inlined sites:
 
     * *queue release after pop* — a queue is released exactly when its
       ``words_remaining`` counter (kept by the pop) reaches zero while
@@ -285,7 +294,6 @@ class CellAgent(_Agent):
         "registers",
         "memory_accesses",
         "_write_parked",
-        "_write_flow",
         "_write_latency",
         "_write_complete_cb",
         "_n_ops",
@@ -312,7 +320,6 @@ class CellAgent(_Agent):
         self.registers: dict[str, float | None] = dict(registers or {})
         self.memory_accesses = 0
         self._write_parked = False
-        self._write_flow: MessageFlow | None = None
         self._write_latency = 0
         self._write_complete_cb: Callback = self._write_complete
         self._n_ops = len(ops)
@@ -378,11 +385,7 @@ class CellAgent(_Agent):
                     self._wait_grant(flow, 0, _W_GRANT)
                     return
             source = op.source
-            word = Word(
-                op.message,
-                flow.words_written,
-                source.resolve(self.registers) if source else None,
-            )
+            value = source.resolve(self.registers) if source else None
             overhead = self._m2m_overhead
             if overhead:
                 self.memory_accesses += 2
@@ -391,18 +394,17 @@ class CellAgent(_Agent):
             if queue._parked is not None or len(buffer) >= queue.capacity:
                 # The capacity-0 handoff, a full buffer or an extension
                 # spill: the queue's own try_push decides.
-                self._write_flow = flow
                 self._write_latency = cycles
-                if queue.try_push(word, blocked=self._write_complete_cb):
+                if queue.try_push(value, blocked=self._write_complete_cb):
                     self._write_complete()
                 else:
                     self._write_parked = True
                     self.waiting = _W_FULL
                     self.wait_queue = queue
                 return
-            # HardwareQueue.try_push, buffered branch (a granted queue
-            # stays assigned until its last word is popped).
-            buffer.append(word)
+            # HardwareQueue._accept (try_push's assigned check is moot:
+            # a granted queue stays assigned until its last word is popped).
+            buffer.append(value)
             stats = queue.stats
             stats.words_pushed += 1
             occupancy = len(buffer)
@@ -418,7 +420,6 @@ class CellAgent(_Agent):
                 self.waiting = None
                 self.wait_queue = None
                 self.wait_grant = None
-            flow.words_written += 1
         else:
             flow = self._flows[self._flow_ids[pc]]
             last = flow.last_hop
@@ -443,9 +444,10 @@ class CellAgent(_Agent):
                 self.wait_queue = None
                 self.wait_grant = None
             if parked is None and not queue.extended:
-                # HardwareQueue.pop, a buffered word with no parked writer
-                # and no active extension (so no penalty).
-                word = buffer.popleft()
+                # HardwareQueue.pop's tail: popleft, then _finish_pop
+                # (no parked writer and no active extension, so no
+                # penalty and no extension to clear).
+                value = buffer.popleft()
                 queue.stats.words_popped += 1
                 queue.words_remaining -= 1
                 waiters = queue._word_waiters
@@ -455,13 +457,13 @@ class CellAgent(_Agent):
                         poke()
                 penalty = 0
             else:
-                word, penalty = queue.pop()
+                value, penalty = queue.pop()
             if queue.words_remaining <= 0 and queue.assigned is not None:
                 self.sim.manager.release(queue)
             flow.words_delivered += 1
-            self.sim.received[word.message].append(word.value)
+            self.sim.received[op.message].append(value)
             if op.register is not None:
-                self.registers[op.register] = word.value
+                self.registers[op.register] = value
             overhead = self._m2m_overhead
             if overhead:
                 self.memory_accesses += 2
@@ -484,9 +486,6 @@ class CellAgent(_Agent):
         self._write_parked = False
         if self.waiting is not None:
             self._clear_wait()
-        flow = self._write_flow
-        self._write_flow = None
-        flow.words_written += 1
         self.pc += 1
         cycles = self._write_latency
         self.busy_cycles += cycles
@@ -497,8 +496,9 @@ class CellAgent(_Agent):
 class ForwarderAgent(_Agent):
     """I/O process moving one message across one intermediate hop.
 
-    Holds at most one word in flight (a register between queues), popping
-    from the queue on hop ``hop`` and pushing into hop ``hop + 1``. It
+    Holds at most one word in flight (a register between queues:
+    ``holding`` is its value, or ``_EMPTY``), popping from the queue on
+    hop ``hop`` and pushing into hop ``hop + 1``. It
     requests the next hop's queue when it first holds a word — i.e. when
     the message's header arrives at the intermediate cell, which is
     exactly when Section 5 says assignment may be requested (and possibly
@@ -522,7 +522,7 @@ class ForwarderAgent(_Agent):
         self.flow = flow
         self.hop = hop
         self.moved = 0
-        self.holding: Word | None = None
+        self.holding: object = _EMPTY
         self._push_parked = False
         self._push_complete_cb: Callback = self._push_complete
         self._hop_latency = sim.config.hop_latency
@@ -543,7 +543,7 @@ class ForwarderAgent(_Agent):
             return
         flow = self.flow
         word = self.holding
-        if word is None:
+        if word is _EMPTY:
             if self.moved >= flow.message.length:
                 self._finish()
                 return
@@ -569,8 +569,7 @@ class ForwarderAgent(_Agent):
                 self.wait_queue = None
                 self.wait_grant = None
             if parked is None and not queue.extended:
-                # HardwareQueue.pop, a buffered word with no parked writer
-                # and no active extension (so no penalty).
+                # HardwareQueue.pop's tail, as in CellAgent._run.
                 word = buffer.popleft()
                 queue.stats.words_popped += 1
                 queue.words_remaining -= 1
@@ -617,7 +616,7 @@ class ForwarderAgent(_Agent):
                 self.waiting = _F_DOWN_FULL
                 self.wait_queue = queue
             return
-        # HardwareQueue.try_push, buffered branch.
+        # HardwareQueue._accept.
         buffer.append(word)
         stats = queue.stats
         stats.words_pushed += 1
@@ -634,7 +633,7 @@ class ForwarderAgent(_Agent):
             self.waiting = None
             self.wait_queue = None
             self.wait_grant = None
-        self.holding = None
+        self.holding = _EMPTY
         self.moved += 1
         if not (self._scheduled or self.done):
             self._scheduled = True
@@ -649,6 +648,6 @@ class ForwarderAgent(_Agent):
         self._push_parked = False
         if self.waiting is not None:
             self._clear_wait()
-        self.holding = None
+        self.holding = _EMPTY
         self.moved += 1
         self._poke()

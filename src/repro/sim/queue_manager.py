@@ -13,6 +13,13 @@ under two rules that make it compatible with a consistent labeling:
 The non-compatible **FCFS** policy grants free queues in arrival order; it
 is the baseline that reproduces the queue-induced deadlocks of Figs. 7-9.
 
+A simulator chooses its policy by name (:data:`POLICY_NAMES`, built by
+:func:`make_policy`). A request is the pair ``(flow, hop)``, passed as
+two arguments from :meth:`QueueManager.request` through the policy to
+:meth:`QueueManager.grant`; FCFS and ordered keep the pair while it
+waits. Ordered set-up takes each link's label groups from the
+simulator's analysis entry.
+
 Per-link policy state lives directly on the :class:`LinkState` (the
 ``policy_data`` slot) rather than in ``Link``-keyed side tables, so the
 assignment hot path performs no hashing.
@@ -32,7 +39,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from repro.arch.config import ArrayConfig
@@ -41,31 +47,11 @@ from repro.arch.queue import HardwareQueue, QueueStats
 from repro.errors import ConfigError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.labeling import Labeling
     from repro.sim.agents import MessageFlow
     from repro.sim.engine import Engine
 
 #: Per-link label groups, ascending by label, members sorted by name.
 LabelGroups = Sequence[Sequence[str]]
-
-
-class Request:
-    """A message (flow) asking for a queue on one hop of its route.
-
-    A plain slotted record (like :class:`~repro.sim.words.Word`): one is
-    made for every hop of every message, and its ``__init__`` costs well
-    under half a frozen dataclass's. Treat instances as immutable.
-    """
-
-    __slots__ = ("flow", "hop")
-
-    def __init__(self, flow: "MessageFlow", hop: int) -> None:
-        self.flow = flow
-        self.hop = hop
-
-    @property
-    def message(self) -> str:
-        return self.flow.message.name
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,32 +139,38 @@ class AssignmentPolicy(ABC):
         self,
         state: LinkState,
         competing: Sequence[str],
-        labeling: "Labeling | None",
-        groups: LabelGroups | None = None,
+        groups: LabelGroups | None,
     ) -> None:
         """Prepare per-link data; called once per used link before t=0.
 
-        ``groups`` optionally supplies precomputed label groups (ascending
-        label, names sorted) so cached analyses skip the per-link grouping
-        sort; policies that ignore labels ignore it.
+        ``groups`` are the link's label groups (ascending label, names
+        sorted) from the analysis entry; policies that ignore labels get
+        ``None``.
         """
 
     def check_links(
         self,
         links: Sequence[tuple[Link, Sequence[str]]],
         config: ArrayConfig,
-        groups_table: Mapping[Link, LabelGroups] | None = None,
+        groups_table: Mapping[Link, LabelGroups] | None,
     ) -> None:
         """Raise the :class:`ConfigError` :meth:`setup_link` would raise
         first, setting up ``links`` (``(link, competing)`` pairs, in
-        set-up order) under ``config``, before any link state exists.
+        set-up order) under ``config`` with ``groups_table``'s groups,
+        before any link state exists.
 
         A policy whose set-up cannot fail checks nothing.
         """
 
     @abstractmethod
-    def on_request(self, manager: "QueueManager", state: LinkState, req: Request) -> None:
-        """A flow requests a queue on ``state.link``."""
+    def on_request(
+        self,
+        manager: "QueueManager",
+        state: LinkState,
+        flow: "MessageFlow",
+        hop: int,
+    ) -> None:
+        """``flow`` requests a queue on ``state.link``, its hop ``hop``."""
 
     @abstractmethod
     def on_release(self, manager: "QueueManager", state: LinkState) -> None:
@@ -194,11 +186,11 @@ class FCFSPolicy(AssignmentPolicy):
 
     name = "fcfs"
 
-    def setup_link(self, state, competing, labeling, groups=None) -> None:
+    def setup_link(self, state, competing, groups) -> None:
         state.policy_data = deque()
 
-    def on_request(self, manager, state, req) -> None:
-        state.policy_data.append(req)
+    def on_request(self, manager, state, flow, hop) -> None:
+        state.policy_data.append((flow, hop))
         self._evaluate(manager, state)
 
     def on_release(self, manager, state) -> None:
@@ -207,7 +199,8 @@ class FCFSPolicy(AssignmentPolicy):
     def _evaluate(self, manager, state) -> None:
         pending = state.policy_data
         while pending and state.has_free:
-            manager.grant(state, pending.popleft())
+            flow, hop = pending.popleft()
+            manager.grant(state, flow, hop)
 
 
 class _OrderedLinkData:
@@ -219,7 +212,7 @@ class _OrderedLinkData:
         self.groups = groups
         self.gidx = 0
         self.granted: set[str] = set()
-        self.pending: dict[str, Request] = {}
+        self.pending: dict[str, tuple[MessageFlow, int]] = {}
 
 
 class OrderedPolicy(AssignmentPolicy):
@@ -240,26 +233,19 @@ class OrderedPolicy(AssignmentPolicy):
     def __init__(self, strict: bool = True) -> None:
         self.strict = strict
 
-    def setup_link(self, state, competing, labeling, groups=None) -> None:
-        if groups is None:
-            if labeling is None:
-                raise ConfigError("OrderedPolicy requires a labeling")
-            groups = label_groups(competing, labeling)
+    def setup_link(self, state, competing, groups) -> None:
         if self.strict:
             _check_groups(state.link, groups, state.count)
         state.policy_data = _OrderedLinkData(groups)
 
-    def check_links(self, links, config, groups_table=None) -> None:
-        if not self.strict or groups_table is None:
+    def check_links(self, links, config, groups_table) -> None:
+        if not self.strict:
             return
         for link, _competing in links:
-            groups = groups_table.get(link)
-            if groups is None:
-                return  # set-up groups this link itself, and checks it then
-            _check_groups(link, groups, config.queues_on(link))
+            _check_groups(link, groups_table[link], config.queues_on(link))
 
-    def on_request(self, manager, state, req) -> None:
-        state.policy_data.pending[req.message] = req
+    def on_request(self, manager, state, flow, hop) -> None:
+        state.policy_data.pending[flow.message.name] = (flow, hop)
         self._evaluate(manager, state)
 
     def on_release(self, manager, state) -> None:
@@ -276,7 +262,8 @@ class OrderedPolicy(AssignmentPolicy):
             for name in group:
                 if name not in granted:
                     if name in pending and state.has_free:
-                        manager.grant(state, pending.pop(name))
+                        flow, hop = pending.pop(name)
+                        manager.grant(state, flow, hop)
                         granted.add(name)
                     else:
                         fully_granted = False
@@ -297,17 +284,16 @@ class StaticPolicy(AssignmentPolicy):
 
     name = "static"
 
-    def setup_link(self, state, competing, labeling, groups=None) -> None:
+    def setup_link(self, state, competing, groups) -> None:
         _check_static(state.link, competing, state.count)
         state.policy_data = {name: state.build() for name in competing}
 
-    def check_links(self, links, config, groups_table=None) -> None:
+    def check_links(self, links, config, groups_table) -> None:
         for link, competing in links:
             _check_static(link, competing, config.queues_on(link))
 
-    def on_request(self, manager, state, req) -> None:
-        queue = state.policy_data[req.message]
-        manager.grant(state, req, queue)
+    def on_request(self, manager, state, flow, hop) -> None:
+        manager.grant(state, flow, hop, state.policy_data[flow.message.name])
 
     def on_release(self, manager, state) -> None:
         pass  # reservations never move
@@ -333,18 +319,6 @@ def _check_groups(link: Link, groups: LabelGroups, count: int) -> None:
                 f"{len(group)} queues, only {count} exist "
                 f"(Theorem 1 assumption (ii))"
             )
-
-
-def label_groups(
-    competing: Sequence[str], labeling: "Labeling"
-) -> tuple[tuple[str, ...], ...]:
-    """Group competing messages by label, ascending; names sorted."""
-    by_label: dict[Fraction, list[str]] = {}
-    for name in competing:
-        by_label.setdefault(labeling.label(name), []).append(name)
-    return tuple(
-        tuple(sorted(names)) for _lab, names in sorted(by_label.items())
-    )
 
 
 class QueueManager:
@@ -373,39 +347,38 @@ class QueueManager:
         link: Link,
         config: ArrayConfig,
         competing: Sequence[str],
-        labeling: "Labeling | None",
-        groups: LabelGroups | None = None,
+        groups: LabelGroups | None,
     ) -> None:
         """Register a link with ``config``'s queues and let the policy
-        prepare it."""
+        prepare it (``groups``: the link's label groups, or ``None``)."""
         state = LinkState(link, config)
         self.links[link] = state
-        self.policy.setup_link(state, competing, labeling, groups)
+        self.policy.setup_link(state, competing, groups)
 
-    def request(self, req: Request) -> None:
-        """A flow asks for a queue on one hop; the policy decides."""
-        link = req.flow.route[req.hop]
-        self.policy.on_request(self, self.links[link], req)
+    def request(self, flow: "MessageFlow", hop: int) -> None:
+        """``flow`` asks for a queue on hop ``hop``; the policy decides."""
+        self.policy.on_request(self, self.links[flow.route[hop]], flow, hop)
 
     def grant(
         self,
         state: LinkState,
-        req: Request,
+        flow: "MessageFlow",
+        hop: int,
         queue: HardwareQueue | None = None,
     ) -> None:
-        """Bind a queue to the request's message and notify the flow.
+        """Bind a queue to ``flow``'s message and notify the flow.
 
         Without ``queue`` the link's free pool supplies one; a policy
         passing its own must have reserved it with :meth:`LinkState.build`.
         """
         if queue is None:
             queue = state.take_free()
-        msg = req.flow.message
+        msg = flow.message
         queue.assign(msg.name, msg.length)
         self._log.append(
             (self.engine.now, "grant", state.link, queue.index, msg.name)
         )
-        req.flow.granted(req.hop, queue)
+        flow.granted(hop, queue)
 
     def release(self, queue: HardwareQueue) -> None:
         """Return a completed queue to its link's free pool."""
@@ -441,11 +414,11 @@ def check_policy_names(names) -> None:
 
 
 def make_policy(name: str, strict: bool = True) -> AssignmentPolicy:
-    """Policy factory from a short name: fcfs | ordered | static."""
+    """Policy factory from a short name: fcfs | ordered | static. Any
+    other value raises :func:`check_policy_names`'s error."""
+    check_policy_names((name,))
     if name == "fcfs":
         return FCFSPolicy()
     if name == "ordered":
         return OrderedPolicy(strict=strict)
-    if name == "static":
-        return StaticPolicy()
-    raise ConfigError(f"unknown assignment policy {name!r}")
+    return StaticPolicy()

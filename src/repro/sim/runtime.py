@@ -48,7 +48,7 @@ from repro.perf.analysis_cache import GLOBAL_ANALYSIS_CACHE, AnalysisEntry
 from repro.sim.agents import CellAgent, ForwarderAgent, MessageFlow, _Agent
 from repro.sim.deadlock import diagnose
 from repro.sim.engine import WHEEL_HORIZON, Engine, StopReason
-from repro.sim.queue_manager import AssignmentPolicy, QueueManager, make_policy
+from repro.sim.queue_manager import QueueManager, make_policy
 from repro.sim.result import SimulationResult
 
 
@@ -172,9 +172,10 @@ class Simulator:
             is the program's cell list.
         router: route computation; defaults to the topology's natural
             minimal router.
-        policy: queue-assignment policy — ``"ordered"`` (the paper's
-            compatible scheme), ``"static"``, ``"fcfs"`` (naive baseline),
-            or a policy instance.
+        policy: the queue-assignment policy's name — ``"ordered"`` (the
+            paper's compatible scheme), ``"static"`` or ``"fcfs"`` (naive
+            baseline); anything else raises
+            :class:`~repro.errors.ConfigError`.
         labeling: labels for the ordered policy. ``None`` auto-computes
             with the Section 6 scheme (using lookahead bounds derived from
             the config when queues have buffering).
@@ -193,11 +194,11 @@ class Simulator:
     creates only what a run mutates: the link states with their policy
     data, one flow per message, the cell and forwarder agents, and the
     engine. Ops, messages and register values always come from this
-    simulator's own program. When some link may have fewer queues than
-    competing messages, the policy's ``check_links`` first reads the
-    plan's link table, so an infeasible static or strict ordered set-up
-    raises its :class:`~repro.errors.ConfigError` before any of that is
-    built.
+    simulator's own program; the ordered policy's label groups come
+    from the entry. When some link may have fewer queues than competing
+    messages, the policy's ``check_links`` first reads the plan's link
+    table, so an infeasible static or strict ordered set-up raises its
+    :class:`~repro.errors.ConfigError` before any of that is built.
 
     A simulator's life is build → :meth:`execute` → :meth:`result` →
     :meth:`close`; :meth:`run` is the first two in one call. After
@@ -221,7 +222,7 @@ class Simulator:
         config: ArrayConfig | None = None,
         topology: Topology | None = None,
         router: Router | None = None,
-        policy: str | AssignmentPolicy = "ordered",
+        policy: str = "ordered",
         labeling: Labeling | None = None,
         registers: dict[str, dict[str, float | None]] | None = None,
         strict: bool = True,
@@ -246,20 +247,15 @@ class Simulator:
                 program, self.router, config.queue_capacity, config.allow_extension
             )
         self._analysis = analysis
-        if isinstance(policy, str):
-            self.policy = make_policy(policy, strict=strict)
-        else:
-            self.policy = policy
-        if labeling is None and self.policy.name == "ordered":
+        self.policy = make_policy(policy, strict=strict)
+        if labeling is None and policy == "ordered":
             # The constraint-based labeling always exists and matches the
             # Section 6 scheme on every example the paper works; see
             # repro.core.labeling for why the literal scheme is not used.
             labeling = analysis.labeling
         self.labeling = labeling
         groups_table = (
-            analysis.ordered_groups(labeling)
-            if self.policy.name == "ordered"
-            else None
+            analysis.ordered_groups(labeling) if policy == "ordered" else None
         )
         if (
             config.link_queue_overrides
@@ -290,17 +286,16 @@ class Simulator:
         groups_table: dict | None,
     ) -> None:
         plan = self._analysis.plan
-        # Links first: a policy whose check_links does not cover it (a
-        # custom one) still raises in link set-up, before any flow or
+        # Links first: set-up re-checks each static or strict ordered
+        # link (the backstop behind check_links' skip), before any flow or
         # agent is built.
-        manager, config, labeling = self.manager, self.config, self.labeling
+        manager, config = self.manager, self.config
         for link, competing in plan.links:
             manager.add_link(
                 link,
                 config,
                 competing,
-                labeling,
-                groups_table.get(link) if groups_table is not None else None,
+                groups_table[link] if groups_table is not None else None,
             )
         flows = [
             MessageFlow(self, msg, route)
@@ -462,10 +457,13 @@ class Simulator:
 def simulate(
     program: ArrayProgram,
     config: ArrayConfig | None = None,
-    policy: str | AssignmentPolicy = "ordered",
+    policy: str = "ordered",
     **kwargs,
 ) -> SimulationResult:
-    """Build a :class:`Simulator` and run it — the one-call entry point."""
+    """Build a :class:`Simulator` and run it — the one-call entry point.
+
+    ``policy`` names the queue-assignment policy, as for
+    :class:`Simulator`."""
     sim = Simulator(program, config=config, policy=policy, **kwargs)
     try:
         return sim.run()

@@ -224,6 +224,24 @@ class TestMultiHop:
         # Words hop C1->C2->C3->C4: latency visible in the makespan.
         assert result.time >= 5
 
+    @pytest.mark.parametrize("capacity", [0, 2])
+    def test_falsy_values_cross_forwarders_intact(self, capacity):
+        # Queues carry bare values, so None and 0.0 must not read as a
+        # forwarder's empty hands on the two intermediate hops.
+        values = (None, 0.0, 2.5)
+        prog = ArrayProgram(
+            ("C1", "C2", "C3", "C4"),
+            [Message("M", "C1", "C4", len(values))],
+            {
+                "C1": [W("M", constant=v) for v in values],
+                "C4": [R("M", into=f"v{i}") for i in range(len(values))],
+            },
+        )
+        result = simulate(prog, config=ArrayConfig(queue_capacity=capacity))
+        assert result.completed
+        assert result.received == {"M": [None, 0.0, 2.5]}
+        assert result.registers["C4"] == {"v0": None, "v1": 0.0, "v2": 2.5}
+
     def test_hop_latency_scales_makespan(self):
         def run(latency: int) -> int:
             prog = ArrayProgram(
